@@ -3,71 +3,15 @@
 Not tied to a table in the paper's evaluation; these quantify the
 Section 6 applications this reproduction implements beyond the paper:
 
-* paired-table signing (the Broder-flavoured tuning of Section 6.1);
-* chunked signing and O(chunk) incremental re-signing;
 * the signature-validated client cache (Section 6.2);
 * signature-cheap bucket eviction ([LSS02], Section 6.2).
 """
 
-import time
-
-import numpy as np
 from repro.backup import BackupEngine, EvictionManager, serialize_bucket
 from repro.sdds import Bucket, CachedClient, LHFile, Record
-from repro.sig import ChunkedSigner, PairedTableSigner, make_scheme
+from repro.sig import make_scheme
 from repro.sim import SimDisk
 from repro.workloads import make_page, make_records
-
-
-def _best_of(fn, repeats=7):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_paired_table_signer(benchmark):
-    scheme = make_scheme(f=8, n=2)
-    signer = PairedTableSigner(scheme)
-    page = scheme.to_symbols(make_page("random", 254))
-    benchmark(signer.sign, page)
-
-
-def test_x1_fast_signers_report(benchmark, report_table):
-    benchmark.pedantic(lambda: None, rounds=1)
-    scheme8 = make_scheme(f=8, n=2)
-    paired = PairedTableSigner(scheme8)
-    page8 = scheme8.to_symbols(make_page("random", 254))
-    t_plain8 = _best_of(lambda: scheme8.sign(page8), repeats=30)
-    t_paired = _best_of(lambda: paired.sign(page8), repeats=30)
-
-    scheme16 = make_scheme(f=16, n=2)
-    chunked = ChunkedSigner(scheme16, chunk_symbols=8192)
-    big = scheme16.to_symbols(make_page("random", 256 * 1024))
-    t_whole = _best_of(lambda: scheme16.sign(big, False), repeats=5)
-    t_chunked = _best_of(lambda: chunked.sign(big), repeats=5)
-    chunks = chunked.chunk_signatures(big)
-    new_chunk = np.arange(8192, dtype=np.int64) % (1 << 16)
-    t_rechunk = _best_of(lambda: chunked.resign(chunks, 3, new_chunk), repeats=5)
-
-    rows = [
-        ["GF(2^8) plain, 254 B page", round(t_plain8 * 1e6, 2)],
-        ["GF(2^8) paired-table, 254 B page", round(t_paired * 1e6, 2)],
-        ["GF(2^16) whole-page sign, 256 KB", round(t_whole * 1e6, 1)],
-        ["GF(2^16) chunked sign, 256 KB", round(t_chunked * 1e6, 1)],
-        ["GF(2^16) re-sign 1 of 16 chunks", round(t_rechunk * 1e6, 1)],
-    ]
-    report_table(
-        "X1a: fast-signing extensions (us)",
-        ["path", "us"],
-        rows,
-        notes="paired tables halve gathers (Broder-style, Sec. 6.1); "
-              "chunk caches make localized edits O(chunk)",
-    )
-    # The incremental chunk path must beat re-signing everything.
-    assert t_rechunk < t_whole
 
 
 def test_x1_cache_report(benchmark, report_table):

@@ -21,7 +21,7 @@ from ..errors import BackupError, SignatureError
 from ..obs import get_registry
 from ..sdds.bucket import Bucket
 from ..sig.compound import SignatureMap
-from ..sig.engine import BatchSigner
+from ..sig.engine import get_batch_signer
 from ..sig.incremental import IncrementalSignatureMap, WriteJournal
 from ..sig.locate import LocateDesign, LocatorMap, decode
 from ..sig.scheme import AlgebraicSignatureScheme
@@ -72,8 +72,7 @@ class BackupEngine:
 
     def __init__(self, scheme: AlgebraicSignatureScheme, disk: SimDisk,
                  page_bytes: int = 16 * 1024, cpu: CpuModel | None = None,
-                 use_tree: bool = False, tree_fanout: int = 16,
-                 workers: int | None = None, backend: str = "thread"):
+                 use_tree: bool = False, tree_fanout: int = 16):
         symbol_bytes = scheme.scheme_id.symbol_bytes
         if page_bytes % symbol_bytes:
             raise BackupError(
@@ -91,13 +90,9 @@ class BackupEngine:
         self.cpu = cpu if cpu is not None else CpuModel()
         self.use_tree = use_tree
         self.tree_fanout = tree_fanout
-        #: All page signing goes through one batch signer; ``workers``
-        #: chunks large scans by page ranges onto a thread pool, or --
-        #: with ``backend="process"`` -- a shared-memory process pool
-        #: (multi-bucket backup passes sign buckets per batch call).
-        self.workers = workers
-        self.backend = backend
-        self._signer = BatchSigner(scheme, workers=workers, backend=backend)
+        #: All page signing goes through the shared per-scheme batch
+        #: signer (multi-bucket backup passes sign buckets per call).
+        self._signer = get_batch_signer(scheme)
         self._maps: dict[str, SignatureMap] = {}
         self._trees: dict[str, SignatureTree] = {}
 
@@ -325,7 +320,6 @@ class BackupEngine:
         index_stream = b"".join(bucket.index_pages(index_page_bytes))
         index_engine = BackupEngine(
             self.scheme, self.disk, page_bytes=index_page_bytes, cpu=self.cpu,
-            workers=self.workers, backend=self.backend,
         )
         index_engine._maps = self._maps  # share map storage across granularities
         index_report = index_engine.backup(f"{volume}.index", index_stream)
@@ -373,8 +367,8 @@ class BackupEngine:
         signature_map = self._maps[volume]
         indices = [index for index in self.disk.volume_pages(volume)
                    if index < signature_map.page_count]
-        # Batch-sign every disk page in one engine pass (worker-chunked
-        # for large volumes) instead of a sign call per page.
+        # Batch-sign every disk page in one engine pass instead of a
+        # sign call per page.
         pages = [self.disk.read_page(volume, index) for index in indices]
         signatures = self._signer.sign_many(pages, strict=False)
         scanned = len(indices)

@@ -7,12 +7,10 @@ committed run):
 * ``scalar``  -- :meth:`~repro.sig.scheme.AlgebraicSignatureScheme.sign_scalar`,
   the paper's symbol-at-a-time loop (Section 5.1's pseudo-code).
 * ``vector``  -- ``scheme.sign`` per page: the single-page numpy kernel.
-* ``chunked`` -- :class:`~repro.sig.fast.ChunkedSigner` chunk-and-combine
-  (Proposition 5).
 * ``batch``   -- :class:`~repro.sig.engine.BatchSigner.sign_many`: all
   pages in 2-D kernel passes through the shared power-ladder cache.
-* ``batch_workers`` -- the same engine with a thread pool splitting the
-  page matrix into per-worker row blocks.
+* ``batch_workers`` -- the same engine signing per-worker row spans
+  across the shared-memory process pool.
 * ``map_rescan`` -- ``BatchSigner.sign_map`` over the whole image: the
   full batched signature-map rebuild an update cycle pays without the
   incremental plane.
@@ -66,11 +64,11 @@ Copies-per-byte is deterministic (it counts bytes, not seconds), so
 the whole block lives in the stable region CI compares across runs.
 
 The ``cores`` block sweeps the batch engine's worker axis: 1/2/4/N
-workers (N = ``os.cpu_count()``) under both the in-process thread
-backend and the shared-memory **process backend**
-(``BatchSigner(backend="process")`` -- workers map the page arena by
-name and sign row blocks with zero page serialization).  Every swept
-configuration is exactness-verified before timing.  On hosts with at
+workers (N = ``os.cpu_count()``); one worker signs in-process, more
+sign through the shared-memory **process pool** (``BatchSigner(
+workers=K)`` -- workers map the page arena by name and sign row blocks
+with zero page serialization).  Every swept configuration is
+exactness-verified before timing.  On hosts with at
 least :data:`CORES_TARGET_MIN_CPUS` cores the harness additionally
 enforces the process backend at >= :data:`CORES_MIN_PROCESS_SPEEDUP` x
 the single-worker throughput; below that the speedup is recorded but
@@ -133,9 +131,9 @@ import numpy as np
 
 from .errors import ReproError
 from .gf.vectorized import batch_signature_matrix, delta_signature_matrix
-from .sig import (LEDGER, BatchSigner, ChunkedSigner,
-                  IncrementalSignatureMap, JournalEntry, SignatureMap,
-                  SignatureTree, make_scheme, resolve_workers)
+from .sig import (LEDGER, BatchSigner, IncrementalSignatureMap,
+                  JournalEntry, SignatureMap, SignatureTree, make_scheme,
+                  resolve_workers)
 from .sig.engine import get_batch_signer
 from .sig.locate import LOCATED, LocateDesign, LocatorMap, decode
 from .sig.signature import Signature
@@ -144,7 +142,7 @@ from .store import PageStore
 from .sync import Replica, sync_by_locator, sync_by_map, sync_by_tree
 
 #: Document schema tag; bump on any shape change.
-SCHEMA = "repro.bench/batch-engine/v8"
+SCHEMA = "repro.bench/batch-engine/v9"
 
 PAGE_BYTES = 64 * 1024
 SEED = 20040301          # ICDE 2004 -- the paper's venue
@@ -308,8 +306,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
     scheme = make_scheme(f=f, n=n)
     reference = [scheme.sign(page, strict=False) for page in pages]
 
-    chunked = ChunkedSigner(scheme,
-                            chunk_symbols=min(4096, scheme.max_page_symbols))
     single = BatchSigner(scheme)
     pooled = BatchSigner(scheme, workers=workers)
 
@@ -318,7 +314,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
         "scalar": lambda: [scheme.sign_scalar(p, strict=False)
                            for p in scalar_subset],
         "vector": lambda: [scheme.sign(p, strict=False) for p in pages],
-        "chunked": lambda: [chunked.sign(p) for p in pages],
         "batch": lambda: single.sign_many(pages, strict=False),
         "batch_workers": lambda: pooled.sign_many(pages, strict=False),
     }
@@ -360,8 +355,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
         _entry("scalar", len(scalar_subset),
                _best_seconds(checks["scalar"], repeats)),
         _entry("vector", len(pages), _best_seconds(checks["vector"], repeats)),
-        _entry("chunked", len(pages),
-               _best_seconds(checks["chunked"], repeats)),
         _entry("batch", len(pages), _best_seconds(checks["batch"], repeats)),
         _entry("batch_workers", len(pages),
                _best_seconds(checks["batch_workers"], repeats)),
@@ -379,7 +372,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
         "speedups": {
             "batch_vs_scalar": round(rates["batch"] / rates["scalar"], 2),
             "batch_vs_vector": round(rates["batch"] / rates["vector"], 2),
-            "batch_vs_chunked": round(rates["batch"] / rates["chunked"], 2),
             "workers_vs_batch": round(rates["batch_workers"] / rates["batch"],
                                       2),
             "incremental_vs_batch": round(
@@ -736,46 +728,37 @@ def _bench_copies(f: int, n: int, pages: list[bytes]) -> dict:
 
 
 def _bench_cores(pages: list[bytes], repeats: int) -> dict:
-    """Worker-scaling sweep: thread vs process backend, exactness first."""
+    """Worker-scaling sweep over the process pool, exactness first."""
     scheme = make_scheme()
     cpu_count = os.cpu_count() or 1
     counts = sorted({1, 2, 4, cpu_count})
     reference = BatchSigner(scheme).sign_many(pages, strict=False)
     rows = []
-    rates: dict[tuple[str, int], float] = {}
-    for backend in ("thread", "process"):
-        for workers in counts:
-            signer = BatchSigner(scheme, workers=workers, backend=backend)
+    rates: dict[int, float] = {}
+    for workers in counts:
+        signer = BatchSigner(scheme, workers=workers)
 
-            def sweep(signer=signer):
-                return signer.sign_many(pages, strict=False)
+        def sweep(signer=signer):
+            return signer.sign_many(pages, strict=False)
 
-            if sweep() != reference:
-                raise BenchError(
-                    f"{backend} backend with {workers} workers diverged "
-                    f"from scheme.sign")
-            seconds = max(_best_seconds(sweep, repeats), 1e-9)
-            rate = len(pages) / seconds
-            rates[(backend, workers)] = rate
-            rows.append({
-                "backend": backend,
-                "workers": workers,
-                "pages": len(pages),
-                "seconds": round(seconds, 6),
-                "pages_per_s": round(rate, 3),
-                "mib_per_s": round(
-                    len(pages) * PAGE_BYTES / (1 << 20) / seconds, 3),
-            })
-    single = rates[("thread", 1)]
-    best_process = max(rate for (backend, _w), rate in rates.items()
-                       if backend == "process")
-    best_thread = max(rate for (backend, _w), rate in rates.items()
-                      if backend == "thread")
-    process_speedup = best_process / single
+        if sweep() != reference:
+            raise BenchError(
+                f"{workers} workers diverged from scheme.sign")
+        seconds = max(_best_seconds(sweep, repeats), 1e-9)
+        rates[workers] = len(pages) / seconds
+        rows.append({
+            "workers": workers,
+            "pages": len(pages),
+            "seconds": round(seconds, 6),
+            "pages_per_s": round(rates[workers], 3),
+            "mib_per_s": round(
+                len(pages) * PAGE_BYTES / (1 << 20) / seconds, 3),
+        })
+    process_speedup = max(rates.values()) / rates[1]
     enforced = cpu_count >= CORES_TARGET_MIN_CPUS
     if enforced and process_speedup < CORES_MIN_PROCESS_SPEEDUP:
         raise BenchError(
-            f"process backend reached only {process_speedup:.2f}x the "
+            f"process pool reached only {process_speedup:.2f}x the "
             f"single-worker throughput on {cpu_count} cores "
             f"(bound {CORES_MIN_PROCESS_SPEEDUP:g}x)")
     return {
@@ -784,7 +767,6 @@ def _bench_cores(pages: list[bytes], repeats: int) -> dict:
         "results": rows,
         "speedups": {
             "process_best_vs_single": round(process_speedup, 2),
-            "thread_best_vs_single": round(best_thread / single, 2),
         },
         "target_enforced": enforced,
         "min_process_speedup": CORES_MIN_PROCESS_SPEEDUP,
@@ -1164,8 +1146,8 @@ def run(quick: bool = False, workers: int = WORKERS) -> dict:
             "dirty_fraction": DIRTY_FRACTION,
             "dirty_region_bytes": DIRTY_REGION_BYTES,
             "fields": [{"f": f, "n": n} for f, n in FIELDS],
-            "paths": ["scalar", "vector", "chunked", "batch",
-                      "batch_workers", "map_rescan", "incremental"],
+            "paths": ["scalar", "vector", "batch", "batch_workers",
+                      "map_rescan", "incremental"],
             "store": {
                 "page_bytes": STORE_PAGE_BYTES,
                 "pages": store_pages,
@@ -1189,7 +1171,6 @@ def run(quick: bool = False, workers: int = WORKERS) -> dict:
                 "min_post_saturation": SERVE_MIN_POST_SATURATION,
             },
             "sign": {
-                "backends": ["thread", "process"],
                 "default_workers": resolve_workers(),
                 "workers_env": "REPRO_SIGN_WORKERS",
                 "cpu_count": os.cpu_count() or 1,

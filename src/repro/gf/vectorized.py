@@ -24,6 +24,11 @@ from ..errors import GaloisFieldError
 from .field import GField
 
 
+def symbol_dtype(field: GField) -> np.dtype:
+    """The narrow dtype that holds one symbol: ``uint8`` or ``<u2``."""
+    return np.dtype(np.uint8) if field.f <= 8 else np.dtype("<u2")
+
+
 def narrow_symbol_view(data, field: GField) -> np.ndarray | None:
     """Zero-copy *narrow* symbol view of a raw byte buffer.
 
@@ -282,33 +287,34 @@ def pack_flat(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def pack_pages(pages: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack 1-D symbol arrays into a zero-padded ``(N, L)`` matrix.
+def bounded_spans(lengths: np.ndarray, block_symbols: int,
+                  parts: int = 1) -> list[tuple[int, int]]:
+    """Contiguous row spans whose :func:`pack_flat` matrices stay bounded.
 
-    Returns ``(matrix, lengths)`` with ``L = max(len(page))``.  Zero
-    padding is signature-neutral: a zero symbol contributes no term, and
-    padding sits *after* any scheme pre-mapping, so the row signature of
-    the padded matrix equals the page signature exactly.
+    A span ``(lo, hi)`` grows while ``rows x widest row`` stays within
+    ``block_symbols`` (a single over-wide row still forms its own span),
+    which keeps batch temporaries cache- and RAM-friendly.  With
+    ``parts > 1`` the spans are further split until there are at least
+    ``parts`` of them (where rows allow), so every worker gets a task.
     """
-    if not pages:
-        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    lengths = np.fromiter((page.size for page in pages), dtype=np.int64,
-                          count=len(pages))
-    width = int(lengths.max())
-    if (len(pages) > 1 and 0 < width
-            and len(pages) < _MASK_FILL_ROW_RATIO * width
-            and int(lengths.min()) != width
-            and all(page.dtype == pages[0].dtype for page in pages)):
-        # Long mixed rows: fill straight from the page arrays -- one
-        # copy per page, no flat intermediate (see pack_flat's regime
-        # note; the concatenation would double the bytes moved here).
-        # Mixed dtypes fall through to concatenate, which promotes.
-        matrix = np.zeros((len(pages), width), dtype=pages[0].dtype)
-        for row, page in enumerate(pages):
-            matrix[row, :page.size] = page
-        return matrix, lengths
-    flat = pages[0] if len(pages) == 1 else np.concatenate(pages)
-    return pack_flat(flat, lengths), lengths
+    spans: list[tuple[int, int]] = []
+    start, width = 0, 0
+    for i, size in enumerate(lengths.tolist()):
+        next_width = max(width, size)
+        if i > start and next_width * (i - start + 1) > block_symbols:
+            spans.append((start, i))
+            start, width = i, size
+        else:
+            width = next_width
+    if lengths.size:
+        spans.append((start, int(lengths.size)))
+    if parts > 1 and len(spans) < parts:
+        split: list[tuple[int, int]] = []
+        for lo, hi in spans:
+            step = -(-(hi - lo) // min(parts, hi - lo))
+            split.extend((at, min(at + step, hi)) for at in range(lo, hi, step))
+        spans = split
+    return spans
 
 
 def batch_signature_matrix(field: GField, matrix: np.ndarray,

@@ -21,14 +21,14 @@ Sub-modules:
 * :mod:`twisted`  -- Proposition 6 bijection-twisted schemes and the
   log-interpretation speed variant (Section 5.1).
 * :mod:`engine`   -- the batched many-page signer (2-D kernels, shared
-  β-power ladder cache, optional worker threads).
+  β-power ladder cache, optional worker processes).
 * :mod:`incremental` -- write journals and the O(|delta|) in-place
   signature-map maintenance plane (Proposition 3, batched).
 * :mod:`arena`    -- the zero-copy page-buffer plane: pages as
   ``(offset, length)`` views into contiguous (optionally shared-memory)
   arenas, plus the copies-per-byte accounting ledger.
 * :mod:`parallel` -- the shared-memory process-pool signing backend
-  (``BatchSigner(backend="process")``).
+  (``BatchSigner(workers=K)`` with ``K > 1``).
 * :mod:`locate`   -- corruption localization: d-cover-free group-testing
   designs whose O(d^2 log^2 N) Proposition-5 compound signatures certify
   *which* <= d pages are damaged.
@@ -51,7 +51,6 @@ from .compound import PageSlice, SignatureMap, slice_pages
 from .tree import SignatureTree, TreeDiff, TreeNode
 from .rolling import RollingWindow, find_signature_matches, search
 from .twisted import TwistedScheme, log_interpretation_scheme, sign_log_interpreted_fast
-from .fast import ChunkedSigner, PairedTableSigner
 from .engine import BatchSigner, PowerLadderCache, get_batch_signer
 from .parallel import resolve_workers, scheme_from_spec, scheme_spec
 from .incremental import (
@@ -101,8 +100,6 @@ __all__ = [
     "TwistedScheme",
     "log_interpretation_scheme",
     "sign_log_interpreted_fast",
-    "ChunkedSigner",
-    "PairedTableSigner",
     "BatchSigner",
     "PowerLadderCache",
     "get_batch_signer",

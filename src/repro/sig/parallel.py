@@ -1,9 +1,9 @@
 """The process-parallel signing backend over shared-memory arenas.
 
-``BatchSigner(backend="thread")`` chunks batches onto threads, but every
-chunk still contends for the GIL around the numpy dispatch; on many-core
-boxes single-process signing caps out well below memory bandwidth.  This
-module adds the escape hatch:
+In one process every signing span contends for the GIL around the numpy
+dispatch; on many-core boxes single-process signing caps out well below
+memory bandwidth.  ``BatchSigner(workers=K)`` with ``K > 1`` signs
+through this module instead:
 
 * the parent lands the batch's narrow symbol run **once** in a
   :class:`~repro.sig.arena.PageArena` backed by
@@ -24,8 +24,9 @@ Cleanup is crash-safe: the shared block is created and unlinked in the
 same ``try/finally``, so a worker exception (or a broken pool) never
 leaks ``/dev/shm`` segments; worker-side mappings are closed per task.
 
-Worker counts default to ``os.cpu_count()`` and honour the
-``REPRO_SIGN_WORKERS`` environment override (:func:`resolve_workers`).
+Callers that size the pool from the environment use
+:func:`resolve_workers`: an explicit count, else the
+``REPRO_SIGN_WORKERS`` override, else ``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import numpy as np
 
 from ..errors import SignatureError
 from ..gf.field import GF
-from ..gf.vectorized import batch_signature_matrix, pack_flat
+from ..gf.vectorized import (batch_signature_matrix, bounded_spans,
+                             pack_flat, symbol_dtype)
 from .arena import LEDGER, PageArena
 from .scheme import AlgebraicSignatureScheme
 from .twisted import TwistedScheme, log_interpretation_scheme
@@ -150,7 +152,7 @@ def _sign_attached(scheme: AlgebraicSignatureScheme, buf,
     the caller closes the mapping.
     """
     field = scheme.field
-    dtype = np.dtype(np.uint8) if field.f == 8 else np.dtype("<u2")
+    dtype = symbol_dtype(field)
     count = int(sum(lengths))
     flat = np.frombuffer(buf, dtype=dtype, count=count,
                          offset=start_symbol * dtype.itemsize)
@@ -223,32 +225,6 @@ atexit.register(shutdown_pools)
 # Parent side
 # ----------------------------------------------------------------------
 
-def _spans(lengths: np.ndarray, block_symbols: int,
-           workers: int) -> list[tuple[int, int]]:
-    """Row spans bounded by ``block_symbols``, widened to >= workers."""
-    spans: list[tuple[int, int]] = []
-    start, width = 0, 0
-    for i, size in enumerate(lengths.tolist()):
-        next_width = max(width, size)
-        if i > start and next_width * (i - start + 1) > block_symbols:
-            spans.append((start, i))
-            start, width = i, size
-        else:
-            width = next_width
-    if lengths.size:
-        spans.append((start, int(lengths.size)))
-    if workers > 1 and len(spans) < workers:
-        split: list[tuple[int, int]] = []
-        for lo, hi in spans:
-            parts = min(workers, hi - lo)
-            step = -(-(hi - lo) // parts) if parts else hi - lo
-            split.extend(
-                (at, min(at + step, hi)) for at in range(lo, hi, step)
-            )
-        spans = split
-    return spans
-
-
 def sign_flat_spans(scheme: AlgebraicSignatureScheme, flat: np.ndarray,
                     lengths: np.ndarray, workers: int,
                     block_symbols: int) -> np.ndarray:
@@ -261,16 +237,17 @@ def sign_flat_spans(scheme: AlgebraicSignatureScheme, flat: np.ndarray,
     """
     starts = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
-    arena = PageArena(max(int(flat.nbytes), 1), shared=True,
-                      align=flat.dtype.itemsize)
+    dtype = symbol_dtype(scheme.field)
+    nbytes = int(flat.size) * dtype.itemsize
+    arena = PageArena(max(nbytes, 1), shared=True, align=dtype.itemsize)
     try:
-        landing = np.frombuffer(arena.buffer_view, dtype=flat.dtype,
+        landing = np.frombuffer(arena.buffer_view, dtype=dtype,
                                 count=flat.size)
         np.copyto(landing, flat)
         del landing
-        LEDGER.count(int(flat.nbytes))
+        LEDGER.count(nbytes)
         spec = scheme_spec(scheme)
-        spans = _spans(lengths, block_symbols, workers)
+        spans = bounded_spans(lengths, block_symbols, workers)
         pool = get_pool(workers)
         try:
             futures = [

@@ -476,8 +476,8 @@ class PageStore:
         workers = self.verify_workers
         if workers is not None and workers > 1:
             if self._worker_signer is None:
-                self._worker_signer = BatchSigner(
-                    self.scheme, workers=workers, backend="process")
+                self._worker_signer = BatchSigner(self.scheme,
+                                                  workers=workers)
             return self._worker_signer
         return get_batch_signer(self.scheme)
 

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from repro.errors import SignatureError
 from repro.gf import GF
-from repro.gf.vectorized import narrow_symbol_view, pack_flat, pack_pages
+from repro.gf.vectorized import bounded_spans, narrow_symbol_view, pack_flat
 from repro.sig import LEDGER, BatchSigner, PageArena, make_scheme
-from repro.sig.signature import Signature
+from repro.sig.algebra import delta_signature, shift
 from repro.sig.twisted import log_interpretation_scheme
+
+from .mixed_inputs import draw_page, materialized
 
 SCHEMES = {
     "gf16": make_scheme(f=16, n=2),
@@ -103,15 +105,29 @@ class TestPageArena:
 
 class TestPacking:
 
-    def test_pack_pages_matches_per_row_layout(self):
+    def test_pack_flat_matches_per_row_layout(self):
         rng = np.random.default_rng(11)
         pages = [rng.integers(0, 255, size=size, dtype=np.int64)
                  for size in (5, 0, 9, 9, 1)]
-        matrix, lengths = pack_pages(pages)
-        assert lengths.tolist() == [5, 0, 9, 9, 1]
+        lengths = np.array([page.size for page in pages], dtype=np.int64)
+        matrix = pack_flat(np.concatenate(pages), lengths)
         for row, page in zip(matrix, pages):
             assert row[:page.size].tolist() == page.tolist()
             assert not row[page.size:].any()
+
+    def test_bounded_spans_cover_rows_within_budget(self):
+        lengths = np.array([30, 1, 0, 64, 17, 64, 2, 50], dtype=np.int64)
+        spans = bounded_spans(lengths, 64)
+        assert [lo for lo, _hi in spans] == [0] + [hi for _lo, hi in spans[:-1]]
+        assert spans[-1][1] == lengths.size
+        for lo, hi in spans:
+            assert hi - lo == 1 or (hi - lo) * lengths[lo:hi].max() <= 64
+        # Splitting for workers keeps order and yields >= parts spans.
+        split = bounded_spans(lengths, 1 << 20, parts=3)
+        assert len(split) >= 3
+        assert [lo for lo, _hi in split] == [0] + [hi for _lo, hi in split[:-1]]
+        assert split[-1][1] == lengths.size
+        assert bounded_spans(np.zeros(0, dtype=np.int64), 64) == []
 
     def test_pack_flat_uniform_lengths_is_a_view(self):
         flat = np.arange(12, dtype=np.uint8)
@@ -166,7 +182,7 @@ class TestArenaExactness:
                      for off, length in spans]
             expected = [scheme.sign(bytes(view.memoryview()))
                         for view in views]
-            assert BatchSigner(scheme).sign_views(views) == expected
+            assert BatchSigner(scheme).sign_many(views) == expected
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     @settings(max_examples=15, deadline=None)
@@ -213,25 +229,28 @@ class TestDeltaLane:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_delta_signature_many_matches_reference(self, name, data):
+        """Each batched delta equals its own Proposition-3 algebra.
+
+        Regions mix every input kind in one call; the reference signs
+        each region pair alone through :mod:`repro.sig.algebra`.
+        """
         scheme = SCHEMES[name]
-        symbol_bytes = scheme.scheme_id.symbol_bytes
-        signer = BatchSigner(scheme)
         count = data.draw(st.integers(1, 6))
-        regions = []
+        positions, befores, afters = [], [], []
         for _ in range(count):
-            size = data.draw(st.integers(0, 20)) * symbol_bytes
-            position = data.draw(st.integers(0, 50))
-            before = data.draw(st.binary(min_size=size, max_size=size))
-            after = data.draw(st.binary(min_size=size, max_size=size))
-            regions.append((position, before, after))
-        got = signer.delta_signature_many(regions)
-        rows = [scheme.signable_symbols(b) ^ scheme.signable_symbols(a)
-                for _, b, a in regions]
-        reference = signer.delta_components(
-            rows, [p for p, _, _ in regions])
+            kind, before = draw_page(data, scheme, max_symbols=20)
+            after = data.draw(st.binary(min_size=len(before),
+                                        max_size=len(before)))
+            positions.append(data.draw(st.integers(0, 50)))
+            befores.append((kind, before))
+            afters.append((kind, after))
+        with materialized(scheme, befores + afters) as inputs:
+            got = BatchSigner(scheme).delta_signature_many(
+                zip(positions, inputs[:count], inputs[count:]))
         assert got == [
-            Signature(tuple(int(c) for c in row), scheme.scheme_id)
-            for row in reference
+            shift(scheme, delta_signature(scheme, before, after), position)
+            for position, (_, before), (_, after)
+            in zip(positions, befores, afters)
         ]
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))

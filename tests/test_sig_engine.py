@@ -1,11 +1,13 @@
 """The batched signature engine: exactness properties and caching.
 
-The engine's whole contract is *exactness at batch speed*: every fast
-path must be byte-identical to the reference ``scheme.sign``.  These
-tests state that as hypothesis properties over random page lists --
-mixed lengths (empty pages included), both production fields, plain and
-twisted schemes -- plus deterministic checks of the ladder caches, the
-worker mode, the signer pool, and the tree bulk build.
+The engine's whole contract is *exactness at batch speed*: every input
+must sign byte-identically to the reference ``scheme.sign``.  These
+tests state that as hypothesis properties over random batches mixing
+every input kind in one call -- bytes, bytearrays, memoryviews,
+odd-length GF(2^16) bytes, symbol lists and arrays, arena page views,
+empty pages -- on both production fields, plain and twisted schemes,
+plus deterministic checks of the ladder caches, the process-pool worker
+mode, the signer pool, and the tree bulk build.
 """
 
 import numpy as np
@@ -29,6 +31,8 @@ from repro.sig import (
 from repro.sig.engine import DEFAULT_LADDERS, ladder_cache_info
 from repro.sig.twisted import log_interpretation_scheme
 
+from .mixed_inputs import draw_batch, draw_page, every_kind, materialized
+
 #: id -> scheme factory results, built once: the paper's production
 #: GF(2^16) n=2, the equal-strength GF(2^8) n=4, and a Proposition-6
 #: twisted (log-interpretation) scheme per field.
@@ -38,13 +42,6 @@ SCHEMES = {
     "gf16-twisted": log_interpretation_scheme(GF(16), n=2),
     "gf8-twisted": log_interpretation_scheme(GF(8), n=3),
 }
-
-
-def pages_strategy(scheme, max_pages=8, max_symbols=50):
-    """Lists of random symbol pages (mixed lengths, empties included)."""
-    symbol = st.integers(0, scheme.field.size - 1)
-    return st.lists(st.lists(symbol, min_size=0, max_size=max_symbols),
-                    min_size=0, max_size=max_pages)
 
 
 # ----------------------------------------------------------------------
@@ -58,32 +55,46 @@ class TestBatchExactness:
     @given(data=st.data())
     def test_sign_many_equals_reference(self, name, data):
         scheme = SCHEMES[name]
-        pages = data.draw(pages_strategy(scheme))
-        signer = BatchSigner(scheme)
-        assert signer.sign_many(pages) == [scheme.sign(p) for p in pages]
+        pages = draw_batch(data, scheme)
+        with materialized(scheme, pages) as inputs:
+            got = BatchSigner(scheme).sign_many(inputs)
+        assert got == [scheme.sign(content) for _kind, content in pages]
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_every_input_kind_in_one_batch(self, name):
+        scheme = SCHEMES[name]
+        pages = every_kind(scheme, bytes(range(7, 250)))
+        with materialized(scheme, pages) as inputs:
+            got = BatchSigner(scheme).sign_many(inputs)
+        assert got == [scheme.sign(content) for _kind, content in pages]
 
     @pytest.mark.parametrize("name", ["gf16", "gf8-twisted"])
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=4, deadline=None)
     @given(data=st.data())
     def test_workers_equal_single_thread(self, name, data):
         scheme = SCHEMES[name]
-        pages = data.draw(pages_strategy(scheme, max_pages=12))
-        # Tiny block size forces multiple blocks -> the pool actually runs.
-        pooled = BatchSigner(scheme, workers=3, block_symbols=64)
-        assert pooled.sign_many(pages) == [scheme.sign(p) for p in pages]
+        pages = draw_batch(data, scheme, max_pages=12)
+        # Tiny block size forces several spans -> several pool tasks.
+        pooled = BatchSigner(scheme, workers=2, block_symbols=64)
+        with materialized(scheme, pages) as inputs:
+            got = pooled.sign_many(inputs)
+        assert got == [scheme.sign(content) for _kind, content in pages]
 
-    @settings(max_examples=20, deadline=None)
-    @given(blob=st.binary(min_size=0, max_size=600),
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(SCHEMES)),
            page_symbols=st.integers(1, 40))
-    def test_sign_map_equals_per_slice_signing(self, blob, page_symbols):
-        scheme = SCHEMES["gf16"]
-        if len(blob) % 2:
-            blob += b"\0"
-        built = BatchSigner(scheme).sign_map(blob, page_symbols)
+    def test_sign_map_equals_per_slice_signing(self, data, name,
+                                               page_symbols):
+        scheme = SCHEMES[name]
+        page = draw_page(data, scheme, max_symbols=300)
+        _kind, content = page
+        with materialized(scheme, [page]) as (image,):
+            built = BatchSigner(scheme).sign_map(image, page_symbols)
         reference = [scheme.sign_mapped(s.symbols)
-                     for s in slice_pages(scheme, blob, page_symbols)]
+                     for s in slice_pages(scheme, content, page_symbols)]
         assert built.signatures == reference
-        assert built == SignatureMap.compute(scheme, blob, page_symbols)
+        assert built.total_symbols == scheme.signable_symbols(content).size
+        assert built == SignatureMap.compute(scheme, content, page_symbols)
 
     def test_byte_pages_match_bytes_reference(self):
         scheme = SCHEMES["gf16"]

@@ -32,6 +32,8 @@ from repro.sig import (
 )
 from repro.sig.algebra import apply_update, delta_signature, shift
 
+from .mixed_inputs import KINDS, materialized
+
 PAGE_SYMBOLS = 16
 FANOUT = 4
 
@@ -197,6 +199,14 @@ def test_twisted_schemes_take_the_explicit_path():
 # ----------------------------------------------------------------------
 
 def _regions_for(scheme, rng, sizes):
+    """Journal-style regions of one buffer, one input kind per region.
+
+    Returns ``(buffer, mutated, regions)`` with regions as ``(page,
+    position, kind, before, after)``.  Kinds cycle through every input
+    form; an ``odd`` region on a plain GF(2^16) scheme leaves its last
+    byte unchanged and drops it, so the zero byte the engine pads with
+    adds no delta (twisted schemes map the pad, so there it stays even).
+    """
     symbol_bytes = scheme.scheme_id.symbol_bytes
     page_bytes = PAGE_SYMBOLS * symbol_bytes
     buffer = rng.integers(0, 256, size=12 * page_bytes,
@@ -204,43 +214,61 @@ def _regions_for(scheme, rng, sizes):
     regions = []
     mutated = bytearray(buffer)
     for index, symbols in enumerate(sizes):
+        kind = KINDS[index % len(KINDS)]
         page = index % 12
         at = page * page_bytes + (index % 3) * symbol_bytes
         width = symbols * symbol_bytes
         before = bytes(mutated[at:at + width])
         after = rng.integers(0, 256, size=width, dtype=np.uint8).tobytes()
+        trim = kind == "odd" and symbol_bytes == 2 and scheme.is_linear
+        if trim:
+            after = after[:-1] + before[-1:]
         mutated[at:at + width] = after
+        if trim:
+            before, after = before[:-1], after[:-1]
         regions.append((page, (at - page * page_bytes) // symbol_bytes,
-                        before, after))
+                        kind, before, after))
+    # A zero-width region is a no-op on every lane.
+    regions.append((0, 0, "view", b"", b""))
     return buffer, bytes(mutated), regions
 
 
 @pytest.mark.parametrize("sizes", [
     [4] * 9,                 # uniform widths: the reshape fast path
-    [1, 7, 3, 12, 5, 2],     # ragged widths: the packed-span path
+    [1, 7, 3, 12, 5, 2, 6],  # ragged widths: the packed-span path
 ])
 def test_apply_deltas_byte_and_array_regions_agree(sizes):
-    scheme = SCHEMES["plain-gf16"]
-    signer = get_batch_signer(scheme)
+    """Mixed-kind regions fold exactly like byte regions, in one call.
+
+    Covers bytes, bytearrays, memoryviews, symbol lists and arrays,
+    arena views, odd-length GF(2^16) regions and empty regions, on
+    plain and twisted schemes over GF(2^8) and GF(2^16).
+    """
     rng = np.random.default_rng(11)
-    buffer, mutated, regions = _regions_for(scheme, rng, sizes)
+    for scheme in SCHEMES.values():
+        signer = get_batch_signer(scheme)
+        buffer, mutated, regions = _regions_for(scheme, rng, sizes)
 
-    map_bytes = SignatureMap.compute(scheme, buffer, PAGE_SYMBOLS)
-    net_bytes = signer.apply_deltas(map_bytes, regions)
+        map_bytes = SignatureMap.compute(scheme, buffer, PAGE_SYMBOLS)
+        net_bytes = signer.apply_deltas(map_bytes, [
+            (page, position, before, after)
+            for page, position, _kind, before, after in regions
+        ])
 
-    # Symbol-array regions are ineligible for the concatenation fast
-    # path and exercise the per-region fallback.
-    array_regions = [
-        (page, position, scheme.to_symbols(before), scheme.to_symbols(after))
-        for page, position, before, after in regions
-    ]
-    map_arrays = SignatureMap.compute(scheme, buffer, PAGE_SYMBOLS)
-    net_arrays = signer.apply_deltas(map_arrays, array_regions)
+        sides = [(kind, before) for _p, _r, kind, before, _a in regions] + \
+            [(kind, after) for _p, _r, kind, _b, after in regions]
+        map_mixed = SignatureMap.compute(scheme, buffer, PAGE_SYMBOLS)
+        with materialized(scheme, sides) as inputs:
+            net_mixed = signer.apply_deltas(map_mixed, [
+                (page, position, before, after)
+                for (page, position, *_), before, after
+                in zip(regions, inputs, inputs[len(regions):])
+            ])
 
-    expected = SignatureMap.compute(scheme, mutated, PAGE_SYMBOLS)
-    assert map_bytes.signatures == expected.signatures
-    assert map_arrays.signatures == expected.signatures
-    assert net_bytes == net_arrays
+        expected = SignatureMap.compute(scheme, mutated, PAGE_SYMBOLS)
+        assert map_bytes.signatures == expected.signatures
+        assert map_mixed.signatures == expected.signatures
+        assert net_bytes == net_mixed
 
 
 def test_delta_signature_many_matches_shifted_single_deltas():

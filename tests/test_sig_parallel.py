@@ -71,10 +71,6 @@ class TestResolveWorkers:
         monkeypatch.delenv("REPRO_SIGN_WORKERS", raising=False)
         assert resolve_workers() == (os.cpu_count() or 1)
 
-    def test_backend_validated(self):
-        with pytest.raises(SignatureError):
-            BatchSigner(SCHEMES["gf16"], backend="gpu")
-
 
 # ----------------------------------------------------------------------
 # Scheme specs: what travels to the workers
@@ -107,7 +103,7 @@ class TestProcessExactness:
     def test_process_backend_equals_reference(self, name, data):
         scheme = SCHEMES[name]
         pages = data.draw(byte_pages(scheme))
-        signer = BatchSigner(scheme, workers=2, backend="process")
+        signer = BatchSigner(scheme, workers=2)
         assert signer.sign_many(pages) == [scheme.sign(p) for p in pages]
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -118,8 +114,8 @@ class TestProcessExactness:
                  for i in range(12)]
         arena, views = PageArena.from_pages(pages, align=symbol_bytes)
         try:
-            signer = BatchSigner(scheme, workers=2, backend="process")
-            assert signer.sign_views(views) == [scheme.sign(p) for p in pages]
+            signer = BatchSigner(scheme, workers=2)
+            assert signer.sign_many(views) == [scheme.sign(p) for p in pages]
         finally:
             arena.close()
 
@@ -127,15 +123,22 @@ class TestProcessExactness:
         scheme = SCHEMES["gf16"]
         pages = [bytes([i % 256] * 400) for i in range(128)]
         # A small block budget forces multiple spans -> multiple tasks.
-        signer = BatchSigner(scheme, workers=2, backend="process",
+        signer = BatchSigner(scheme, workers=2,
                              block_symbols=2048)
         assert signer.sign_many(pages) == [scheme.sign(p) for p in pages]
 
-    def test_single_worker_process_backend_stays_in_process(self):
+    def test_single_worker_process_backend_stays_in_process(self,
+                                                             monkeypatch):
+        from repro.sig import parallel
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("one worker must not use the pool")
+
+        monkeypatch.setattr(parallel, "sign_flat_spans", no_pool)
         scheme = SCHEMES["gf16"]
-        signer = BatchSigner(scheme, workers=1, backend="process")
         pages = [b"abcd", b"efgh"]
-        assert signer.sign_many(pages) == [scheme.sign(p) for p in pages]
+        for signer in (BatchSigner(scheme), BatchSigner(scheme, workers=1)):
+            assert signer.sign_many(pages) == [scheme.sign(p) for p in pages]
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +149,7 @@ class TestSharedMemoryCleanup:
 
     def test_no_segments_leak_after_signing(self):
         before = shm_segments()
-        signer = BatchSigner(SCHEMES["gf16"], workers=2, backend="process")
+        signer = BatchSigner(SCHEMES["gf16"], workers=2)
         signer.sign_many([bytes([i % 256] * 256) for i in range(32)])
         assert shm_segments() - before == set()
 
@@ -160,7 +163,7 @@ class TestSharedMemoryCleanup:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(parallel, "get_pool", explode)
-        signer = BatchSigner(SCHEMES["gf16"], workers=2, backend="process")
+        signer = BatchSigner(SCHEMES["gf16"], workers=2)
         with pytest.raises(RuntimeError):
             signer.sign_many([b"abcd" * 64] * 8)
         assert shm_segments() - before == set()
