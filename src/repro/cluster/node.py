@@ -348,12 +348,12 @@ class ClusterNode:
             self.image.truncate(len(current))
         if self.store is not None:
             # Durable mode: the same extents land in the sealed local
-            # log as DELTA frames (before XOR after), so a crash replays
-            # to exactly this image.
-            for lo, hi in extents:
-                self.store.record_extent(self.IMAGE_VOLUME, lo,
-                                         previous[lo:hi], current[lo:hi],
-                                         len(current))
+            # log as DELTA frames (before XOR after), one sealed burst
+            # per mutation, so a crash replays to exactly this image.
+            self.store.record_extents(
+                self.IMAGE_VOLUME,
+                [(lo, previous[lo:hi], current[lo:hi]) for lo, hi in extents],
+                len(current))
         if not send_mirror_updates or not extents:
             return
         host = self.cluster.mirror_host(self.index)

@@ -12,6 +12,11 @@ Multiplication uses the paper's log/antilog scheme (Section 4.1):
   two consecutive copies of the basic antilog table, so that
   ``antilog[log a + log b]`` never needs the modulo reduction.
 
+The vectorized kernels read *zero-sentinel* variants of both tables:
+``sentinel_log[0]`` is ``2 * (2^f - 1)``, which indexes a run of
+``2^f - 1`` zeros appended to the doubled antilog, so a zero symbol
+gathers 0 by construction -- no mask, no branch.
+
 Because the generator polynomial is primitive, the polynomial ``x``
 (encoded as the integer ``2``) is a primitive element and serves as the
 logarithm base, exactly as in the paper's C pseudo-code.
@@ -55,7 +60,7 @@ class GField:
 
     __slots__ = (
         "f", "size", "order", "generator",
-        "log_table", "antilog_table", "_antilog_double",
+        "log_table", "antilog_table", "sentinel_log", "sentinel_antilog",
         "log0_sentinel",
     )
 
@@ -92,11 +97,18 @@ class GField:
             raise GaloisFieldError(
                 "generator polynomial is not primitive (x failed to cycle)"
             )
-        log[0] = -1  # scalar code never reads this without a zero check
+        log[0] = -1  # read only by the scalar spec (sign_scalar) and the
+        # zero-checked scalar ops below; kernels use sentinel_log
         self.log_table = log
         self.antilog_table = antilog
-        # Two consecutive copies: indices up to 2*(order-1) need no modulo.
-        self._antilog_double = np.concatenate([antilog, antilog])
+        # Narrow kernel tables: log(0) -> 2*order indexes the zero run
+        # after the doubled antilog (indices up to 2*(order-1) need no
+        # modulo), so zero symbols gather 0 without a mask.
+        self.sentinel_log = log.astype(np.int32)
+        self.sentinel_log[0] = 2 * order
+        self.sentinel_antilog = np.concatenate(
+            [antilog, antilog, np.zeros(order, dtype=antilog.dtype)]
+        ).astype(np.uint8 if self.f <= 8 else np.uint16)
 
     # ------------------------------------------------------------------
     # Scalar arithmetic
@@ -117,7 +129,7 @@ class GField:
         """
         if a == 0 or b == 0:
             return 0
-        return int(self._antilog_double[int(self.log_table[a]) + int(self.log_table[b])])
+        return int(self.sentinel_antilog[int(self.log_table[a]) + int(self.log_table[b])])
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises on zero."""

@@ -9,8 +9,11 @@ XOR-reduction, restoring throughput to the point where the *shape* of the
 paper's timing results is measurable.
 
 The scalar transliteration of the paper's pseudo-code lives in
-:mod:`repro.sig.scheme` (``component_signature_scalar``) and is checked
-against these kernels in the tests.
+:mod:`repro.sig.scheme` (``AlgebraicSignatureScheme.sign_scalar``) and
+is checked against these kernels in the tests.  Every kernel gathers
+through the field's zero-sentinel tables (``sentinel_log`` /
+``sentinel_antilog``), where a zero symbol's logarithm indexes a run of
+zeros: no kernel masks, branches on, or filters out zero symbols.
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def power_weights(field: GField, beta: int, length: int, start: int = 0) -> np.n
     ladder = ladder_exponents(field, beta, length)
     if start:
         shift = (field.log(beta) * start) % field.order
-        return field._antilog_double[ladder + shift].astype(np.int64)
+        return field.sentinel_antilog[ladder + shift].astype(np.int64)
     return field.antilog_table[ladder].astype(np.int64)
 
 
@@ -186,40 +189,55 @@ def component_signature(field: GField, symbols: np.ndarray, beta: int) -> int:
     ``returnValue ^= antilog[i + log(page[i])]`` generalized to an
     arbitrary base ``beta`` (the loop's base is alpha, log alpha = 1).
     """
-    if beta == 0:
-        raise GaloisFieldError("signature base element must be non-zero")
-    if symbols.size == 0:
-        return 0
-    nonzero = symbols != 0
-    if not nonzero.any():
-        return 0
-    positions = np.nonzero(nonzero)[0]
-    logs = field.log_table[symbols[positions]]
-    ladder = ladder_exponents(field, beta, symbols.size)
-    terms = field._antilog_double[ladder[positions] + logs]
-    return int(np.bitwise_xor.reduce(terms))
+    return signature_vector(field, symbols, (beta,))[0]
+
+
+def ladder_matrix(field: GField, betas: tuple[int, ...], length: int) -> np.ndarray:
+    """The ``(n, capacity)`` stack of a base's ladders, capacity >= ``length``.
+
+    Capacities grow geometrically, so a holder that keeps the matrix
+    (a scheme, for its one-body kernel) rebuilds it rarely.
+    """
+    capacity = _ladder_capacity(length)
+    return np.stack([ladder_exponents(field, beta, capacity) for beta in betas])
+
+
+def run_signature_matrix(field: GField, flat: np.ndarray, lengths: np.ndarray,
+                         ladders: np.ndarray) -> np.ndarray:
+    """Component signatures of a short run of bodies, without packing.
+
+    ``flat`` holds the (mapped) symbols of every body back to back,
+    ``lengths`` their sizes, and ``ladders`` is an ``(n, >= longest)``
+    :func:`ladder_matrix`.  Each symbol's sentinel log is added to the
+    ladder entry of its position *within its body* -- for a lone body
+    simply the ``(n, L)`` ladder slice -- and gathered once; one XOR
+    reduction per body then yields its components.  Returns ``(N, n)``.
+    """
+    logs = field.sentinel_log[flat]
+    if lengths.size == 1:
+        terms = field.sentinel_antilog[logs + ladders[:, :flat.size]]
+        return np.bitwise_xor.reduce(terms, axis=1)[None, :]
+    starts = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    positions = np.arange(flat.size) - np.repeat(starts, lengths)
+    terms = field.sentinel_antilog[logs + ladders.take(positions, axis=1)]
+    out = np.zeros((lengths.size, ladders.shape[0]), dtype=np.int64)
+    filled = lengths > 0
+    if flat.size:
+        out[filled] = np.bitwise_xor.reduceat(terms, starts[filled], axis=1).T
+    return out
 
 
 def signature_vector(field: GField, symbols: np.ndarray, betas: tuple[int, ...]) -> tuple[int, ...]:
     """Compute every component signature of a page for the base ``betas``.
 
-    One log-gather for the page, then per base coordinate one cached
-    ladder lookup plus one doubled-antilog gather -- no per-call power
-    recomputation and no modulo in the inner expression.
+    One sentinel gather over the ``(n, L)`` ladder slice and one XOR
+    reduction (:func:`run_signature_matrix` on a lone body) -- no
+    per-call power recomputation and no modulo in the inner expression.
     """
-    if symbols.size == 0:
-        return tuple(0 for _ in betas)
-    positions = np.nonzero(symbols != 0)[0]
-    if positions.size == 0:
-        return tuple(0 for _ in betas)
-    logs = field.log_table[symbols[positions]]
-    antilog_double = field._antilog_double
-    components = []
-    for beta in betas:
-        ladder = ladder_exponents(field, beta, symbols.size)
-        terms = antilog_double[ladder[positions] + logs]
-        components.append(int(np.bitwise_xor.reduce(terms)))
-    return tuple(components)
+    ladders = ladder_matrix(field, betas, symbols.size)
+    lengths = np.array([symbols.size])
+    return tuple(run_signature_matrix(field, symbols, lengths, ladders)[0].tolist())
 
 
 def term_array(field: GField, symbols: np.ndarray, beta: int) -> np.ndarray:
@@ -228,16 +246,8 @@ def term_array(field: GField, symbols: np.ndarray, beta: int) -> np.ndarray:
     Building block for prefix/rolling signatures: the signature of the
     window ``[a, b)`` is ``XOR(t_a .. t_{b-1}) * beta^{-a}``.
     """
-    if beta == 0:
-        raise GaloisFieldError("signature base element must be non-zero")
-    terms = np.zeros(symbols.size, dtype=np.int64)
-    positions = np.nonzero(symbols != 0)[0]
-    if positions.size == 0:
-        return terms
-    logs = field.log_table[symbols[positions]]
     ladder = ladder_exponents(field, beta, symbols.size)
-    terms[positions] = field._antilog_double[ladder[positions] + logs]
-    return terms
+    return field.sentinel_antilog[field.sentinel_log[symbols] + ladder].astype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -322,11 +332,11 @@ def batch_signature_matrix(field: GField, matrix: np.ndarray,
                            ladders: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Component signatures of every row of a zero-padded symbol matrix.
 
-    The batch analogue of :func:`signature_vector`: **one** log-gather
-    over the whole ``(N, L)`` matrix, then per base coordinate one
-    cached-ladder broadcast add and one doubled-antilog gather, XOR-
-    reduced along each row.  Table setup (the ladder) is amortized over
-    all ``N`` pages -- the Broder-style batching economics.
+    The batch analogue of :func:`signature_vector`: **one** sentinel
+    log-gather over the whole ``(N, L)`` matrix, then per base
+    coordinate one cached-ladder broadcast add and one sentinel-antilog
+    gather (padding gathers 0), XOR-reduced along each row.  The ladder
+    is amortized over all ``N`` pages -- Broder-style batching.
 
     ``ladders`` optionally supplies pre-fetched position-exponent arrays
     (one per beta, each at least ``L`` long) -- the engine passes its
@@ -336,24 +346,13 @@ def batch_signature_matrix(field: GField, matrix: np.ndarray,
     """
     n_pages, width = matrix.shape
     out = np.zeros((n_pages, len(betas)), dtype=np.int64)
-    if n_pages == 0 or width == 0:
-        for beta in betas:
-            if beta == 0:
-                raise GaloisFieldError("signature base element must be non-zero")
-        return out
-    mask = matrix != 0
-    # log_table[0] is the -1 sentinel; masked entries gather a garbage
-    # term (negative index wraps) that the where() below discards.
-    logs = field.log_table[matrix]
-    antilog_double = field._antilog_double
-    zero = np.zeros((), dtype=antilog_double.dtype)
+    logs = field.sentinel_log[matrix]
     for j, beta in enumerate(betas):
         if ladders is not None:
             ladder = ladders[j][:width]
         else:
             ladder = ladder_exponents(field, beta, width)
-        terms = antilog_double[logs + ladder[None, :]]
-        terms = np.where(mask, terms, zero)
+        terms = field.sentinel_antilog[logs + ladder[None, :]]
         out[:, j] = np.bitwise_xor.reduce(terms, axis=1)
     return out
 
@@ -384,16 +383,12 @@ def fold_concat_level(field: GField, components: np.ndarray,
     offsets = np.cumsum(lens, axis=1) - lens       # exclusive per-group cumsum
     parent_lengths = lens.sum(axis=1)
     grouped = comps.reshape(groups, fanout, n)
-    antilog_double = field._antilog_double
     out = np.zeros((groups, n), dtype=np.int64)
     for j, beta in enumerate(betas):
         if beta == 0:
             raise GaloisFieldError("signature base element must be non-zero")
         shift = (field.log(beta) * offsets) % field.order
-        column = grouped[:, :, j]
-        mask = column != 0
-        terms = antilog_double[field.log_table[column] + shift]
-        terms = np.where(mask, terms, np.zeros((), dtype=antilog_double.dtype))
+        terms = field.sentinel_antilog[field.sentinel_log[grouped[:, :, j]] + shift]
         out[:, j] = np.bitwise_xor.reduce(terms, axis=1)
     return out, parent_lengths
 
@@ -413,17 +408,11 @@ def shift_rows(field: GField, components: np.ndarray, positions: np.ndarray,
     if n_rows == 0:
         return out
     positions = np.asarray(positions, dtype=np.int64)
-    antilog_double = field._antilog_double
     for j, beta in enumerate(betas):
         if beta == 0:
             raise GaloisFieldError("signature base element must be non-zero")
         shift = (field.log(beta) * positions) % field.order
-        column = components[:, j]
-        nonzero = column != 0
-        if not nonzero.any():
-            continue
-        logs = field.log_table[column[nonzero]]
-        out[nonzero, j] = antilog_double[logs + shift[nonzero]]
+        out[:, j] = field.sentinel_antilog[field.sentinel_log[components[:, j]] + shift]
     return out
 
 
@@ -487,12 +476,7 @@ def all_window_signatures(field: GField, symbols: np.ndarray, beta: int, window:
     # Normalize: multiply by beta^{-k}.
     log_beta = field.log(beta)
     shift = (-log_beta * np.arange(n_windows, dtype=np.int64)) % field.order
-    out = np.zeros(n_windows, dtype=np.int64)
-    nonzero = raw != 0
-    if nonzero.any():
-        logs = field.log_table[raw[nonzero]]
-        out[nonzero] = field.antilog_table[(logs + shift[nonzero]) % field.order]
-    return out
+    return field.sentinel_antilog[field.sentinel_log[raw] + shift].astype(np.int64)
 
 
 def scale(field: GField, values: np.ndarray, factor: int) -> np.ndarray:
@@ -501,9 +485,5 @@ def scale(field: GField, values: np.ndarray, factor: int) -> np.ndarray:
         return np.zeros_like(values)
     if factor == 1:
         return values.copy()
-    out = np.zeros_like(values)
-    nonzero = values != 0
-    if nonzero.any():
-        logs = field.log_table[values[nonzero]]
-        out[nonzero] = field.antilog_table[(logs + field.log(factor)) % field.order]
-    return out
+    logs = field.sentinel_log[values]
+    return field.sentinel_antilog[logs + field.log(factor)].astype(values.dtype)

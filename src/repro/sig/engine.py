@@ -10,12 +10,19 @@ lookups, and β-power recomputation per page.
 :class:`BatchSigner` erases that overhead:
 
 * every input is coerced to raw symbols (zero-copy for aligned byte
-  buffers), concatenated once, and bounded spans of the flat run are
-  packed into zero-padded ``(N, L)`` symbol matrices;
-* one log-gather covers each matrix, then per base coordinate one
-  cached β-power ladder and one doubled-antilog gather produce every
-  page's component at once (:func:`repro.gf.vectorized.
-  batch_signature_matrix`);
+  buffers) and concatenated once;
+* a run of fewer than :data:`SMALL_RUN_SYMBOLS` symbols -- a wire frame,
+  a log frame, a mutation's burst of delta frames -- takes the *small
+  lane*: one sentinel gather over the scheme's own ladder matrix and
+  one XOR reduction per body (:func:`repro.gf.vectorized.
+  run_signature_matrix`, the kernel ``scheme.sign`` uses), with no
+  packing and no cache lookup;
+* bounded spans of larger runs are packed into zero-padded ``(N, L)``
+  symbol matrices;
+* one sentinel log-gather covers each matrix, then per base coordinate
+  one cached β-power ladder and one sentinel-antilog gather produce
+  every page's component at once, zero padding included (:func:`repro.
+  gf.vectorized.batch_signature_matrix`);
 * β-power ladders come from the process-wide LRU exposed here as
   :class:`PowerLadderCache` and shared with the scalar and rolling
   paths -- no caller ever recomputes a ladder;
@@ -45,6 +52,7 @@ from ..gf.vectorized import (
     ladder_exponents,
     narrow_symbol_view,
     pack_flat,
+    run_signature_matrix,
     symbol_dtype,
 )
 from ..obs import registry as _obs
@@ -62,6 +70,11 @@ RAW_BYTES = (bytes, bytearray, memoryview)
 #: temporaries stay cache- and RAM-friendly; larger batches are processed
 #: in row blocks of this many symbols (~32 MB of int64 at the default).
 DEFAULT_BLOCK_SYMBOLS = 1 << 22
+
+#: Small-run crossover: runs of fewer total symbols skip the packed
+#: matrix lane (its span, pack and ladder-cache setup is a fixed cost
+#: the small lane does not pay).  Measured in PERFORMANCE.md.
+SMALL_RUN_SYMBOLS = 4096
 
 
 class PowerLadderCache:
@@ -186,27 +199,26 @@ class BatchSigner:
         lengths = np.fromiter((row.size for row in rows), dtype=np.int64,
                               count=len(rows))
         if strict:
-            self._check_bound(lengths)
+            self._check_bound(int(lengths.max()))
         return self._sign_flat(_concat(rows), lengths)
 
     def sign_concat(self, parts, strict: bool = True) -> Signature:
         """Signature of the concatenation of ``parts``, joined lazily.
 
         Byte-identical to ``scheme.sign(b"".join(parts))`` but the parts
-        land exactly once in a symbol-aligned scratch buffer (frame
-        encoders sign ``[header, payload]`` without building the body
-        twice).  A single symbol-aligned part is signed with no copy at
-        all.
+        land exactly once, in one join (frame encoders sign ``[header,
+        payload]`` without building the body twice).  A single
+        symbol-aligned part is signed with no copy at all.
         """
         return self.sign_concat_many([parts], strict=strict)[0]
 
     def sign_concat_many(self, bodies, strict: bool = True) -> list[Signature]:
         """One signature per body, each body a sequence of byte parts.
 
-        All bodies land in one scratch buffer (the single copy), each
-        body starting on a symbol boundary; odd-length GF(2^16) bodies
-        get the same trailing zero byte ``scheme.sign`` pads with.  A
-        lone single-part symbol-aligned body skips the scratch entirely.
+        All bodies land in one join (the single copy), each body
+        starting on a symbol boundary; odd-length GF(2^16) bodies get
+        the same trailing zero byte ``scheme.sign`` pads with.  A lone
+        single-part symbol-aligned body is signed in place.
         """
         field = self.scheme.field
         symbol_bytes = field.f // 8
@@ -214,28 +226,25 @@ class BatchSigner:
             bodies = list(bodies)
         if not bodies:
             return []
-        sizes = [sum(len(part) for part in parts) for parts in bodies]
-        lengths = np.fromiter(
-            (-(-size // symbol_bytes) for size in sizes),
-            dtype=np.int64, count=len(sizes),
-        )
-        if strict:
-            self._check_bound(lengths)
-        if len(bodies) == 1 and len(bodies[0]) == 1 \
-                and isinstance(bodies[0][0], RAW_BYTES):
-            flat = narrow_symbol_view(bodies[0][0], field)
-            if flat is not None:
-                return self._sign_flat(flat, lengths)
-        total = int(lengths.sum()) * symbol_bytes
-        scratch = bytearray(total)
-        position = 0
+        pieces: list = []
+        lengths: list[int] = []
         for parts in bodies:
+            size = 0
             for part in parts:
-                scratch[position:position + len(part)] = part
-                position += len(part)
-            position = -(-position // symbol_bytes) * symbol_bytes
-        LEDGER.count(sum(sizes))
-        return self._sign_flat(narrow_symbol_view(scratch, field), lengths)
+                pieces.append(part)
+                size += len(part)
+            if size % symbol_bytes:
+                pieces.append(b"\x00")
+            lengths.append(-(-size // symbol_bytes))
+        if strict:
+            self._check_bound(max(lengths))
+        if len(pieces) == 1 and isinstance(pieces[0], RAW_BYTES):
+            joined = pieces[0]
+        else:
+            joined = b"".join(pieces)
+            LEDGER.count(len(joined))
+        return self._sign_flat(narrow_symbol_view(joined, field),
+                               np.array(lengths, dtype=np.int64))
 
     def sign_map(self, data, page_symbols: int) -> SignatureMap:
         """The compound signature of ``data``, one batched pass.
@@ -372,12 +381,12 @@ class BatchSigner:
             )
         return before, after
 
-    def _check_bound(self, lengths: np.ndarray) -> None:
+    def _check_bound(self, longest: int) -> None:
         """Reject any page beyond the Proposition-1 certainty bound."""
         bound = self.scheme.max_page_symbols
-        if lengths.size and int(lengths.max()) > bound:
+        if longest > bound:
             raise PageTooLongError(
-                f"page of {int(lengths.max())} symbols exceeds the "
+                f"page of {longest} symbols exceeds the "
                 f"certainty bound {bound} for GF(2^{self.scheme.field.f})"
             )
 
@@ -399,13 +408,20 @@ class BatchSigner:
         ``lengths`` gives per-page symbol counts.  The scheme's
         pre-mapping is applied to the *flat* run (padding enters only
         after mapping, so it stays signature-neutral for twisted
-        schemes) and each bounded span is packed by one strided fill --
-        zero-copy when the span is uniform.  With ``workers > 1`` the
-        spans go to the shared-memory process pool instead.
+        schemes).  A run under :data:`SMALL_RUN_SYMBOLS` is signed in
+        one small-lane gather; otherwise each bounded span is packed by
+        one strided fill -- zero-copy when the span is uniform -- or,
+        with ``workers > 1``, sent to the shared-memory process pool.
         """
         scheme = self.scheme
         if not lengths.size:
             return []
+        if flat.size < SMALL_RUN_SYMBOLS:
+            components = run_signature_matrix(
+                scheme.field, scheme.map_symbols(flat), lengths,
+                scheme.ladders(int(lengths.max())))
+            scheme._count_signed(flat.size, "small", calls=lengths.size)
+            return self._signatures(components)
         if self.workers > 1:
             components = parallel.sign_flat_spans(
                 scheme, flat, lengths, workers=self.workers,

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import PageTooLongError, SignatureError
 from ..gf.field import GF, GField
-from ..gf.vectorized import as_symbol_array, signature_vector
+from ..gf.vectorized import as_symbol_array, ladder_matrix, run_signature_matrix
 from ..obs import registry as _obs
 from .base import STANDARD, SignatureBase, make_base
 from .signature import SchemeId, Signature
@@ -61,6 +61,7 @@ class AlgebraicSignatureScheme:
             exponents=self.base.exponents,
             variant=variant,
         )
+        self._ladders = ladder_matrix(field, self.base.betas, 0)
         self._obs_labels = {"field": f"gf{field.f}", "variant": variant}
         self._obs_epoch = -1
         self._obs_handles: dict = {}
@@ -128,6 +129,20 @@ class AlgebraicSignatureScheme:
         """
         return True
 
+    def ladders(self, length: int) -> np.ndarray:
+        """The base's ``(n, >= length)`` position-exponent ladder matrix.
+
+        Held by the scheme and regrown geometrically, so the one-body
+        kernel (``sign`` and the engine's small-run lane) reads it with
+        no cache lookup or lock: racing regrowths each build a complete
+        matrix, and a reader keeps whichever one it fetched.
+        """
+        ladders = self._ladders
+        if ladders.shape[1] < length:
+            ladders = self._ladders = ladder_matrix(self.field,
+                                                    self.base.betas, length)
+        return ladders
+
     def to_symbols(self, page) -> np.ndarray:
         """Coerce bytes or an integer sequence to a raw symbol array."""
         return as_symbol_array(page, self.field)
@@ -175,8 +190,10 @@ class AlgebraicSignatureScheme:
         :meth:`signable_symbols` once and sign many slices of it; using
         :meth:`sign` there would re-apply a twisted scheme's bijection.
         """
-        components = signature_vector(self.field, symbols, self.base.betas)
-        return Signature(components, self.scheme_id)
+        components = run_signature_matrix(
+            self.field, symbols, np.array([symbols.size]),
+            self.ladders(symbols.size))
+        return Signature(tuple(components[0].tolist()), self.scheme_id)
 
     def sign_scalar(self, page, strict: bool = True) -> Signature:
         """Sign via the paper's symbol-at-a-time loop (Section 5.1).

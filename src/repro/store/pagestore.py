@@ -51,7 +51,7 @@ from ..errors import SignatureError, StoreError
 from ..obs import get_registry, span_if_active
 from ..sig.compound import SignatureMap
 from ..sig.engine import BatchSigner, get_batch_signer
-from ..sig.incremental import IncrementalSignatureMap, WriteJournal
+from ..sig.incremental import IncrementalSignatureMap
 from ..sig.locate import LocateDesign, LocatorMap, decode
 from ..sig.scheme import AlgebraicSignatureScheme
 from ..sig.signature import Signature
@@ -339,40 +339,47 @@ class PageStore:
         the cluster's extent differ produces); only their XOR travels
         to disk.  ``image_len`` is the volume's length after the write.
         Returns the frame's log offset (``None`` for an empty region).
+        A one-region :meth:`record_extents`.
         """
-        width = max(len(before), len(after))
-        if width == 0:
-            return None
-        with span_if_active("store.record_extent", volume=volume):
-            self._require(volume)
-            delta = (
+        offsets = self.record_extents(volume, [(offset, before, after)],
+                                      image_len)
+        return offsets[0] if offsets else None
+
+    def record_extents(self, volume: str, regions,
+                       image_len: int) -> list[int]:
+        """Durably log a burst of journaled writes, one sealing pass.
+
+        ``regions`` yields ``(offset, before, after)`` per write, in
+        order; ``image_len`` is the volume's length after all of them.
+        Each non-empty region becomes one ``DELTA`` frame.  The burst
+        takes sequence numbers in order, is sealed through one
+        ``encode_many`` pass per checkpoint interval, and splits where
+        ``checkpoint_every`` falls due, so the log and checkpoint files
+        are byte-identical to one :meth:`record_extent` per region.
+        Returns the frames' log offsets.
+        """
+        payloads = [
+            fr.encode_delta(image_len, offset, (
                 int.from_bytes(before, "little")
                 ^ int.from_bytes(after, "little")
-            ).to_bytes(width, "little")
-            frame = fr.Frame(fr.KIND_DELTA, self._take_seq(), volume,
-                             fr.encode_delta(image_len, offset, delta))
-            return self._append([frame])[0]
-
-    def append_journal(self, volume: str, journal: WriteJournal,
-                       image_len: int) -> int:
-        """Durably log a whole write journal (one batched sealing pass)."""
+            ).to_bytes(max(len(before), len(after)), "little"))
+            for offset, before, after in regions if len(before) or len(after)
+        ]
+        if not payloads:
+            return []
         self._require(volume)
-        with span_if_active("store.append_journal", volume=volume):
-            frame_list = [
-                fr.Frame(fr.KIND_DELTA, self._take_seq(), volume,
-                         fr.encode_delta(
-                             image_len, entry.offset,
-                             (int.from_bytes(entry.before, "little")
-                              ^ int.from_bytes(entry.after, "little"))
-                             .to_bytes(max(len(entry.before),
-                                           len(entry.after)),
-                                       "little")))
-                for entry in journal.entries
-                if max(len(entry.before), len(entry.after))
-            ]
-            if frame_list:
-                self._append(frame_list)
-            return len(frame_list)
+        offsets: list[int] = []
+        with span_if_active("store.record_extents", volume=volume):
+            while payloads:
+                room = len(payloads) if self.checkpoint_every is None \
+                    else max(1, self.checkpoint_every
+                             - self._frames_since_checkpoint)
+                burst, payloads = payloads[:room], payloads[room:]
+                offsets += self._append([
+                    fr.Frame(fr.KIND_DELTA, self._take_seq(), volume, payload)
+                    for payload in burst
+                ])
+        return offsets
 
     def truncate(self, volume: str, image_len: int) -> int:
         """Durably set a volume's length; returns the frame's offset."""

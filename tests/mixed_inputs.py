@@ -12,10 +12,11 @@ form the engine is handed.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import strategies as st
 
-from repro.sig import PageArena
+from repro.sig import PageArena, engine
 
 #: Every input form the engine accepts.  ``odd`` draws an odd byte
 #: length on GF(2^16) (the padded lane); ``view`` lands the page in a
@@ -30,6 +31,19 @@ _MAKERS = {
     "list": lambda content, scheme: scheme.to_symbols(content).tolist(),
     "array": lambda content, scheme: scheme.to_symbols(content),
 }
+
+
+@contextmanager
+def matrix_lane():
+    """Route every run, however small, through the packed matrix lane.
+
+    Runs under :data:`repro.sig.engine.SMALL_RUN_SYMBOLS` normally take
+    the small lane; tests of the matrix lane's own machinery (spans,
+    ladder cache, process pool) pin the crossover to zero instead of
+    inflating their inputs.
+    """
+    with mock.patch.object(engine, "SMALL_RUN_SYMBOLS", 0):
+        yield
 
 
 def draw_page(data, scheme, max_symbols: int = 50,

@@ -28,10 +28,20 @@ from repro.sig import (
     make_scheme,
     slice_pages,
 )
-from repro.sig.engine import DEFAULT_LADDERS, ladder_cache_info
+from repro.sig.engine import (
+    DEFAULT_LADDERS,
+    SMALL_RUN_SYMBOLS,
+    ladder_cache_info,
+)
 from repro.sig.twisted import log_interpretation_scheme
 
-from .mixed_inputs import draw_batch, draw_page, every_kind, materialized
+from .mixed_inputs import (
+    draw_batch,
+    draw_page,
+    every_kind,
+    materialized,
+    matrix_lane,
+)
 
 #: id -> scheme factory results, built once: the paper's production
 #: GF(2^16) n=2, the equal-strength GF(2^8) n=4, and a Proposition-6
@@ -58,7 +68,10 @@ class TestBatchExactness:
         pages = draw_batch(data, scheme)
         with materialized(scheme, pages) as inputs:
             got = BatchSigner(scheme).sign_many(inputs)
-        assert got == [scheme.sign(content) for _kind, content in pages]
+            with matrix_lane():
+                packed = BatchSigner(scheme).sign_many(inputs)
+        assert got == packed == \
+            [scheme.sign(content) for _kind, content in pages]
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_every_input_kind_in_one_batch(self, name):
@@ -76,7 +89,7 @@ class TestBatchExactness:
         pages = draw_batch(data, scheme, max_pages=12)
         # Tiny block size forces several spans -> several pool tasks.
         pooled = BatchSigner(scheme, workers=2, block_symbols=64)
-        with materialized(scheme, pages) as inputs:
+        with materialized(scheme, pages) as inputs, matrix_lane():
             got = pooled.sign_many(inputs)
         assert got == [scheme.sign(content) for _kind, content in pages]
 
@@ -90,6 +103,9 @@ class TestBatchExactness:
         _kind, content = page
         with materialized(scheme, [page]) as (image,):
             built = BatchSigner(scheme).sign_map(image, page_symbols)
+            with matrix_lane():
+                packed = BatchSigner(scheme).sign_map(image, page_symbols)
+        assert packed == built
         reference = [scheme.sign_mapped(s.symbols)
                      for s in slice_pages(scheme, content, page_symbols)]
         assert built.signatures == reference
@@ -196,9 +212,10 @@ class TestPowerLadderCache:
 
     def test_batch_paths_share_default_cache(self):
         scheme = make_scheme(f=16, n=2)
-        BatchSigner(scheme).sign_many([b"ab" * 32])
-        before = DEFAULT_LADDERS.hits
-        BatchSigner(scheme).sign_many([b"cd" * 16])
+        with matrix_lane():
+            BatchSigner(scheme).sign_many([b"ab" * 32])
+            before = DEFAULT_LADDERS.hits
+            BatchSigner(scheme).sign_many([b"cd" * 16])
         assert DEFAULT_LADDERS.hits > before
         info = ladder_cache_info()
         assert set(info) == {"bundle_hits", "bundle_misses",
@@ -229,12 +246,13 @@ class TestEnginePlumbing:
         pages = [rng.integers(0, scheme.field.size, size=size).tolist()
                  for size in (30, 1, 0, 64, 17, 64, 2, 50)]
         tiny = BatchSigner(scheme, block_symbols=64)
-        assert tiny.sign_many(pages) == [scheme.sign(p) for p in pages]
+        with matrix_lane():
+            assert tiny.sign_many(pages) == [scheme.sign(p) for p in pages]
 
     def test_engine_metrics_emitted(self):
         registry = MetricsRegistry()
         scheme = make_scheme(f=16, n=2)
-        with use_registry(registry):
+        with use_registry(registry), matrix_lane():
             BatchSigner(scheme).sign_many([b"ab", b"cd", b"ef"])
         assert registry.total("sig.engine.batches") == 1
         assert registry.total("sig.engine.pages") == 3
@@ -242,3 +260,24 @@ class TestEnginePlumbing:
         assert snapshot["sig.sign_calls"] == {
             "algo=batch,field=gf16,variant=standard": 3
         }
+
+    def test_small_runs_counted_under_their_own_label(self):
+        registry = MetricsRegistry()
+        scheme = make_scheme(f=16, n=2)
+        large = b"xy" * SMALL_RUN_SYMBOLS
+        with use_registry(registry):
+            signer = BatchSigner(scheme)
+            signer.sign_many([b"ab", b"cd", b"ef"])
+            signer.sign_concat([b"head", b"body!"])
+            signer.sign_many([large])
+        snapshot = registry.snapshot()
+        assert snapshot["sig.sign_calls"] == {
+            "algo=small,field=gf16,variant=standard": 4,
+            "algo=batch,field=gf16,variant=standard": 1,
+        }
+        assert snapshot["sig.bytes_signed"] == {
+            "algo=small,field=gf16,variant=standard": 6 + 10,
+            "algo=batch,field=gf16,variant=standard": len(large),
+        }
+        # Only the matrix lane packs batches.
+        assert registry.total("sig.engine.batches") == 1

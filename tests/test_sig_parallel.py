@@ -25,6 +25,8 @@ from repro.sig import (
 )
 from repro.sig.twisted import log_interpretation_scheme
 
+from .mixed_inputs import matrix_lane
+
 SCHEMES = {
     "gf16": make_scheme(f=16, n=2),
     "gf8": make_scheme(f=8, n=4),
@@ -38,6 +40,14 @@ def byte_pages(scheme, max_pages=6, max_symbols=40):
     page = st.binary(min_size=0, max_size=max_symbols * symbol_bytes) \
         .map(lambda b: b[:len(b) - len(b) % symbol_bytes])
     return st.lists(page, min_size=0, max_size=max_pages)
+
+
+@pytest.fixture(autouse=True)
+def _matrix_lane():
+    """Every test here drives the process pool, which only the packed
+    matrix lane reaches; pin the small-run crossover out of the way."""
+    with matrix_lane():
+        yield
 
 
 def shm_segments():
