@@ -98,9 +98,10 @@ def delta_shipping_demo() -> None:
         assert result.ok
     cluster.settle()
     shipped = registry.total("cluster.mirror_delta_bytes") - shipped_before
-    frames = registry.total("cluster.mirror_deltas")
-    print(f"  {int(frames)} delta frames over the run; the sparse-update "
-          f"round shipped {int(shipped):,} B")
+    regions = registry.total("cluster.mirror_deltas")
+    frames = registry.total("net.messages", kind="c_mirror_delta")
+    print(f"  {int(regions)} delta regions in {int(frames)} sealed frames "
+          f"over the run; the sparse-update round shipped {int(shipped):,} B")
     print(f"  against {image_bytes:,} B of live bucket images")
     cluster.check_replicas()
     print("  every mirror byte-matches its source image")

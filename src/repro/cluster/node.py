@@ -5,10 +5,12 @@ A :class:`ClusterNode` owns three things:
 * an :class:`~repro.sdds.server.SDDSServer` bucket holding the records
   whose keys hash to it -- the primary copy clients talk to;
 * a page-image :class:`~repro.sync.Replica` of that bucket (the
-  serialized record set), whose changed pages are shipped *best effort*
-  to the next node's hosted mirror after every mutation -- lost or
-  corrupted mirror updates are exactly the divergence the anti-entropy
-  pass later detects and repairs by signature;
+  serialized record set, always equal to :func:`serialize_bucket` of
+  the bucket), patched in place from each mutation's own effect and
+  shipped *best effort* to the next node's hosted mirror as one sealed
+  patch per mutation -- lost or corrupted mirror updates are exactly the
+  divergence the anti-entropy pass later detects and repairs by
+  signature;
 * the **hosted mirror**: the previous node's bucket image, kept so a
   crashed neighbour's state survives somewhere.
 
@@ -29,6 +31,7 @@ never half-parsed.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from contextlib import contextmanager
 from enum import Enum
 
@@ -76,16 +79,28 @@ def serialize_bucket(server: SDDSServer) -> bytes:
     return _IMAGE_HEADER.pack(count) + b"".join(parts)
 
 
-def deserialize_bucket(image: bytes) -> list[Record]:
-    """Inverse of :func:`serialize_bucket`."""
+def deserialize_bucket(image: bytes | bytearray) -> list[Record]:
+    """Inverse of :func:`serialize_bucket`.
+
+    Raises :class:`~repro.cluster.wire.WireError` when the image is
+    truncated or carries bytes past its last record.
+    """
+    if len(image) < _IMAGE_HEADER.size:
+        raise wire.WireError("truncated bucket image header")
     count, = _IMAGE_HEADER.unpack_from(image)
     offset = _IMAGE_HEADER.size
     records = []
     for _ in range(count):
+        if len(image) < offset + _RECORD_HEADER.size:
+            raise wire.WireError("truncated bucket image record header")
         value_len, key = _RECORD_HEADER.unpack_from(image, offset)
         offset += _RECORD_HEADER.size
+        if len(image) < offset + value_len:
+            raise wire.WireError("truncated bucket image record")
         records.append(Record(key, image[offset:offset + value_len]))
         offset += value_len
+    if offset != len(image):
+        raise wire.WireError("trailing bytes after bucket image records")
     return records
 
 
@@ -113,8 +128,11 @@ class ClusterNode:
         self.service = RequestService(self.name, cluster.loop, self.policy,
                                       execute=self._service_execute,
                                       shed=self._service_shed)
-        self.image = Replica(f"{self.name}.image", scheme,
-                             serialize_bucket(self.server), page_bytes)
+        #: Key index of the image: sorted keys and each record's
+        #: serialized size, so a mutation finds its record's offset.
+        self._keys: list[int] = []
+        self._sizes: list[int] = []
+        self.adopt_image(serialize_bucket(self.server))
         #: Hosted copy of the previous node's bucket image.
         self.mirror: Replica | None = None
         #: request_id -> sealed reply bytes (at-least-once replay).
@@ -146,6 +164,22 @@ class ClusterNode:
     def is_up(self) -> bool:
         """True when the node serves traffic."""
         return self.state is NodeState.UP
+
+    def adopt_image(self, image: bytes) -> None:
+        """Replace the bucket image wholesale and re-index its records.
+
+        ``image`` must equal :func:`serialize_bucket` of the bucket: later
+        mutations splice into it at offsets taken from this index.
+        """
+        self.image = Replica(f"{self.name}.image", self.scheme, image,
+                             self.page_bytes)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        records = deserialize_bucket(self.image.data)
+        self._keys = [record.key for record in records]
+        self._sizes = [_RECORD_HEADER.size + len(record.value)
+                       for record in records]
 
     def make_mirror(self, source_name: str, data: bytes = b"") -> Replica:
         """(Re)create the hosted mirror replica, initially ``data``."""
@@ -266,7 +300,6 @@ class ClusterNode:
             status, reply_value, _effect = apply_operation(
                 self.server, self.scheme, op, key, value)
             return status, reply_value
-        before = self.image_bytes()
         status, reply_value, effect = apply_operation(
             self.server, self.scheme, op, key, value)
         if effect == EFFECT_PSEUDO:
@@ -280,8 +313,37 @@ class ClusterNode:
             self.cluster.parity.update(key, value)
         else:
             self.cluster.parity.delete(key)
-        self.refresh_image(send_mirror_updates=True, previous=before)
+        before = self.image_bytes()
+        self.refresh_image(self._spliced_image(before, effect, key, value),
+                           before, send_mirror_updates=True)
         return status, reply_value
+
+    def _spliced_image(self, previous: bytes, effect: str, key: int,
+                       value: bytes) -> bytes:
+        """The image after one mutation, spliced from ``previous``.
+
+        Only the record's own bytes and the count header are rewritten;
+        the records after it shift as a block.  Updates the key index.
+        """
+        keys, sizes = self._keys, self._sizes
+        index = bisect_left(keys, key)
+        offset = _IMAGE_HEADER.size + sum(sizes[:index])
+        record = b""
+        if effect != EFFECT_DELETE:
+            record = b"".join((_RECORD_HEADER.pack(len(value), key), value))
+        if effect == EFFECT_INSERT:
+            keys.insert(index, key)
+            sizes.insert(index, len(record))
+            old_size = 0
+        elif effect == EFFECT_UPDATE:
+            old_size = sizes[index]
+            sizes[index] = len(record)
+        else:
+            del keys[index]
+            old_size = sizes.pop(index)
+        return b"".join((_IMAGE_HEADER.pack(len(keys)),
+                         previous[_IMAGE_HEADER.size:offset], record,
+                         previous[offset + old_size:]))
 
     # ------------------------------------------------------------------
     # Bucket image and mirror shipping
@@ -298,7 +360,8 @@ class ClusterNode:
         Computed page by page (bounding the extent scan to dirty pages);
         within a differing page the extent brackets the first and last
         differing byte, expanded to symbol boundaries.  Bytes past the
-        shorter image count as differing.
+        shorter image count as differing.  The brackets come from the
+        lowest and highest set bit of the pages' XOR as integers.
         """
         from ..sig.incremental import aligned_span
 
@@ -312,34 +375,28 @@ class ClusterNode:
             new_page = current[lo:hi]
             if old_page == new_page:
                 continue
+            common = min(len(old_page), len(new_page))
             span = max(len(old_page), len(new_page))
-            first = next(
-                i for i in range(span)
-                if (old_page[i:i + 1] or None) != (new_page[i:i + 1] or None)
-            )
-            last = next(
-                i for i in range(span - 1, -1, -1)
-                if (old_page[i:i + 1] or None) != (new_page[i:i + 1] or None)
-            )
+            xor = (int.from_bytes(old_page[:common], "little")
+                   ^ int.from_bytes(new_page[:common], "little"))
+            first = ((xor & -xor).bit_length() - 1) // 8 if xor else common
+            last = span - 1 if common < span else (xor.bit_length() - 1) // 8
             a, b = aligned_span(lo + first, last - first + 1, symbol_bytes)
             extents.append((a, min(b, lo + span)))
         return extents
 
-    def refresh_image(self, send_mirror_updates: bool = False,
-                      previous: bytes | None = None) -> None:
-        """Re-serialize the bucket; optionally ship the changed extents.
+    def refresh_image(self, current: bytes, previous: bytes,
+                      send_mirror_updates: bool = False) -> None:
+        """Move the image from ``previous`` to ``current``; optionally ship the diff.
 
         The image replica is updated through journaled extent writes --
         O(|changed bytes|) signature work to keep its warm map current,
-        never a whole-buffer rewrite.  Mirror updates ship as sealed
-        ``(offset, delta, sig)`` frames carrying ``before XOR after`` of
-        each extent, *best effort*: they ride the faulty network with no
-        retry, so drops and detected corruptions leave the mirror stale
-        until the next anti-entropy pass.
+        never a whole-buffer rewrite.  The mirror update ships as one
+        sealed patch per call carrying ``before XOR after`` of every
+        changed extent, *best effort*: it rides the faulty network with
+        no retry, so a drop or a detected corruption leaves the mirror
+        stale until the next anti-entropy pass.
         """
-        if previous is None:
-            previous = self.image_bytes()
-        current = serialize_bucket(self.server)
         extents = self._changed_extents(previous, current)
         for lo, hi in extents:
             if lo < len(current):
@@ -357,37 +414,31 @@ class ClusterNode:
         if not send_mirror_updates or not extents:
             return
         host = self.cluster.mirror_host(self.index)
-        # Delta frames inherit the trace context of the operation that
+        # The patch inherits the trace context of the operation that
         # dirtied the image (the ambient span during RPC handling), so
         # the mirror application on the host lands in the same tree.
         context = self.cluster.traces.current
-        bodies = []
-        delta_bytes = 0
+        regions = []
+        for lo, hi in extents:
+            old_part = previous[lo:hi]
+            new_part = current[lo:hi]
+            regions.append((lo, (
+                int.from_bytes(old_part, "little")
+                ^ int.from_bytes(new_part, "little")
+            ).to_bytes(max(len(old_part), len(new_part)), "little")))
         with span_if_active("node.mirror_ship", node=self.name,
                             extents=str(len(extents))):
-            for lo, hi in extents:
-                old_part = previous[lo:hi]
-                new_part = current[lo:hi]
-                width = max(len(old_part), len(new_part))
-                delta = (
-                    int.from_bytes(old_part, "little")
-                    ^ int.from_bytes(new_part, "little")
-                ).to_bytes(width, "little")
-                bodies.append(wire.encode_traced(
-                    context, wire.encode_delta(len(current), lo, delta)
-                ))
-                delta_bytes += len(delta)
-            # One batched signing pass seals the whole burst of patches.
-            for sealed in wire.seal_many(self.scheme, bodies):
-                self.cluster.faulty_network.transmit(
-                    self.name, host.name, DELTA_KIND, sealed,
-                    host.receive_mirror_delta,
-                )
+            sealed = wire.seal(self.scheme, wire.encode_traced(
+                context, wire.encode_deltas(len(current), regions)))
+            self.cluster.faulty_network.transmit(
+                self.name, host.name, DELTA_KIND, sealed,
+                host.receive_mirror_delta,
+            )
         registry = get_registry()
         registry.counter("cluster.mirror_deltas",
-                         source=self.name).inc(len(bodies))
-        registry.counter("cluster.mirror_delta_bytes",
-                         source=self.name).inc(delta_bytes)
+                         source=self.name).inc(len(regions))
+        registry.counter("cluster.mirror_delta_bytes", source=self.name).inc(
+            sum(len(delta) for _offset, delta in regions))
 
     def receive_mirror(self, data: bytes) -> None:
         """Apply one delivered mirror page update to the hosted mirror."""
@@ -411,10 +462,10 @@ class ClusterNode:
     def receive_mirror_delta(self, data: bytes) -> None:
         """XOR one delivered delta patch onto the hosted mirror.
 
-        The seal covers the delta frame, so a corrupted patch is
-        *detected and dropped* (certainly for <= n corrupted symbols,
-        Proposition 1) rather than applied -- the mirror is then merely
-        stale, which anti-entropy repairs.
+        The seal covers the whole multi-region frame, so a corrupted
+        patch is *detected and dropped* whole (certainly for <= n
+        corrupted symbols, Proposition 1) rather than applied -- the
+        mirror is then merely stale, which anti-entropy repairs.
         """
         body = wire.unseal(self.scheme, data)
         registry = get_registry()
@@ -430,9 +481,10 @@ class ClusterNode:
             registry.counter("cluster.down_drops", node=self.name).inc()
             return
         context, inner = wire.decode_traced(body)
-        image_len, offset, delta = wire.decode_delta(inner)
+        image_len, regions = wire.decode_deltas(inner)
         with self._traced("node.mirror_apply", context):
-            self.mirror.apply_xor(offset, delta)
+            for offset, delta in regions:
+                self.mirror.apply_xor(offset, delta)
             if len(self.mirror.data) > image_len:
                 self.mirror.truncate(image_len)
 
@@ -451,8 +503,7 @@ class ClusterNode:
         self.server = SDDSServer(self.index, self.scheme,
                                  capacity_records=self.capacity_records,
                                  store_signatures=True)
-        self.image = Replica(f"{self.name}.image", self.scheme,
-                             serialize_bucket(self.server), self.page_bytes)
+        self.adopt_image(serialize_bucket(self.server))
         self.mirror = None
         self._reply_cache.clear()
         self._inflight.clear()
@@ -468,7 +519,8 @@ class ClusterNode:
         """Repopulate the bucket (recovery path); refreshes the image."""
         for record in records:
             self.server.insert(record)
-        self.refresh_image()
+        self.refresh_image(serialize_bucket(self.server), self.image_bytes())
+        self._reindex()
 
 
 # Imported last, deliberately: the serve package builds on cluster
@@ -477,6 +529,7 @@ class ClusterNode:
 # serve imports anything from this module, so the bottom import breaks
 # the cycle in both import directions.
 from ..serve.ops import (  # noqa: E402
+    EFFECT_DELETE,
     EFFECT_INSERT,
     EFFECT_NONE,
     EFFECT_PSEUDO,

@@ -45,7 +45,7 @@ from ..sig.scheme import AlgebraicSignatureScheme, make_scheme
 from ..sim.clock import SimClock
 from ..sim.network import NetworkModel, SimNetwork
 from ..store.pagestore import PageStore
-from ..sync import Replica, sync_by_locator, sync_by_tree
+from ..sync import sync_by_locator, sync_by_tree
 from .events import EventLoop
 from .faults import Crash, FaultPlan
 from .network import FaultyNetwork
@@ -390,7 +390,7 @@ class Cluster:
         image = store.image(volume)
         try:
             records = deserialize_bucket(image)
-        except Exception:
+        except wire.WireError:
             store.close()
             return False
         for record in records:
@@ -398,8 +398,7 @@ class Cluster:
         if serialize_bucket(node.server) != image:
             store.close()
             return False
-        node.image = Replica(f"{node.name}.image", self.scheme, image,
-                             node.page_bytes)
+        node.adopt_image(image)
         node.store = store
         node.store_dir = store.directory
         registry.counter("cluster.durable_recoveries", node=node.name).inc()
@@ -524,8 +523,12 @@ class Cluster:
         for node in self.nodes:
             if not node.is_up:
                 continue
-            decoded = {r.key: r.value for r in
-                       deserialize_bucket(node.image_bytes())}
+            try:
+                decoded = {r.key: r.value for r in
+                           deserialize_bucket(node.image_bytes())}
+            except wire.WireError as error:
+                raise ClusterError(
+                    f"{node.name} image does not decode: {error}") from error
             stored = {key: node.server.bucket.get(key).value
                       for key in node.server.bucket.keys()}
             if decoded != stored:

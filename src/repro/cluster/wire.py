@@ -15,9 +15,10 @@ deserializer):
 * request:  ``op(1) || request_id(8) || key(4) || value_len(4) || value``
 * reply:    ``status(1) || request_id(8) || value_len(4) || value``
 * mirror:   ``image_len(8) || page_index(4) || page bytes``
-* delta:    ``image_len(8) || offset(8) || delta bytes`` -- a mirror
-  patch carrying only ``before XOR after`` of a changed extent; the
-  seal covers the frame, so corrupt deltas are dropped, not applied.
+* delta:    ``image_len(8) || count(4) || (offset(8) || length(4) ||
+  delta bytes)*`` -- one mirror patch per mutation, carrying only
+  ``before XOR after`` of each changed extent; the seal covers the
+  whole frame, so a corrupt patch is dropped whole, never applied.
 
 Cluster frames additionally carry a 16-byte **trace envelope** ahead of
 the body -- ``trace_id(8) || span_id(8)``, the
@@ -66,7 +67,8 @@ ST_NAMES = {ST_INSERTED: "inserted", ST_DUPLICATE: "duplicate",
 _REQUEST = struct.Struct("<BQII")
 _REPLY = struct.Struct("<BQI")
 _MIRROR = struct.Struct("<QI")
-_DELTA = struct.Struct("<QQ")
+_DELTAS = struct.Struct("<QI")
+_REGION = struct.Struct("<QI")
 _TRACED = struct.Struct("<QQ")
 
 
@@ -216,23 +218,47 @@ def decode_mirror(body: bytes) -> tuple[int, int, bytes]:
     return image_len, page_index, body[_MIRROR.size:]
 
 
+def encode_deltas(image_len: int,
+                  regions: list[tuple[int, bytes | memoryview]]) -> bytes:
+    """Serialize one best-effort mirror patch of ``(offset, delta)`` regions.
+
+    Each ``delta`` is ``before XOR after`` for a changed byte extent --
+    typically a few symbols instead of a whole page -- and one mutation's
+    extents all travel in one frame.  The frame is sealed like every
+    other message, so the receiver applies a patch only when its
+    ``sig(frame)`` verifies (a corrupted patch is certainly detected for
+    <= n corrupted symbols, Proposition 1) and drops it whole otherwise.
+    """
+    parts = [_DELTAS.pack(image_len, len(regions))]
+    for offset, delta in regions:
+        parts.append(_REGION.pack(offset, len(delta)))
+        parts.append(delta)
+    return b"".join(parts)
+
+
+def decode_deltas(body: bytes | memoryview) -> tuple[
+        int, list[tuple[int, bytes | memoryview]]]:
+    """Inverse of :func:`encode_deltas`: (image_len, [(offset, delta)])."""
+    if len(body) < _DELTAS.size:
+        raise WireError("truncated delta body")
+    image_len, count = _DELTAS.unpack_from(body)
+    position = _DELTAS.size
+    regions = []
+    for _ in range(count):
+        if len(body) < position + _REGION.size:
+            raise WireError("truncated delta region header")
+        offset, length = _REGION.unpack_from(body, position)
+        position += _REGION.size
+        if len(body) < position + length:
+            raise WireError("truncated delta region")
+        regions.append((offset, body[position:position + length]))
+        position += length
+    if position != len(body):
+        raise WireError("delta body longer than its regions")
+    return image_len, regions
+
+
 def encode_delta(image_len: int, offset: int,
                  delta: bytes | memoryview) -> bytes:
-    """Serialize one best-effort mirror *delta* patch.
-
-    ``delta`` is ``before XOR after`` for the changed byte extent at
-    ``offset`` -- typically a few symbols instead of a whole page.  The
-    frame is sealed like every other message, and the seal is computed
-    over the delta content itself, so the receiver applies a patch only
-    when its ``sig(delta)`` verifies (a corrupted patch is certainly
-    detected for <= n corrupted symbols, Proposition 1).
-    """
-    return b"".join((_DELTA.pack(image_len, offset), delta))
-
-
-def decode_delta(body: bytes) -> tuple[int, int, bytes]:
-    """Inverse of :func:`encode_delta`: (image_len, offset, delta)."""
-    if len(body) < _DELTA.size:
-        raise WireError("truncated delta body")
-    image_len, offset = _DELTA.unpack_from(body)
-    return image_len, offset, body[_DELTA.size:]
+    """A one-region :func:`encode_deltas` patch."""
+    return encode_deltas(image_len, [(offset, delta)])

@@ -16,9 +16,10 @@ n = 2 scheme.  Three frame kinds cover the write paths:
   page write, the backup engine's granule.  A short write to the final
   page sets the volume length, mirroring the sim disk's semantics.
 * ``DELTA`` (payload ``image_len(8) | offset(8) | delta``) -- a PR-4
-  journal region carrying only ``before XOR after``; the same layout
-  as the cluster's ``c_mirror_delta`` wire frame, so delta-shipping
-  replication and durable logging share one vocabulary.
+  journal region carrying only ``before XOR after``; one region of the
+  cluster's ``c_mirror_delta`` wire frame, so delta-shipping
+  replication and durable logging share one vocabulary.  The log keeps
+  one frame per region so a rotted frame damages at most one page.
 * ``TRUNCATE`` (payload ``image_len(8) | page_size(4)``) -- declares a
   volume (fixing its page size) or sets its length.
 

@@ -429,6 +429,22 @@ class TestClusterTraceGolden:
         cluster, _, _ = _traced_cluster(seed=11)
         assert cluster.traces.to_json() + "\n" == TRACE_GOLDEN.read_text()
 
+    def test_one_mirror_patch_per_mutation(self):
+        # Each mutation seals its changed extents into one mirror patch,
+        # so a trace applies at most as many patches as it shipped.  This
+        # holds only because the scenario's lossy plan never duplicates a
+        # frame (duplicate=0): a duplicated patch would be applied twice.
+        cluster, _, _ = _traced_cluster(seed=11)
+        assert cluster.plan.default.duplicate == 0
+        shipped = applied = 0
+        for spans in cluster.traces.traces().values():
+            names = [span.name for span in spans]
+            assert names.count("node.mirror_apply") \
+                <= names.count("node.mirror_ship")
+            shipped += names.count("node.mirror_ship")
+            applied += names.count("node.mirror_apply")
+        assert 0 < applied <= shipped
+
     def test_rpc_trees_span_nodes(self):
         cluster, _, results = _traced_cluster(seed=11)
         export = cluster.traces.to_dict()
