@@ -4,15 +4,21 @@ A :class:`ClusterNode` owns three things:
 
 * an :class:`~repro.sdds.server.SDDSServer` bucket holding the records
   whose keys hash to it -- the primary copy clients talk to;
-* a page-image :class:`~repro.sync.Replica` of that bucket (the
-  serialized record set, always equal to :func:`serialize_bucket` of
-  the bucket), patched in place from each mutation's own effect and
-  shipped *best effort* to the next node's hosted mirror as one sealed
-  patch per mutation -- lost or corrupted mirror updates are exactly the
-  divergence the anti-entropy pass later detects and repairs by
-  signature;
+* a page-image :class:`~repro.sync.Replica` of that bucket in the *slot
+  layout* (below): each record sits in its own slot, written once and
+  never moved by other records' mutations, so a mutation dirties only
+  the slot it wrote -- the paper's page backup (Section 3) then rewrites
+  only those pages.  Each mutation's slot writes are logged and shipped
+  *best effort* to the next node's hosted mirror as one sealed patch --
+  lost or corrupted mirror updates are exactly the divergence the
+  anti-entropy pass later detects and repairs by signature;
 * the **hosted mirror**: the previous node's bucket image, kept so a
   crashed neighbour's state survives somewhere.
+
+The slot layout: an 8-byte nonzero format tag at offset 0, then slots of
+``header(value_len | LIVE, key) || value`` zero-padded to 8 bytes.  Free
+space is all zero and a live header never is, so one scan in offset
+order recovers every record; the image ends at the high-water mark.
 
 The node lifecycle is ``UP -> CRASHED -> RECOVERING -> UP``: a crash
 wipes every volatile structure (bucket, image, mirror, RPC reply
@@ -46,16 +52,18 @@ from ..store.pagestore import PageStore
 from ..sync import Replica
 from . import wire
 
-#: Bucket-image header: record count.  Keeps the image non-empty for
-#: signature-tree building and makes truncation corruption detectable.
-_IMAGE_HEADER = struct.Struct("<Q")
-_RECORD_HEADER = struct.Struct("<II")  # value length, key
+#: Bucket-image format tag at offset 0.  Nonzero, so an image is never
+#: empty, and distinct from any other layout's first word, so an image
+#: in another layout is refused rather than misread.
+IMAGE_TAG = b"SDDSLOT1"
+_SLOT_HEADER = struct.Struct("<II")  # value length | _LIVE, key
+_LIVE = 1 << 31
+_ALIGN = 8
 
 #: Message kinds on the cluster wire (TrafficStats / net.* categories).
 REQUEST_KINDS = {wire.OP_INSERT: "c_insert", wire.OP_SEARCH: "c_search",
                  wire.OP_UPDATE: "c_update", wire.OP_DELETE: "c_delete"}
 REPLY_KIND = "c_reply"
-MIRROR_KIND = "c_mirror_page"
 DELTA_KIND = "c_mirror_delta"
 
 
@@ -67,41 +75,70 @@ class NodeState(Enum):
     RECOVERING = "recovering"
 
 
+def _slot_size(value_len: int) -> int:
+    """Bytes a slot holding a ``value_len``-byte value occupies."""
+    return -(-(_SLOT_HEADER.size + value_len) // _ALIGN) * _ALIGN
+
+
+def _slot_bytes(key: int, value: bytes) -> bytes:
+    """One live slot: header, value, zero padding."""
+    return _SLOT_HEADER.pack(len(value) | _LIVE, key) + value.ljust(
+        _slot_size(len(value)) - _SLOT_HEADER.size, b"\x00")
+
+
 def serialize_bucket(server: SDDSServer) -> bytes:
-    """The node's bucket as a canonical byte image (sorted by key)."""
-    parts = []
-    count = 0
-    for key in sorted(server.bucket.keys()):
-        record = server.bucket.get(key)
-        parts.append(_RECORD_HEADER.pack(len(record.value), record.key))
-        parts.append(record.value)
-        count += 1
-    return _IMAGE_HEADER.pack(count) + b"".join(parts)
+    """The canonical slot image: the tag, then slots sorted by key, packed."""
+    bucket = server.bucket
+    return IMAGE_TAG + b"".join(_slot_bytes(key, bucket.get(key).value)
+                                for key in sorted(bucket.keys()))
+
+
+def _scan_slots(image: bytes | bytearray) -> list[tuple[int, Record]]:
+    """Every live slot of a slot image as ``(offset, record)``, in order.
+
+    Raises :class:`~repro.cluster.wire.WireError` on a missing or
+    unknown tag, an unaligned length, a truncated slot, a nonzero free
+    word or padding byte, free space past the last slot, or a key that
+    appears twice.
+    """
+    if bytes(image[:len(IMAGE_TAG)]) != IMAGE_TAG:
+        raise wire.WireError("missing or unknown bucket image tag")
+    end = len(image)
+    if end % _ALIGN:
+        raise wire.WireError(f"bucket image length {end} is not aligned")
+    slots: list[tuple[int, Record]] = []
+    seen: set[int] = set()
+    offset = last_end = len(IMAGE_TAG)
+    while offset < end:
+        word, key = _SLOT_HEADER.unpack_from(image, offset)
+        if not word & _LIVE:
+            if word or key:
+                raise wire.WireError(f"nonzero free word at {offset}")
+            offset += _ALIGN
+            continue
+        value_end = offset + _SLOT_HEADER.size + (word ^ _LIVE)
+        last_end = offset + _slot_size(word ^ _LIVE)
+        if last_end > end:
+            raise wire.WireError(f"truncated slot at {offset}")
+        if any(image[value_end:last_end]):
+            raise wire.WireError(f"nonzero padding in the slot at {offset}")
+        if key in seen:
+            raise wire.WireError(f"key {key} appears twice")
+        seen.add(key)
+        slots.append((offset, Record(key, bytes(
+            image[offset + _SLOT_HEADER.size:value_end]))))
+        offset = last_end
+    if last_end != end:
+        raise wire.WireError("free space past the last slot")
+    return slots
 
 
 def deserialize_bucket(image: bytes | bytearray) -> list[Record]:
-    """Inverse of :func:`serialize_bucket`.
+    """The records of a slot image (holes allowed), in offset order.
 
-    Raises :class:`~repro.cluster.wire.WireError` when the image is
-    truncated or carries bytes past its last record.
+    Raises :class:`~repro.cluster.wire.WireError` on a malformed image.
     """
-    if len(image) < _IMAGE_HEADER.size:
-        raise wire.WireError("truncated bucket image header")
-    count, = _IMAGE_HEADER.unpack_from(image)
-    offset = _IMAGE_HEADER.size
-    records = []
-    for _ in range(count):
-        if len(image) < offset + _RECORD_HEADER.size:
-            raise wire.WireError("truncated bucket image record header")
-        value_len, key = _RECORD_HEADER.unpack_from(image, offset)
-        offset += _RECORD_HEADER.size
-        if len(image) < offset + value_len:
-            raise wire.WireError("truncated bucket image record")
-        records.append(Record(key, image[offset:offset + value_len]))
-        offset += value_len
-    if offset != len(image):
-        raise wire.WireError("trailing bytes after bucket image records")
-    return records
+    return [record for _offset, record in _scan_slots(image)]
 
 
 class ClusterNode:
@@ -128,10 +165,6 @@ class ClusterNode:
         self.service = RequestService(self.name, cluster.loop, self.policy,
                                       execute=self._service_execute,
                                       shed=self._service_shed)
-        #: Key index of the image: sorted keys and each record's
-        #: serialized size, so a mutation finds its record's offset.
-        self._keys: list[int] = []
-        self._sizes: list[int] = []
         self.adopt_image(serialize_bucket(self.server))
         #: Hosted copy of the previous node's bucket image.
         self.mirror: Replica | None = None
@@ -165,26 +198,37 @@ class ClusterNode:
         """True when the node serves traffic."""
         return self.state is NodeState.UP
 
-    def adopt_image(self, image: bytes) -> None:
-        """Replace the bucket image wholesale and re-index its records.
+    def adopt_image(self, image: bytes) -> list[Record]:
+        """Replace the bucket image wholesale; returns its records.
 
-        ``image`` must equal :func:`serialize_bucket` of the bucket: later
-        mutations splice into it at offsets taken from this index.
+        One scan rebuilds the slot table (``key -> (offset, size)``),
+        the coalesced free list and the high-water mark that later
+        mutations allocate from.  A malformed image raises
+        :class:`~repro.cluster.wire.WireError` and leaves the node's
+        current image in place.
         """
+        slots = _scan_slots(image)
+        table: dict[int, tuple[int, int]] = {}
+        free: list[tuple[int, int]] = []
+        cursor = len(IMAGE_TAG)
+        for offset, record in slots:
+            if offset > cursor:
+                free.append((cursor, offset - cursor))
+            size = _slot_size(len(record.value))
+            table[record.key] = (offset, size)
+            cursor = offset + size
         self.image = Replica(f"{self.name}.image", self.scheme, image,
                              self.page_bytes)
-        self._reindex()
-
-    def _reindex(self) -> None:
-        records = deserialize_bucket(self.image.data)
-        self._keys = [record.key for record in records]
-        self._sizes = [_RECORD_HEADER.size + len(record.value)
-                       for record in records]
+        self._slots = table
+        #: Gaps below the high-water mark, sorted and coalesced.
+        self._free = free
+        self._high_water = cursor
+        return [record for _offset, record in slots]
 
     def make_mirror(self, source_name: str, data: bytes = b"") -> Replica:
         """(Re)create the hosted mirror replica, initially ``data``."""
         self.mirror = Replica(f"{self.name}.mirror[{source_name}]",
-                              self.scheme, data or _IMAGE_HEADER.pack(0),
+                              self.scheme, data or IMAGE_TAG,
                               self.page_bytes)
         return self.mirror
 
@@ -296,54 +340,67 @@ class ClusterNode:
 
     def _execute(self, op: int, key: int, value: bytes) -> tuple[int, bytes]:
         """Apply one operation to bucket + parity; returns (status, value)."""
-        if op == wire.OP_SEARCH:
-            status, reply_value, _effect = apply_operation(
-                self.server, self.scheme, op, key, value)
-            return status, reply_value
         status, reply_value, effect = apply_operation(
             self.server, self.scheme, op, key, value)
         if effect == EFFECT_PSEUDO:
             get_registry().counter("cluster.pseudo_updates").inc()
-            return status, reply_value
-        if effect == EFFECT_NONE:
+        if effect not in MUTATING_EFFECTS:
             return status, reply_value
         if effect == EFFECT_INSERT:
             self.cluster.parity.insert(key, value)
-        elif effect == EFFECT_UPDATE:
-            self.cluster.parity.update(key, value)
-        else:
+            writes = [self._place(key, value)]
+        elif effect == EFFECT_DELETE:
             self.cluster.parity.delete(key)
-        before = self.image_bytes()
-        self.refresh_image(self._spliced_image(before, effect, key, value),
-                           before, send_mirror_updates=True)
+            writes = [self._release(*self._slots.pop(key))]
+        else:
+            self.cluster.parity.update(key, value)
+            offset, size = self._slots[key]
+            if _slot_size(len(value)) == size:
+                writes = [(offset, _slot_bytes(key, value))]
+            else:
+                # New slot first, old one zeroed second: a crash between
+                # the two frames leaves the key twice, which decoding
+                # refuses, never a value no client wrote.
+                writes = [self._place(key, value),
+                          self._release(offset, size)]
+        self.refresh_image(writes, self._high_water)
         return status, reply_value
 
-    def _spliced_image(self, previous: bytes, effect: str, key: int,
-                       value: bytes) -> bytes:
-        """The image after one mutation, spliced from ``previous``.
-
-        Only the record's own bytes and the count header are rewritten;
-        the records after it shift as a block.  Updates the key index.
-        """
-        keys, sizes = self._keys, self._sizes
-        index = bisect_left(keys, key)
-        offset = _IMAGE_HEADER.size + sum(sizes[:index])
-        record = b""
-        if effect != EFFECT_DELETE:
-            record = b"".join((_RECORD_HEADER.pack(len(value), key), value))
-        if effect == EFFECT_INSERT:
-            keys.insert(index, key)
-            sizes.insert(index, len(record))
-            old_size = 0
-        elif effect == EFFECT_UPDATE:
-            old_size = sizes[index]
-            sizes[index] = len(record)
+    def _place(self, key: int, value: bytes) -> tuple[int, bytes]:
+        """Allocate ``key``'s slot first-fit; returns the slot write."""
+        size = _slot_size(len(value))
+        for index, (offset, room) in enumerate(self._free):
+            if room >= size:
+                if room == size:
+                    del self._free[index]
+                else:
+                    self._free[index] = (offset + size, room - size)
+                break
         else:
-            del keys[index]
-            old_size = sizes.pop(index)
-        return b"".join((_IMAGE_HEADER.pack(len(keys)),
-                         previous[_IMAGE_HEADER.size:offset], record,
-                         previous[offset + old_size:]))
+            offset = self._high_water
+            self._high_water += size
+        self._slots[key] = (offset, size)
+        return offset, _slot_bytes(key, value)
+
+    def _release(self, offset: int, size: int) -> tuple[int, bytes]:
+        """Free the slot at ``offset``; returns the write that zeroes it.
+
+        The freed range merges with adjacent gaps; a gap reaching the
+        high-water mark lowers it instead, trimming the image.
+        """
+        free = self._free
+        lo, hi = offset, offset + size
+        index = bisect_left(free, (lo, 0))
+        if index < len(free) and free[index][0] == hi:
+            hi += free.pop(index)[1]
+        if index and sum(free[index - 1]) == lo:
+            index -= 1
+            lo = free.pop(index)[0]
+        if hi == self._high_water:
+            self._high_water = lo
+        else:
+            free.insert(index, (lo, hi - lo))
+        return offset, bytes(size)
 
     # ------------------------------------------------------------------
     # Bucket image and mirror shipping
@@ -353,83 +410,45 @@ class ClusterNode:
         """The current bucket image bytes."""
         return bytes(self.image.data)
 
-    def _changed_extents(self, previous: bytes,
-                         current: bytes) -> list[tuple[int, int]]:
-        """Symbol-aligned byte extents where the two images differ.
+    def refresh_image(self, writes: list[tuple[int, bytes]],
+                      image_len: int) -> None:
+        """Apply one mutation's slot writes; log and ship them.
 
-        Computed page by page (bounding the extent scan to dirty pages);
-        within a differing page the extent brackets the first and last
-        differing byte, expanded to symbol boundaries.  Bytes past the
-        shorter image count as differing.  The brackets come from the
-        lowest and highest set bit of the pages' XOR as integers.
+        ``writes`` are ``(offset, slot bytes)`` in order and
+        ``image_len`` is the image length after them.  The image replica
+        takes them as journaled extent writes -- O(|written bytes|)
+        signature work to keep its warm map current.  In durable mode
+        they land in the sealed local log as one ``DELTA`` frame per
+        slot write (before XOR after), one sealed burst per mutation,
+        so a crash replays to exactly this image.  The mirror update
+        ships as one sealed patch carrying the same regions, *best
+        effort*: it rides the faulty network with no retry, so a drop
+        or a detected corruption leaves the mirror stale until the next
+        anti-entropy pass.
         """
-        from ..sig.incremental import aligned_span
-
-        symbol_bytes = self.scheme.scheme_id.symbol_bytes
-        longest = max(len(previous), len(current))
-        extents: list[tuple[int, int]] = []
-        page_bytes = self.page_bytes
-        for lo in range(0, longest, page_bytes):
-            hi = min(lo + page_bytes, longest)
-            old_page = previous[lo:hi]
-            new_page = current[lo:hi]
-            if old_page == new_page:
-                continue
-            common = min(len(old_page), len(new_page))
-            span = max(len(old_page), len(new_page))
-            xor = (int.from_bytes(old_page[:common], "little")
-                   ^ int.from_bytes(new_page[:common], "little"))
-            first = ((xor & -xor).bit_length() - 1) // 8 if xor else common
-            last = span - 1 if common < span else (xor.bit_length() - 1) // 8
-            a, b = aligned_span(lo + first, last - first + 1, symbol_bytes)
-            extents.append((a, min(b, lo + span)))
-        return extents
-
-    def refresh_image(self, current: bytes, previous: bytes,
-                      send_mirror_updates: bool = False) -> None:
-        """Move the image from ``previous`` to ``current``; optionally ship the diff.
-
-        The image replica is updated through journaled extent writes --
-        O(|changed bytes|) signature work to keep its warm map current,
-        never a whole-buffer rewrite.  The mirror update ships as one
-        sealed patch per call carrying ``before XOR after`` of every
-        changed extent, *best effort*: it rides the faulty network with
-        no retry, so a drop or a detected corruption leaves the mirror
-        stale until the next anti-entropy pass.
-        """
-        extents = self._changed_extents(previous, current)
-        for lo, hi in extents:
-            if lo < len(current):
-                self.image.write_at(lo, current[lo:min(hi, len(current))])
-        if len(current) < len(self.image.data):
-            self.image.truncate(len(current))
+        data = self.image.data
+        extents = []
+        for offset, content in writes:
+            extents.append((offset, bytes(data[offset:offset + len(content)]),
+                            content))
+            self.image.write_at(offset, content)
+        if image_len < len(data):
+            self.image.truncate(image_len)
         if self.store is not None:
-            # Durable mode: the same extents land in the sealed local
-            # log as DELTA frames (before XOR after), one sealed burst
-            # per mutation, so a crash replays to exactly this image.
-            self.store.record_extents(
-                self.IMAGE_VOLUME,
-                [(lo, previous[lo:hi], current[lo:hi]) for lo, hi in extents],
-                len(current))
-        if not send_mirror_updates or not extents:
-            return
+            self.store.record_extents(self.IMAGE_VOLUME, extents, image_len)
         host = self.cluster.mirror_host(self.index)
         # The patch inherits the trace context of the operation that
         # dirtied the image (the ambient span during RPC handling), so
         # the mirror application on the host lands in the same tree.
         context = self.cluster.traces.current
-        regions = []
-        for lo, hi in extents:
-            old_part = previous[lo:hi]
-            new_part = current[lo:hi]
-            regions.append((lo, (
-                int.from_bytes(old_part, "little")
-                ^ int.from_bytes(new_part, "little")
-            ).to_bytes(max(len(old_part), len(new_part)), "little")))
+        regions = [(offset, (int.from_bytes(before, "little")
+                             ^ int.from_bytes(after, "little")
+                             ).to_bytes(len(after), "little"))
+                   for offset, before, after in extents]
         with span_if_active("node.mirror_ship", node=self.name,
-                            extents=str(len(extents))):
+                            extents=str(len(regions))):
             sealed = wire.seal(self.scheme, wire.encode_traced(
-                context, wire.encode_deltas(len(current), regions)))
+                context, wire.encode_deltas(image_len, regions)))
             self.cluster.faulty_network.transmit(
                 self.name, host.name, DELTA_KIND, sealed,
                 host.receive_mirror_delta,
@@ -439,25 +458,6 @@ class ClusterNode:
                          source=self.name).inc(len(regions))
         registry.counter("cluster.mirror_delta_bytes", source=self.name).inc(
             sum(len(delta) for _offset, delta in regions))
-
-    def receive_mirror(self, data: bytes) -> None:
-        """Apply one delivered mirror page update to the hosted mirror."""
-        body = wire.unseal(self.scheme, data)
-        registry = get_registry()
-        if body is None:
-            registry.counter("cluster.corruptions_detected",
-                             where="mirror").inc()
-            self.cluster.report_seal_failure(self.name, "mirror", data)
-            return
-        if not self.is_up or self.mirror is None:
-            registry.counter("cluster.down_drops", node=self.name).inc()
-            return
-        context, inner = wire.decode_traced(body)
-        image_len, page_index, page = wire.decode_mirror(inner)
-        with self._traced("node.mirror_page", context):
-            self.mirror.write_page(page_index, page)
-            if len(self.mirror.data) > image_len:
-                self.mirror.truncate(image_len)
 
     def receive_mirror_delta(self, data: bytes) -> None:
         """XOR one delivered delta patch onto the hosted mirror.
@@ -516,11 +516,10 @@ class ClusterNode:
             self.store = None
 
     def rebuild_from(self, records: list[Record]) -> None:
-        """Repopulate the bucket (recovery path); refreshes the image."""
+        """Repopulate the bucket (recovery path); adopts its packed image."""
         for record in records:
             self.server.insert(record)
-        self.refresh_image(serialize_bucket(self.server), self.image_bytes())
-        self._reindex()
+        self.adopt_image(serialize_bucket(self.server))
 
 
 # Imported last, deliberately: the serve package builds on cluster
@@ -531,9 +530,8 @@ class ClusterNode:
 from ..serve.ops import (  # noqa: E402
     EFFECT_DELETE,
     EFFECT_INSERT,
-    EFFECT_NONE,
     EFFECT_PSEUDO,
-    EFFECT_UPDATE,
+    MUTATING_EFFECTS,
     apply_operation,
 )
 from ..serve.service import RequestService, ServeRequest, ServicePolicy  # noqa: E402

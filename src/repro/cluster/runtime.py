@@ -54,7 +54,6 @@ from .node import (
     ClusterNode,
     NodeState,
     deserialize_bucket,
-    serialize_bucket,
 )
 from .retry import RetryExhaustedError, RetryPolicy
 from . import wire
@@ -355,7 +354,8 @@ class Cluster:
         checkpoint + fold, torn tail truncated, and every condemned
         page patched from the hosted mirror with its replacement
         *verified* against the certified expected signature.  Any
-        uncertainty (unverifiable patch, undecodable image) returns
+        uncertainty (unverifiable patch, undecodable image -- including
+        a torn mutation's duplicate key) returns
         False and the caller falls back to LH*RS reconstruction.
         """
         registry = get_registry()
@@ -387,18 +387,15 @@ class Cluster:
                                          report.expected.get(volume, {})):
                 store.close()
                 return False
-        image = store.image(volume)
         try:
-            records = deserialize_bucket(image)
+            # A torn size-changing update leaves its key twice, which
+            # the decoder refuses: never adopt half a mutation.
+            records = node.adopt_image(store.image(volume))
         except wire.WireError:
             store.close()
             return False
         for record in records:
             node.server.insert(record)
-        if serialize_bucket(node.server) != image:
-            store.close()
-            return False
-        node.adopt_image(image)
         node.store = store
         node.store_dir = store.directory
         registry.counter("cluster.durable_recoveries", node=node.name).inc()

@@ -3,11 +3,11 @@
 :func:`apply_operation` is the single source of truth for what an
 insert/search/update/delete does to an :class:`~repro.sdds.server.
 SDDSServer` bucket -- including the paper's pseudo-update filter
-(Section 2.2): an update whose value signature equals the stored one
-changes nothing, writes nothing, ships nothing.  The cluster node keeps
-its side effects (parity deltas, mirror shipping, counters) layered on
-top of the returned *effect*, and the serving plane's bucket nodes
-reuse the same dispatch without any of that machinery.
+(Section 2.2): an update whose value has the stored one's length and
+signature changes nothing, writes nothing, ships nothing.  The cluster
+node keeps its side effects (parity deltas, mirror shipping, counters)
+layered on top of the returned *effect*, and the serving plane's bucket
+nodes reuse the same dispatch without any of that machinery.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ def apply_operation(server: "SDDSServer", scheme: "AlgebraicSignatureScheme",
             return wire.ST_MISSING, b"", EFFECT_NONE
         # Pseudo-update filtering at the server (Section 2.2's
         # economics): identical signatures mean nothing to write,
-        # no parity delta, no mirror traffic.
-        if scheme.sign(current.value, strict=False) == \
+        # no parity delta, no mirror traffic.  Signatures ignore
+        # trailing zero symbols, so the lengths must match too.
+        if len(current.value) == len(value) and \
+                scheme.sign(current.value, strict=False) == \
                 scheme.sign(value, strict=False):
             return wire.ST_APPLIED, b"", EFFECT_PSEUDO
         server.bucket.update(key, value)

@@ -19,7 +19,8 @@ n = 2 scheme.  Three frame kinds cover the write paths:
   journal region carrying only ``before XOR after``; one region of the
   cluster's ``c_mirror_delta`` wire frame, so delta-shipping
   replication and durable logging share one vocabulary.  The log keeps
-  one frame per region so a rotted frame damages at most one page.
+  one frame per region (per cluster slot write) so a rotted frame
+  damages only the pages that region covers.
 * ``TRUNCATE`` (payload ``image_len(8) | page_size(4)``) -- declares a
   volume (fixing its page size) or sets its length.
 

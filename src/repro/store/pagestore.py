@@ -336,7 +336,7 @@ class PageStore:
 
         ``before``/``after`` are the region's content around the write
         (as a :class:`~repro.sdds.heap.RecordHeap` capture listener or
-        the cluster's extent differ produces); only their XOR travels
+        the cluster node's slot writes produce); only their XOR travels
         to disk.  ``image_len`` is the volume's length after the write.
         Returns the frame's log offset (``None`` for an empty region).
         A one-region :meth:`record_extents`.

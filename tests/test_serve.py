@@ -332,6 +332,48 @@ class TestServingPlane:
         assert verification["ok"]
 
 
+class TestPseudoUpdateFilter:
+    """Section 2.2's filter skips only true no-ops.
+
+    Algebraic signatures ignore trailing zero symbols, so ``b""`` and
+    ``b"\\x00"`` sign alike; the filter must also compare lengths, or
+    the update is acked while the stored value stays unchanged.
+    """
+
+    CHANGES = [(b"", b"\x00"), (b"ab", b"ab\x00\x00"), (b"ab\x00", b"ab")]
+
+    @pytest.mark.parametrize("old, new", CHANGES)
+    def test_cluster_writes_trailing_zero_changes(self, old, new):
+        with use_registry(MetricsRegistry()) as registry:
+            cluster = Cluster(servers=2, seed=1)
+            client = cluster.client()
+            assert client.insert(4, old).ok
+            assert client.update(4, new).status == "applied"
+            assert client.search(4).value == new
+            assert registry.total("cluster.pseudo_updates") == 0
+            assert client.update(4, new).status == "applied"
+            assert registry.total("cluster.pseudo_updates") == 1
+            cluster.settle()
+            cluster.check_replicas()
+
+    @pytest.mark.parametrize("old, new", CHANGES)
+    def test_serving_plane_writes_trailing_zero_changes(self, old, new):
+        with use_registry(MetricsRegistry()) as registry:
+            plane = small_plane(threshold=1 << 20)
+            session = plane.session()
+            key = key_for(3)
+            session.submit(cwire.OP_INSERT, key, old)
+            plane.settle()
+            session.submit(cwire.OP_UPDATE, key, new)
+            plane.settle()
+            assert plane.owner_of(key).server.search(key).value == new
+            assert plane.oracle[key] == new
+            assert registry.total("serve.pseudo_updates") == 0
+            assert registry.total("serve.ops", op="update",
+                                  status="applied") == 1
+            assert plane.verify()["ok"]
+
+
 class TestLoadMix:
     def test_fraction_validation(self):
         with pytest.raises(ReproError):

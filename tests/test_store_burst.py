@@ -179,14 +179,14 @@ class TestBurstEqualsPerExtentLoop:
 
 
 # ----------------------------------------------------------------------
-# The cluster's durable bytes, pinned to the per-extent implementation
+# The cluster's durable bytes, pinned
 # ----------------------------------------------------------------------
 
-#: Digest of every node's store directory after :func:`cluster_round`,
-#: as produced by the per-extent ``record_extent`` loop this burst
-#: replaced (checkpoints every 5 frames, a flush per frame).
+#: Digest of every node's store directory after :func:`cluster_round`
+#: (checkpoints every 5 frames, a flush per frame): slot images, one
+#: ``DELTA`` frame per slot write -- 161 frames and 31 checkpoints.
 CLUSTER_LOG_DIGEST = (
-    "c00e6ef38030cc232ab5487f171ce31d83cc58dd1ca09d0f4372553efb06e2c1"
+    "11ef457aaa4577e1655ffff4d30d1bd89d3e840b234cda0e9b38e4f0d0523144"
 )
 
 
