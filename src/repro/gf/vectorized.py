@@ -134,11 +134,13 @@ def _ladder_capacity(length: int) -> int:
 def ladder_exponents(field: GField, beta: int, length: int) -> np.ndarray:
     """The position-exponent ladder ``[(log(beta) * i) % order, i < length]``.
 
-    Returned as a read-only view into the shared LRU store -- callers
-    must never mutate it.  ``field.antilog_table[ladder]`` yields the
-    weight array ``[beta^0, beta^1, ...]``; adding symbol logarithms and
-    gathering from the *doubled* antilog table multiplies without any
-    modulo reduction (the Section 4.1 trick, applied per-array).
+    Returned as a read-only ``int32`` view into the shared LRU store --
+    callers must never mutate it.  Every entry is below ``2^f - 1``, so
+    a sentinel logarithm plus a ladder entry never widens past
+    ``int32``.  ``field.antilog_table[ladder]`` yields the weight array
+    ``[beta^0, beta^1, ...]``; adding symbol logarithms and gathering
+    from the *doubled* antilog table multiplies without any modulo
+    reduction (the Section 4.1 trick, applied per-array).
     """
     global ladder_hits, ladder_misses
     if beta == 0:
@@ -153,7 +155,8 @@ def ladder_exponents(field: GField, beta: int, length: int) -> np.ndarray:
             return ladder[:length]
         ladder_misses += 1
         capacity = _ladder_capacity(length)
-        ladder = (log_beta * np.arange(capacity, dtype=np.int64)) % field.order
+        ladder = ((log_beta * np.arange(capacity, dtype=np.int64))
+                  % field.order).astype(np.int32)
         ladder.flags.writeable = False
         _LADDERS[key] = ladder
         _LADDERS.move_to_end(key)
@@ -196,10 +199,14 @@ def ladder_matrix(field: GField, betas: tuple[int, ...], length: int) -> np.ndar
     """The ``(n, capacity)`` stack of a base's ladders, capacity >= ``length``.
 
     Capacities grow geometrically, so a holder that keeps the matrix
-    (a scheme, for its one-body kernel) rebuilds it rarely.
+    (a scheme, for its one-body kernel) rebuilds it rarely.  The stack
+    is ``intp``: :func:`run_signature_matrix` gathers through the
+    whole-body sum of logs and ladder entries, and an ``intp`` index
+    needs no conversion pass first.
     """
     capacity = _ladder_capacity(length)
-    return np.stack([ladder_exponents(field, beta, capacity) for beta in betas])
+    return np.stack([ladder_exponents(field, beta, capacity)
+                     for beta in betas]).astype(np.intp)
 
 
 def run_signature_matrix(field: GField, flat: np.ndarray, lengths: np.ndarray,
@@ -297,34 +304,118 @@ def pack_flat(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def bounded_spans(lengths: np.ndarray, block_symbols: int,
-                  parts: int = 1) -> list[tuple[int, int]]:
-    """Contiguous row spans whose :func:`pack_flat` matrices stay bounded.
+#: Rows narrower than this never start a width group of their own: they
+#: group with rows up to twice this width.  Below it a separate matrix
+#: saves less padding than its own fixed cost (measured in
+#: PERFORMANCE.md).
+GROUP_FLOOR_SYMBOLS = 128
 
-    A span ``(lo, hi)`` grows while ``rows x widest row`` stays within
-    ``block_symbols`` (a single over-wide row still forms its own span),
-    which keeps batch temporaries cache- and RAM-friendly.  With
-    ``parts > 1`` the spans are further split until there are at least
-    ``parts`` of them (where rows allow), so every worker gets a task.
+#: A row group of a batch: a ``slice`` of consecutive rows, or an
+#: ascending index array when the group's rows are not adjacent.
+RowGroup = slice | np.ndarray
+
+
+def width_groups(lengths: np.ndarray, block_symbols: int,
+                 parts: int = 1) -> list[RowGroup]:
+    """Row groups of a batch whose :func:`pack_flat` matrices stay tight.
+
+    Rows are stable-sorted by length and cut into groups: a group ends
+    before the first row more than twice as wide as its narrowest row
+    (or as :data:`GROUP_FLOOR_SYMBOLS`, when that is wider), or before
+    ``rows x widest row`` would exceed ``block_symbols`` (a single
+    over-wide row still forms its own group).  A packed matrix
+    therefore pads a row by less than 2x, instead of to the widest row
+    of the whole batch -- a log segment's 52-symbol delta frames no
+    longer ride in 2064-symbol page-frame rows.  With ``parts > 1`` the
+    groups are further split until there are at least ``parts`` of them
+    (where rows allow), so every worker gets a task.
+
+    Each group lists its rows in input order: a ``slice`` when they are
+    consecutive, else an ascending index array.  A batch that would form
+    one group anyway (a uniform batch, say) is not sorted at all: it
+    splits into plain row blocks of at most ``block_symbols`` padded
+    symbols.
     """
-    spans: list[tuple[int, int]] = []
-    start, width = 0, 0
-    for i, size in enumerate(lengths.tolist()):
-        next_width = max(width, size)
-        if i > start and next_width * (i - start + 1) > block_symbols:
-            spans.append((start, i))
-            start, width = i, size
-        else:
-            width = next_width
-    if lengths.size:
-        spans.append((start, int(lengths.size)))
+    count = int(lengths.size)
+    if not count:
+        return []
+    widest = int(lengths.max())
+    if widest <= 2 * max(int(lengths.min()), GROUP_FLOOR_SYMBOLS):
+        order = None
+        step = max(1, block_symbols // widest) if widest else count
+        spans = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    else:
+        order = np.argsort(lengths, kind="stable")
+        ordered = lengths[order]
+        cuts = [0]
+        while cuts[-1] < count:
+            lo = cuts[-1]
+            narrowest = int(ordered[lo])
+            hi = int(np.searchsorted(ordered,
+                                     2 * max(narrowest, GROUP_FLOOR_SYMBOLS),
+                                     side="right"))
+            if narrowest:
+                hi = min(hi, lo + block_symbols // narrowest)
+            cells = ordered[lo:hi] * np.arange(1, hi - lo + 1)
+            cuts.append(lo + max(1, int(np.searchsorted(
+                cells, block_symbols, side="right"))))
+        spans = list(zip(cuts, cuts[1:]))
     if parts > 1 and len(spans) < parts:
         split: list[tuple[int, int]] = []
         for lo, hi in spans:
             step = -(-(hi - lo) // min(parts, hi - lo))
             split.extend((at, min(at + step, hi)) for at in range(lo, hi, step))
         spans = split
-    return spans
+    if order is None:
+        return [slice(lo, hi) for lo, hi in spans]
+    groups: list[RowGroup] = []
+    for lo, hi in spans:
+        rows = np.sort(order[lo:hi])
+        first, last = int(rows[0]), int(rows[-1])
+        groups.append(slice(first, last + 1) if last - first == hi - lo - 1
+                      else rows)
+    return groups
+
+
+def group_run(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+              rows: RowGroup) -> np.ndarray:
+    """The symbols of one row group of a flat run, back to back.
+
+    ``starts`` are the exclusive prefix sums of ``lengths`` (one entry
+    more than rows).  A ``slice`` group is a zero-copy view of ``flat``;
+    an index-array group is gathered in one ``take``.
+    """
+    if isinstance(rows, slice):
+        return flat[starts[rows.start]:starts[rows.stop]]
+    sizes = lengths[rows]
+    offsets = np.cumsum(sizes) - sizes
+    index = np.arange(int(sizes.sum())) + np.repeat(starts[rows] - offsets,
+                                                    sizes)
+    return flat.take(index)
+
+
+def scatter_groups(parts, count: int) -> np.ndarray:
+    """Per-group component blocks, scattered back to input row order.
+
+    ``parts`` yields ``(rows, block)`` pairs, one per :func:`width_groups`
+    group of a ``count``-row batch; a lone group covers every row in
+    order and is returned as is.
+    """
+    parts = list(parts)
+    if len(parts) == 1:
+        return parts[0][1]
+    out = np.empty((count, parts[0][1].shape[1]), dtype=np.int64)
+    for rows, block in parts:
+        out[rows] = block
+    return out
+
+
+#: Symbols per row block of :func:`batch_signature_matrix`.  A block's
+#: log, index and term buffers (at most 10 bytes per symbol) stay in L2,
+#: where the unblocked kernel streamed ~4 MB int64 temporaries per
+#: component of a 1 MiB log segment.  Measured by
+#: ``benchmarks/kernel_blocks.py``; see PERFORMANCE.md.
+KERNEL_BLOCK_SYMBOLS = 1 << 15
 
 
 def batch_signature_matrix(field: GField, matrix: np.ndarray,
@@ -332,11 +423,16 @@ def batch_signature_matrix(field: GField, matrix: np.ndarray,
                            ladders: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Component signatures of every row of a zero-padded symbol matrix.
 
-    The batch analogue of :func:`signature_vector`: **one** sentinel
-    log-gather over the whole ``(N, L)`` matrix, then per base
-    coordinate one cached-ladder broadcast add and one sentinel-antilog
-    gather (padding gathers 0), XOR-reduced along each row.  The ladder
-    is amortized over all ``N`` pages -- Broder-style batching.
+    The batch analogue of :func:`signature_vector`, walked in row
+    blocks of about :data:`KERNEL_BLOCK_SYMBOLS` symbols: per block one
+    sentinel log-gather, then per base coordinate one add of the cached
+    ``int32`` ladder and one sentinel-antilog gather (padding gathers
+    0), XOR-reduced along each row.  The ``int32`` log and index
+    buffers and the narrow term buffer are allocated once per call and
+    refilled in place (``np.take(..., out=)``, ``np.add(..., out=)``),
+    so they stay in cache; the ladder is amortized over all ``N`` pages
+    -- Broder-style batching.  The matrix may be narrow (``uint8``/``<u2``) or any
+    wider integer dtype.
 
     ``ladders`` optionally supplies pre-fetched position-exponent arrays
     (one per beta, each at least ``L`` long) -- the engine passes its
@@ -346,14 +442,32 @@ def batch_signature_matrix(field: GField, matrix: np.ndarray,
     """
     n_pages, width = matrix.shape
     out = np.zeros((n_pages, len(betas)), dtype=np.int64)
-    logs = field.sentinel_log[matrix]
-    for j, beta in enumerate(betas):
-        if ladders is not None:
-            ladder = ladders[j][:width]
-        else:
-            ladder = ladder_exponents(field, beta, width)
-        terms = field.sentinel_antilog[logs + ladder[None, :]]
-        out[:, j] = np.bitwise_xor.reduce(terms, axis=1)
+    if not n_pages or not width:
+        return out
+    if ladders is None:
+        ladders = tuple(ladder_exponents(field, beta, width) for beta in betas)
+    # ``take`` buffers its output unless told how to treat out-of-range
+    # indices.  Sums of a sentinel log and a ladder entry always index
+    # the antilog table, and so does any symbol of a matrix whose
+    # unsigned dtype is exactly f bits wide; "wrap" is then a no-op.
+    # Other matrices keep the bounds check.
+    exact = matrix.dtype.kind == "u" and matrix.dtype.itemsize * 8 == field.f
+    log_mode = "wrap" if exact else "raise"
+    rows = min(n_pages, max(1, KERNEL_BLOCK_SYMBOLS // width))
+    logs = np.empty((rows, width), dtype=np.int32)
+    index = np.empty_like(logs)
+    terms = np.empty((rows, width), dtype=field.sentinel_antilog.dtype)
+    for lo in range(0, n_pages, rows):
+        hi = min(lo + rows, n_pages)
+        block_logs, block_index, block_terms = \
+            logs[:hi - lo], index[:hi - lo], terms[:hi - lo]
+        np.take(field.sentinel_log, matrix[lo:hi], out=block_logs,
+                mode=log_mode)
+        for j, ladder in enumerate(ladders):
+            np.add(block_logs, ladder[:width], out=block_index)
+            np.take(field.sentinel_antilog, block_index, out=block_terms,
+                    mode="wrap")
+            out[lo:hi, j] = np.bitwise_xor.reduce(block_terms, axis=1)
     return out
 
 

@@ -17,16 +17,22 @@ lookups, and β-power recomputation per page.
   one XOR reduction per body (:func:`repro.gf.vectorized.
   run_signature_matrix`, the kernel ``scheme.sign`` uses), with no
   packing and no cache lookup;
-* bounded spans of larger runs are packed into zero-padded ``(N, L)``
-  symbol matrices;
-* one sentinel log-gather covers each matrix, then per base coordinate
-  one cached β-power ladder and one sentinel-antilog gather produce
-  every page's component at once, zero padding included (:func:`repro.
-  gf.vectorized.batch_signature_matrix`);
+* larger runs are cut into width groups -- rows stable-sorted by
+  length, a group's rows at most twice as wide as its narrowest (rows
+  under 128 symbols all group together) and bounded by
+  ``block_symbols`` (:func:`repro.gf.vectorized.width_groups`) -- each
+  packed into a zero-padded ``(N, L)`` symbol matrix (a zero-copy
+  reshape for uniform rows);
+* the cache-blocked kernel walks each matrix in row blocks: one
+  sentinel log-gather, then per base coordinate one cached ``int32``
+  β-power ladder add and one sentinel-antilog gather produce every
+  page's component, zero padding included (:func:`repro.gf.vectorized.
+  batch_signature_matrix`), and the components are scattered back to
+  input order;
 * β-power ladders come from the process-wide LRU exposed here as
   :class:`PowerLadderCache` and shared with the scalar and rolling
   paths -- no caller ever recomputes a ladder;
-* an optional ``workers=K`` mode signs the spans across the
+* an optional ``workers=K`` mode signs the same groups across the
   shared-memory process pool of :mod:`repro.sig.parallel` for large
   multi-bucket scans.
 
@@ -46,14 +52,16 @@ from ..errors import PageTooLongError, SignatureError
 from ..gf import vectorized as _vec
 from ..gf.vectorized import (
     batch_signature_matrix,
-    bounded_spans,
     delta_signature_matrix,
     fold_rows_by_group,
+    group_run,
     ladder_exponents,
     narrow_symbol_view,
     pack_flat,
     run_signature_matrix,
+    scatter_groups,
     symbol_dtype,
+    width_groups,
 )
 from ..obs import registry as _obs
 from . import parallel
@@ -66,9 +74,11 @@ from .tree import SignatureTree
 #: Raw byte containers the zero-copy lanes reinterpret in place.
 RAW_BYTES = (bytes, bytearray, memoryview)
 
-#: Soft bound on a single packed matrix (rows * padded width) so batch
-#: temporaries stay cache- and RAM-friendly; larger batches are processed
-#: in row blocks of this many symbols (~32 MB of int64 at the default).
+#: Soft bound on a single packed matrix (rows * padded width), a memory
+#: ceiling: larger batches are packed as several width groups of at most
+#: this many symbols (8 MiB of ``<u2`` at the default).  The kernel then
+#: walks each matrix in much smaller cache-sized row blocks
+#: (:data:`repro.gf.vectorized.KERNEL_BLOCK_SYMBOLS`).
 DEFAULT_BLOCK_SYMBOLS = 1 << 22
 
 #: Small-run crossover: runs of fewer total symbols skip the packed
@@ -144,7 +154,7 @@ class BatchSigner:
     *raw* symbols -- a zero-copy narrow view for symbol-aligned byte
     buffers and arena :class:`~repro.sig.arena.PageView`\\ s, a coerced
     array for symbol sequences, odd-length GF(2^16) bytes and any other
-    input -- the rows are concatenated once, and bounded spans of the
+    input -- the rows are concatenated once, and width groups of the
     flat run are packed and signed.
 
     Parameters
@@ -154,7 +164,7 @@ class BatchSigner:
         (their bijection is applied to the flat run before packing, so
         the zero padding stays signature-neutral).
     workers:
-        With ``workers > 1`` the spans are signed across the
+        With ``workers > 1`` the width groups are signed across the
         shared-memory process pool of :mod:`repro.sig.parallel`; by
         default everything is signed in-process.
     ladders:
@@ -390,15 +400,23 @@ class BatchSigner:
                 f"certainty bound {bound} for GF(2^{self.scheme.field.f})"
             )
 
-    def _packed_spans(self, flat: np.ndarray, lengths: np.ndarray):
-        """Yield ``(lo, hi, matrix)`` for each bounded span of a flat run."""
+    def _packed_groups(self, flat: np.ndarray, lengths: np.ndarray):
+        """Yield ``(rows, matrix)`` for each width group of a flat run.
+
+        A group of consecutive rows packs straight from ``flat`` (a
+        zero-copy reshape when uniform); any other group is gathered
+        first.
+        """
         starts = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=starts[1:])
-        for lo, hi in bounded_spans(lengths, self.block_symbols):
-            matrix = pack_flat(flat[starts[lo]:starts[hi]], lengths[lo:hi])
+        for rows in width_groups(lengths, self.block_symbols):
+            run = group_run(flat, starts, lengths, rows)
+            if not isinstance(rows, slice):
+                LEDGER.count(run.nbytes)
+            matrix = pack_flat(run, lengths[rows])
             if matrix.base is None and matrix.size:
                 LEDGER.count(matrix.nbytes)
-            yield lo, hi, matrix
+            yield rows, matrix
 
     def _sign_flat(self, flat: np.ndarray,
                    lengths: np.ndarray) -> list[Signature]:
@@ -409,9 +427,10 @@ class BatchSigner:
         pre-mapping is applied to the *flat* run (padding enters only
         after mapping, so it stays signature-neutral for twisted
         schemes).  A run under :data:`SMALL_RUN_SYMBOLS` is signed in
-        one small-lane gather; otherwise each bounded span is packed by
-        one strided fill -- zero-copy when the span is uniform -- or,
-        with ``workers > 1``, sent to the shared-memory process pool.
+        one small-lane gather; otherwise each width group is packed by
+        one strided fill -- zero-copy when its rows are consecutive and
+        uniform -- or, with ``workers > 1``, sent to the shared-memory
+        process pool.
         """
         scheme = self.scheme
         if not lengths.size:
@@ -432,10 +451,10 @@ class BatchSigner:
             mapped = scheme.map_symbols(flat)
             if mapped is not flat:
                 LEDGER.count(mapped.nbytes)
-            components = _stack([
-                self._sign_matrix(matrix)
-                for _lo, _hi, matrix in self._packed_spans(mapped, lengths)
-            ])
+            components = scatter_groups(
+                ((rows, self._sign_matrix(matrix))
+                 for rows, matrix in self._packed_groups(mapped, lengths)),
+                int(lengths.size))
         scheme._count_signed(int(lengths.sum()), "batch",
                              calls=int(lengths.size))
         self._emit_workers()
@@ -449,9 +468,9 @@ class BatchSigner:
         Each side's raw symbols are concatenated once and the delta is
         formed in the domain the scheme is linear in -- raw symbols for
         plain schemes, phi-images for twisted ones (Proposition 6).
-        Bounded spans of the flat delta are packed (a zero-copy reshape
+        Width groups of the flat delta are packed (a zero-copy reshape
         when regions are uniform), signed, and shifted to their offsets
-        ``r`` in one Proposition-3 pass per span.
+        ``r`` in one Proposition-3 pass per group.
         """
         scheme = self.scheme
         if not befores:
@@ -477,13 +496,13 @@ class BatchSigner:
             mapped_after = scheme.map_symbols(after)
             LEDGER.count(xor.nbytes + mapped_after.nbytes)
             np.bitwise_xor(xor, mapped_after, out=xor)
-        components = _stack([
-            delta_signature_matrix(
-                scheme.field, matrix, positions[lo:hi], scheme.base.betas,
+        components = scatter_groups((
+            (rows, delta_signature_matrix(
+                scheme.field, matrix, positions[rows], scheme.base.betas,
                 self.ladders.exponents(scheme, matrix.shape[1]),
-            )
-            for lo, hi, matrix in self._packed_spans(xor, lengths)
-        ])
+            ))
+            for rows, matrix in self._packed_groups(xor, lengths)
+        ), len(befores))
         self._emit_deltas(len(befores), int(lengths.sum()))
         return components
 
@@ -533,11 +552,6 @@ def _concat(rows: list[np.ndarray]) -> np.ndarray:
     flat = np.concatenate(rows)
     LEDGER.count(flat.nbytes)
     return flat
-
-
-def _stack(blocks: list[np.ndarray]) -> np.ndarray:
-    """Row-stack per-span component blocks (a single block as is)."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 # ----------------------------------------------------------------------

@@ -8,15 +8,17 @@ through this module instead:
 * the parent lands the batch's narrow symbol run **once** in a
   :class:`~repro.sig.arena.PageArena` backed by
   :mod:`multiprocessing.shared_memory`;
-* row-block spans (bounded by the signer's ``block_symbols``) go to a
-  process pool whose workers map the arena **by name** -- page content
-  is never pickled, only ``(name, spec, offset, lengths)`` coordinates;
+* width groups of rows (:func:`~repro.gf.vectorized.width_groups`,
+  bounded by the signer's ``block_symbols``) land one after another and
+  go to a process pool whose workers map the arena **by name** -- page
+  content is never pickled, only ``(name, spec, offset, lengths)``
+  coordinates;
 * each worker rebuilds the scheme from a compact :func:`scheme_spec`
   (field + base parameters; twisted schemes ship their bijection name,
-  or the table itself for custom phis), signs its span through the same
+  or the table itself for custom phis), signs its group through the same
   ``pack_flat`` + ``batch_signature_matrix`` kernels, and returns only
   the small component matrix;
-* the parent concatenates components in span order -- byte-identical to
+* the parent scatters components back to input order -- byte-identical to
   the in-process path (property-tested in ``tests/test_sig_parallel.py``),
   so the paper's Proposition 1/2 detection guarantees are untouched.
 
@@ -42,8 +44,8 @@ import numpy as np
 
 from ..errors import SignatureError
 from ..gf.field import GF
-from ..gf.vectorized import (batch_signature_matrix, bounded_spans,
-                             pack_flat, symbol_dtype)
+from ..gf.vectorized import (batch_signature_matrix, group_run, pack_flat,
+                             scatter_groups, symbol_dtype, width_groups)
 from .arena import LEDGER, PageArena
 from .scheme import AlgebraicSignatureScheme
 from .twisted import TwistedScheme, log_interpretation_scheme
@@ -146,7 +148,7 @@ def _cached_scheme(spec: SchemeSpec) -> AlgebraicSignatureScheme:
 
 def _sign_attached(scheme: AlgebraicSignatureScheme, buf,
                    start_symbol: int, lengths: list[int]) -> np.ndarray:
-    """Sign one span of an attached arena; returns fresh components.
+    """Sign one width group of an attached arena; returns its components.
 
     Runs in its own frame so every view of the shared buffer dies before
     the caller closes the mapping.
@@ -162,7 +164,7 @@ def _sign_attached(scheme: AlgebraicSignatureScheme, buf,
 
 
 def _worker_sign(task) -> np.ndarray:
-    """Pool entry point: attach by name, sign the span, detach."""
+    """Pool entry point: attach by name, sign the group, detach."""
     name, spec, start_symbol, lengths = task
     from multiprocessing import shared_memory
 
@@ -231,39 +233,46 @@ def sign_flat_spans(scheme: AlgebraicSignatureScheme, flat: np.ndarray,
     """Component matrix of a flat narrow batch, signed across processes.
 
     ``flat`` is the parent's narrow (pre-mapping) symbol run; it lands
-    once in a shared arena, workers sign disjoint row spans, and the
-    result is the same ``(N, n)`` int64 matrix the in-process lane
-    produces.  The shared block is unlinked on every exit path.
+    once in a shared arena, one width group (:func:`~repro.gf.
+    vectorized.width_groups`, the in-process lane's grouping) after
+    another, workers sign disjoint groups, and the result is the same
+    ``(N, n)`` int64 matrix the in-process lane produces.  The shared
+    block is unlinked on every exit path.
     """
     starts = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
     dtype = symbol_dtype(scheme.field)
     nbytes = int(flat.size) * dtype.itemsize
+    groups = width_groups(lengths, block_symbols, workers)
     arena = PageArena(max(nbytes, 1), shared=True, align=dtype.itemsize)
     try:
         landing = np.frombuffer(arena.buffer_view, dtype=dtype,
                                 count=flat.size)
-        np.copyto(landing, flat)
+        tasks = []
+        at = 0
+        for rows in groups:
+            sizes = lengths[rows]
+            end = at + int(sizes.sum())
+            landing[at:end] = group_run(flat, starts, lengths, rows)
+            tasks.append((at, sizes.tolist()))
+            at = end
         del landing
         LEDGER.count(nbytes)
         spec = scheme_spec(scheme)
-        spans = bounded_spans(lengths, block_symbols, workers)
         pool = get_pool(workers)
         try:
             futures = [
-                pool.submit(_worker_sign, (arena.name, spec,
-                                           int(starts[lo]),
-                                           lengths[lo:hi].tolist()))
-                for lo, hi in spans
+                pool.submit(_worker_sign, (arena.name, spec, at, sizes))
+                for at, sizes in tasks
             ]
-            per_span = [future.result() for future in futures]
+            return scatter_groups(
+                zip(groups, [future.result() for future in futures]),
+                int(lengths.size))
         except BrokenProcessPool:
             # A dead worker poisons the whole executor; drop it so the
             # next call builds a fresh pool (the shared block is still
             # unlinked by the finally below -- nothing leaks).
             _discard_pool(workers, pool)
             raise
-        return per_span[0] if len(per_span) == 1 else \
-            np.concatenate(per_span)
     finally:
         arena.close()

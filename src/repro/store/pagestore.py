@@ -421,8 +421,11 @@ class PageStore:
             # algebraically by the next fold, no journaling needed.
             replica.data.extend(bytes(image_len - len(replica.data)))
 
-    def _apply(self, frame: fr.Frame) -> None:
-        """Apply one (already logged / certified) frame to RAM state."""
+    def _apply(self, frame: fr.Frame) -> int | None:
+        """Apply one (already logged / certified) frame to RAM state.
+
+        Returns the page index a ``PAGE`` frame wrote, else ``None``.
+        """
         if frame.kind == fr.KIND_PAGE:
             index, page_size, data = fr.decode_page(frame.payload)
             state = self._materialize(frame.volume, page_size)
@@ -435,7 +438,8 @@ class PageStore:
                 # A short write to the final page sets the length
                 # (sim-disk semantics).
                 replica.truncate(end)
-        elif frame.kind == fr.KIND_DELTA:
+            return index
+        if frame.kind == fr.KIND_DELTA:
             image_len, offset, delta = fr.decode_delta(frame.payload)
             state = self._materialize(frame.volume, DEFAULT_PAGE_BYTES)
             state.replica.apply_xor(offset, delta)
@@ -446,6 +450,7 @@ class PageStore:
             self._set_length(state.replica, image_len)
         else:
             raise fr.FrameError(f"unknown frame kind {frame.kind}")
+        return None
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -724,7 +729,7 @@ class PageStore:
         # Condemnation: headers of rejected frames point at pages
         # (best effort), the Proposition-5 scrub certifies pre-tail
         # damage, later full-page writes exonerate.
-        condemned, expected = self._condemn(scan)
+        condemned, expected = self._condemn(scan, replay.last_page_write)
         return RecoveryReport(
             seconds=0.0, used_checkpoint=snapshot is not None,
             frames_valid=len(scan.frames),
@@ -737,23 +742,19 @@ class PageStore:
         )
 
 
-    def _condemn(self, scan: ScanResult) -> tuple[
+    def _condemn(self, scan: ScanResult,
+                 last_page_write: dict[tuple[str, int], int]) -> tuple[
             dict[str, tuple[int, ...]], dict[str, dict[int, Signature]]]:
+        """Condemn the pages rejected frames may have damaged.
+
+        ``last_page_write`` maps ``(volume, page)`` to the log position
+        of its last certified full-page write, as replay recorded it: a
+        corrupt frame's damage to a page is superseded by a later
+        ``PAGE`` frame.
+        """
         if not scan.corrupt:
             return {}, {}
         registry = get_registry()
-        # Last certified full-page write per (volume, page): a corrupt
-        # frame's damage to a page is superseded by a later PAGE frame.
-        last_page_write: dict[tuple[str, int], int] = {}
-        for scanned in scan.frames:
-            if scanned.frame.kind == fr.KIND_PAGE:
-                try:
-                    index, _size, _data = fr.decode_page(
-                        scanned.frame.payload
-                    )
-                except fr.FrameError:
-                    continue
-                last_page_write[(scanned.frame.volume, index)] = scanned.start
         targeted: dict[str, set[int]] = {}
         blind = False   # a region without a parseable header
         for region in scan.corrupt:
@@ -837,7 +838,7 @@ class _StreamingReplay:
     """
 
     __slots__ = ("store", "snapshot", "position", "seeded",
-                 "bytes_replayed", "frames_folded")
+                 "bytes_replayed", "frames_folded", "last_page_write")
 
     def __init__(self, store: PageStore, snapshot):
         self.store = store
@@ -846,6 +847,8 @@ class _StreamingReplay:
         self.seeded = snapshot is None
         self.bytes_replayed = 0
         self.frames_folded = 0
+        #: Log position of the last full-page write per (volume, page).
+        self.last_page_write: dict[tuple[str, int], int] = {}
 
     def feed(self, scanned_frames) -> None:
         """Apply one segment's certified frames (in log order)."""
@@ -853,7 +856,10 @@ class _StreamingReplay:
         for scanned in scanned_frames:
             if not self.seeded and scanned.end > self.position:
                 self._seed()
-            store._apply(scanned.frame)
+            page = store._apply(scanned.frame)
+            if page is not None:
+                self.last_page_write[(scanned.frame.volume, page)] = \
+                    scanned.start
             self.bytes_replayed += len(scanned.frame.payload)
             if scanned.end > self.position:
                 self.frames_folded += 1

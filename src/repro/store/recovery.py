@@ -147,16 +147,18 @@ def scan_segment(scheme, buffer, index: int, base: int,
     seals = get_batch_signer(scheme).sign_concat_many(
         [[view[c[1]:c[3]]] for c in unverified], strict=False,
     ) if unverified else []
-    good = {id(c): seal.to_bytes() == view[c[3]:c[2]]
-            for c, seal in zip(unverified, seals)}
+    # The unverified frames are the trailing candidates (the trusted
+    # prefix is a byte prefix); everything before them is trusted.
+    verdicts = [True] * (len(candidates) - len(unverified)) + [
+        seal.to_bytes() == view[c[3]:c[2]]
+        for c, seal in zip(unverified, seals)]
     frames = []
-    for candidate in candidates:
-        frame, start, end, body_end = candidate
+    for (frame, start, end, body_end), seal_ok in zip(candidates, verdicts):
         frames.append(FrameVerdict(
             frame.kind, frame.seq, frame.volume,
             base + start, base + end,
             base + body_end - len(frame.payload), base + body_end,
-            bool(good.get(id(candidate), True)),
+            seal_ok,
         ))
     return SegmentVerdict(index, base, len(view), tuple(frames),
                           tuple((base + s, base + e) for s, e in garbage))

@@ -1,5 +1,7 @@
 """Tests for the numpy bulk kernels against scalar reference arithmetic."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from repro.errors import GaloisFieldError
 from repro.gf import GF
 from repro.gf import vectorized as V
+from repro.sig import make_scheme
+from repro.sig.twisted import log_interpretation_scheme
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +175,67 @@ class TestScale:
         scaled = V.scale(gf, arr, factor)
         for got, value in zip(scaled, values):
             assert got == gf.mul(value, factor)
+
+
+#: The blocked kernel's schemes: GF(2^8) n=4, the paper's GF(2^16) n=2,
+#: and a Proposition-6 twisted scheme (the kernel signs its phi-images).
+KERNEL_SCHEMES = {
+    "gf8": make_scheme(f=8, n=4),
+    "gf16": make_scheme(f=16, n=2),
+    "gf16-twisted": log_interpretation_scheme(GF(16), n=2),
+}
+
+
+class TestBlockedKernel:
+    """``batch_signature_matrix`` walks row blocks; every row stays exact."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SCHEMES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_row_sign_scalar(self, name, data):
+        scheme = KERNEL_SCHEMES[name]
+        field = scheme.field
+        width = data.draw(st.sampled_from([0, 1, 2, 7, 33]), label="width")
+        budget = data.draw(st.sampled_from([1, 40, 99]), label="budget")
+        block = max(1, budget // max(width, 1))
+        rows = data.draw(st.sampled_from(
+            sorted({max(1, block - 1), block, block + 1, 1})), label="rows")
+        # Narrow matrices are what the engine packs; int64 is what the
+        # pre-arena bench pipeline (bench._legacy_batch_sign) passes.
+        dtype = data.draw(st.sampled_from(
+            [V.symbol_dtype(field), np.dtype(np.int64)]), label="dtype")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pages = []
+        matrix = np.zeros((rows, width), dtype=dtype)
+        for row in matrix:
+            page = rng.integers(0, field.size, rng.integers(0, width + 1))
+            page[rng.random(page.size) < 0.2] = 0
+            pages.append(page)
+            row[:page.size] = scheme.map_symbols(page)   # padding stays 0
+        with mock.patch.object(V, "KERNEL_BLOCK_SYMBOLS", budget):
+            components = V.batch_signature_matrix(field, matrix,
+                                                  scheme.base.betas)
+        assert components.shape == (rows, scheme.n)
+        assert [tuple(row) for row in components.tolist()] == [
+            scheme.sign_scalar(page, strict=False).components
+            for page in pages]
+
+    def test_wide_matrix_keeps_the_bounds_check(self):
+        field = GF(8)
+        matrix = np.array([[1, 2, field.size]], dtype=np.int64)
+        with pytest.raises(IndexError):
+            V.batch_signature_matrix(field, matrix, (2,))
+
+    @pytest.mark.parametrize("f", [8, 16])
+    def test_ladders_are_read_only_int32_views(self, f):
+        field = GF(f)
+        beta = field.alpha
+        ladder = V.ladder_exponents(field, beta, 3000)
+        assert ladder.dtype == np.int32
+        assert ladder.base is not None          # a view of the shared store
+        assert not ladder.flags.writeable
+        with pytest.raises(ValueError):
+            ladder[0] = 1
+        expected = (field.log(beta) * np.arange(3000)) % field.order
+        assert np.array_equal(ladder, expected)
+        assert V.ladder_exponents(field, beta, 10).base is ladder.base

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from repro.errors import SignatureError
 from repro.gf import GF
-from repro.gf.vectorized import bounded_spans, narrow_symbol_view, pack_flat
+from repro.gf.vectorized import (
+    GROUP_FLOOR_SYMBOLS,
+    narrow_symbol_view,
+    pack_flat,
+    width_groups,
+)
 from repro.sig import LEDGER, BatchSigner, PageArena, make_scheme
 from repro.sig.algebra import delta_signature, shift
 from repro.sig.twisted import log_interpretation_scheme
@@ -115,19 +120,45 @@ class TestPacking:
             assert row[:page.size].tolist() == page.tolist()
             assert not row[page.size:].any()
 
-    def test_bounded_spans_cover_rows_within_budget(self):
-        lengths = np.array([30, 1, 0, 64, 17, 64, 2, 50], dtype=np.int64)
-        spans = bounded_spans(lengths, 64)
-        assert [lo for lo, _hi in spans] == [0] + [hi for _lo, hi in spans[:-1]]
-        assert spans[-1][1] == lengths.size
-        for lo, hi in spans:
-            assert hi - lo == 1 or (hi - lo) * lengths[lo:hi].max() <= 64
-        # Splitting for workers keeps order and yields >= parts spans.
-        split = bounded_spans(lengths, 1 << 20, parts=3)
+    def test_width_groups_cover_rows_within_budget(self):
+        floor = GROUP_FLOOR_SYMBOLS
+        lengths = np.array([300, 1, 0, 640, 170, 640, 2, 500, 3 * floor],
+                           dtype=np.int64)
+        budget = 1280
+
+        def row_lists(groups):
+            return [np.arange(lengths.size)[rows].tolist() for rows in groups]
+
+        groups = row_lists(width_groups(lengths, budget))
+        # Every row lands in exactly one group, listed in input order.
+        assert sorted(sum(groups, [])) == list(range(lengths.size))
+        for rows in groups:
+            assert rows == sorted(rows)
+            widths = lengths[rows]
+            assert len(rows) == 1 or len(rows) * widths.max() <= budget
+            # Within 2x of the narrowest row, or of the floor below it.
+            assert widths.max() <= 2 * max(widths.min(), floor)
+        # Splitting for workers still covers every row once, in >= parts.
+        split = row_lists(width_groups(lengths, 1 << 20, parts=3))
         assert len(split) >= 3
-        assert [lo for lo, _hi in split] == [0] + [hi for _lo, hi in split[:-1]]
-        assert split[-1][1] == lengths.size
-        assert bounded_spans(np.zeros(0, dtype=np.int64), 64) == []
+        assert sorted(sum(split, [])) == list(range(lengths.size))
+        assert width_groups(np.zeros(0, dtype=np.int64), 64) == []
+
+    def test_width_groups_keep_consecutive_rows_as_slices(self):
+        uniform = np.full(10, 8, dtype=np.int64)
+        assert width_groups(uniform, 32) == [
+            slice(0, 4), slice(4, 8), slice(8, 10)]
+        # Narrow rows share one matrix however their widths differ.
+        assert width_groups(np.array([1, 9, 40, 2, 200]), 1 << 20) == [
+            slice(0, 5)]
+        wide = GROUP_FLOOR_SYMBOLS
+        ascending = np.array([wide, 2 * wide, 3 * wide, 5 * wide, 9 * wide])
+        assert width_groups(ascending, 1 << 20) == [
+            slice(0, 2), slice(2, 4), slice(4, 5)]
+        # Interleaved widths group by width, not by position.
+        groups = width_groups(np.array([2064, 52, 2064, 18, 52]), 1 << 20)
+        assert [np.arange(5)[rows].tolist() for rows in groups] == [
+            [1, 3, 4], [0, 2]]
 
     def test_pack_flat_uniform_lengths_is_a_view(self):
         flat = np.arange(12, dtype=np.uint8)

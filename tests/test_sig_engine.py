@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from repro.errors import PageTooLongError, SignatureError
 from repro.gf import GF
+from repro.gf.vectorized import width_groups
 from repro.obs import MetricsRegistry, use_registry
 from repro.sig import (
+    LEDGER,
     BatchSigner,
     PowerLadderCache,
     SignatureMap,
@@ -131,6 +133,69 @@ class TestBatchExactness:
 
     def test_empty_batch(self):
         assert BatchSigner(SCHEMES["gf16"]).sign_many([]) == []
+
+
+# ----------------------------------------------------------------------
+# Width grouping: mixed batches pack by width, results keep input order
+# ----------------------------------------------------------------------
+
+class TestWidthGrouping:
+
+    #: Interleaved short, long, empty and odd-length bodies, in bytes.
+    SIZES = (104, 4128, 0, 41, 7, 4127, 1, 104, 0, 9000, 13, 104, 4128)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["gf16", "gf8-twisted"])
+    def test_interleaved_widths_keep_input_order(self, name, workers):
+        scheme = SCHEMES[name]
+        rng = np.random.default_rng(17)
+        bodies = [[rng.bytes(size // 2), rng.bytes(size - size // 2)]
+                  for size in self.SIZES]
+        registry = MetricsRegistry()
+        with use_registry(registry), matrix_lane():
+            got = BatchSigner(scheme, workers=workers).sign_concat_many(
+                bodies, strict=False)
+        assert got == [scheme.sign(b"".join(parts), strict=False)
+                       for parts in bodies]
+        if workers == 1:
+            symbol_bytes = scheme.scheme_id.symbol_bytes
+            lengths = np.array([-(-size // symbol_bytes)
+                                for size in self.SIZES])
+            groups = width_groups(lengths, BatchSigner(scheme).block_symbols)
+            assert len(groups) > 1
+            assert registry.total("sig.engine.batches") == len(groups)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_batches_spanning_several_groups_equal_reference(self, name,
+                                                             data):
+        # Pages up to 700 symbols straddle the 128-symbol group floor
+        # and its 2x steps, so most batches sort into several groups.
+        scheme = SCHEMES[name]
+        pages = draw_batch(data, scheme, max_pages=10, max_symbols=700)
+        with materialized(scheme, pages) as inputs, matrix_lane():
+            got = BatchSigner(scheme).sign_many(inputs, strict=False)
+        assert got == [scheme.sign(content, strict=False)
+                       for _kind, content in pages]
+
+    def test_uniform_and_segment_shaped_batches_pack_without_copies(self):
+        scheme = SCHEMES["gf16"]
+        rng = np.random.default_rng(18)
+        pages = [rng.bytes(4128) for _ in range(4)]
+        deltas = [rng.bytes(104) for _ in range(40)]
+        signer = BatchSigner(scheme)
+        # A uniform batch, and a log segment's shape (page frames, then
+        # delta frames) whose two width groups are each consecutive
+        # rows: both sign after the join alone, with no packing copy.
+        for batch in (pages + pages, pages + deltas):
+            with LEDGER.counting() as ledger:
+                got = signer.sign_concat_many([[body] for body in batch])
+            assert got == [scheme.sign(body) for body in batch]
+            assert ledger.bytes_copied == sum(len(body) for body in batch)
+        with LEDGER.counting() as ledger:
+            signer.sign_map(b"".join(pages), 2064)
+        assert ledger.bytes_copied == 0
 
 
 # ----------------------------------------------------------------------

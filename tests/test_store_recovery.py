@@ -358,3 +358,38 @@ class TestParallelRecover:
                 store.close()
         assert reports[None] == reports[2]
         assert reports[2][1] == ()
+
+
+class TestMixedWidthSegment:
+    def test_rotted_delta_between_page_frames_is_the_one_reported(
+            self, tmp_path):
+        """A segment's seals are signed in width groups (the 52-symbol
+        DELTA frame apart from the 2064-symbol PAGE frames); verdicts
+        must still land on the frames they belong to."""
+        page_bytes = 4096
+        image = bytes(range(256)) * (2 * page_bytes // 256)
+        store = PageStore(SCHEME, tmp_path / "store")
+        first = store.write_page("vol", 0, image[:page_bytes], page_bytes)
+        before = image[100:164]
+        after = bytes(b ^ 0x5A for b in before)
+        delta = store.record_extent("vol", 100, before, after, len(image))
+        second = store.write_page("vol", 1, image[page_bytes:], page_bytes)
+        end = store.log_bytes
+        store.corrupt_log(delta + 40, b"\xff\xff")
+        store.close()
+
+        scan = SegmentedLog(tmp_path / "store", SCHEME).scan(
+            verify_workers=1)
+        assert [(r.start, r.end, r.reason) for r in scan.corrupt] == [
+            (delta, second, "seal")]
+        # (The volume's creation frame precedes the two page frames.)
+        assert [(f.start, f.end, f.frame.kind) for f in scan.frames][1:] \
+            == [(first, delta, KIND_PAGE), (second, end, KIND_PAGE)]
+        store, report = PageStore.recover(SCHEME, tmp_path / "store")
+        try:
+            # The lost delta touched page 0 after its last full write.
+            assert report.corrupt_frames == 1
+            assert report.condemned == {"vol": (0,)}
+            assert store.image("vol") == image
+        finally:
+            store.close()
