@@ -43,7 +43,7 @@ from .sig import (
 from .sdds import LHFile, OperationStatus, Record, RPFile, UpdateStatus
 from .backup import BackupEngine
 from .parity import ReliabilityGroup
-from .obs import MetricsRegistry, RunReport, Tracer, get_registry
+from .obs import MetricsRegistry, RunReport, get_registry
 
 __version__ = "1.0.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "ReliabilityGroup",
     "MetricsRegistry",
     "RunReport",
-    "Tracer",
     "get_registry",
     "__version__",
 ]

@@ -128,14 +128,14 @@ def _recommend(arguments: list[str]) -> int:
 
 
 def _demo_workload():
-    """Exercise every instrumented subsystem once; returns the tracer.
+    """Exercise every instrumented subsystem once; returns its trace store.
 
     The workload is deterministic (seeded records, simulated clock) so
     ``report --json`` emits the same document on every run.
     """
     from repro import make_scheme
     from repro.backup import BackupEngine
-    from repro.obs import Tracer
+    from repro.obs import TraceStore
     from repro.parity import LHRSStore
     from repro.sdds import LHFile
     from repro.sim import SimDisk, SimNetwork
@@ -143,11 +143,11 @@ def _demo_workload():
 
     scheme = make_scheme()
     network = SimNetwork()
-    tracer = Tracer(clock=network.clock)
+    traces = TraceStore(seed=0, clock=network.clock)
     file = LHFile(scheme, capacity_records=64, network=network)
     client = file.client()
     records = make_records(48, 256, seed=7)
-    with tracer.span("sdds.workload", records=len(records)):
+    with traces.span("sdds.workload", records=len(records)):
         for record in records:
             client.insert(record)
         for record in records[:16]:
@@ -159,20 +159,20 @@ def _demo_workload():
     disk = SimDisk(clock=network.clock)
     engine = BackupEngine(scheme, disk, page_bytes=4096)
     image = bytearray(16 * 4096)
-    with tracer.span("backup.pass", pages=16):
+    with traces.span("backup.pass", pages=16):
         engine.backup("demo", bytes(image))
         image[0] ^= 0xFF
         engine.backup("demo", bytes(image))
     store = LHRSStore(scheme, data_buckets=3, parity_buckets=2,
                       record_bytes=64)
-    with tracer.span("parity.cycle"):
+    with traces.span("parity.cycle"):
         for key in range(12):
             store.insert(key, f"record {key}".encode())
         store.update(3, b"updated record")
         store.fail_bucket(1)
         store.recover()
         store.audit_rank(0)
-    return tracer
+    return traces
 
 
 def _report(arguments: list[str]) -> int:
@@ -191,7 +191,7 @@ def _report(arguments: list[str]) -> int:
               file=sys.stderr)
         return 2
     registry = MetricsRegistry()
-    tracer = None
+    traces = None
     meta: dict[str, str] = {}
     # In machine-readable modes the workload's own stdout would corrupt
     # the document; swallow it and emit only the report.
@@ -208,8 +208,8 @@ def _report(arguments: list[str]) -> int:
         else:
             meta["source"] = "demo"
             with contextlib.redirect_stdout(sink):
-                tracer = _demo_workload()
-    report = RunReport(registry, tracer=tracer, meta=meta)
+                traces = _demo_workload()
+    report = RunReport(registry, traces=traces, meta=meta)
     if as_prom:
         print(to_prometheus(registry), end="")
     elif as_json:

@@ -14,7 +14,6 @@ deserializer):
 
 * request:  ``op(1) || request_id(8) || key(4) || value_len(4) || value``
 * reply:    ``status(1) || request_id(8) || value_len(4) || value``
-* mirror:   ``image_len(8) || page_index(4) || page bytes``
 * delta:    ``image_len(8) || count(4) || (offset(8) || length(4) ||
   delta bytes)*`` -- one mirror patch per mutation, carrying only
   ``before XOR after`` of each changed extent; the seal covers the
@@ -66,7 +65,6 @@ ST_NAMES = {ST_INSERTED: "inserted", ST_DUPLICATE: "duplicate",
 
 _REQUEST = struct.Struct("<BQII")
 _REPLY = struct.Struct("<BQI")
-_MIRROR = struct.Struct("<QI")
 _DELTAS = struct.Struct("<QI")
 _REGION = struct.Struct("<QI")
 _TRACED = struct.Struct("<QQ")
@@ -163,7 +161,7 @@ def decode_traced(body: bytes) -> tuple[TraceContext | None, bytes]:
 
 
 # ----------------------------------------------------------------------
-# Request / reply / mirror bodies
+# Request / reply / delta bodies
 # ----------------------------------------------------------------------
 
 def encode_request(op: int, request_id: int, key: int,
@@ -202,20 +200,6 @@ def decode_reply(body: bytes) -> tuple[int, int, bytes]:
     if status not in ST_NAMES or len(value) != value_len:
         raise WireError("inconsistent reply body")
     return status, request_id, value
-
-
-def encode_mirror(image_len: int, page_index: int,
-                  page: bytes | memoryview) -> bytes:
-    """Serialize one best-effort mirror page update."""
-    return b"".join((_MIRROR.pack(image_len, page_index), page))
-
-
-def decode_mirror(body: bytes) -> tuple[int, int, bytes]:
-    """Inverse of :func:`encode_mirror`: (image_len, page_index, page)."""
-    if len(body) < _MIRROR.size:
-        raise WireError("truncated mirror body")
-    image_len, page_index = _MIRROR.unpack_from(body)
-    return image_len, page_index, body[_MIRROR.size:]
 
 
 def encode_deltas(image_len: int,

@@ -118,10 +118,6 @@ LADDER_CACHE_MAX = 64
 #: Smallest ladder capacity built (below this, growth churn dominates).
 _LADDER_MIN_CAPACITY = 1024
 
-#: Cache-effectiveness accounting (read by the engine's metrics).
-ladder_hits = 0
-ladder_misses = 0
-
 
 def _ladder_capacity(length: int) -> int:
     """Power-of-two capacity covering ``length`` (geometric growth)."""
@@ -142,7 +138,6 @@ def ladder_exponents(field: GField, beta: int, length: int) -> np.ndarray:
     from the *doubled* antilog table multiplies without any modulo
     reduction (the Section 4.1 trick, applied per-array).
     """
-    global ladder_hits, ladder_misses
     if beta == 0:
         raise GaloisFieldError("signature base element must be non-zero")
     log_beta = field.log(beta)
@@ -151,9 +146,7 @@ def ladder_exponents(field: GField, beta: int, length: int) -> np.ndarray:
         ladder = _LADDERS.get(key)
         if ladder is not None and ladder.size >= length:
             _LADDERS.move_to_end(key)
-            ladder_hits += 1
             return ladder[:length]
-        ladder_misses += 1
         capacity = _ladder_capacity(length)
         ladder = ((log_beta * np.arange(capacity, dtype=np.int64))
                   % field.order).astype(np.int32)
@@ -163,15 +156,6 @@ def ladder_exponents(field: GField, beta: int, length: int) -> np.ndarray:
         while len(_LADDERS) > LADDER_CACHE_MAX:
             _LADDERS.popitem(last=False)
     return ladder[:length]
-
-
-def ladder_cache_clear() -> None:
-    """Drop every cached ladder (test isolation; never needed in prod)."""
-    global ladder_hits, ladder_misses
-    with _LADDER_LOCK:
-        _LADDERS.clear()
-        ladder_hits = 0
-        ladder_misses = 0
 
 
 def power_weights(field: GField, beta: int, length: int, start: int = 0) -> np.ndarray:
@@ -419,8 +403,7 @@ KERNEL_BLOCK_SYMBOLS = 1 << 15
 
 
 def batch_signature_matrix(field: GField, matrix: np.ndarray,
-                           betas: tuple[int, ...],
-                           ladders: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+                           betas: tuple[int, ...]) -> np.ndarray:
     """Component signatures of every row of a zero-padded symbol matrix.
 
     The batch analogue of :func:`signature_vector`, walked in row
@@ -434,18 +417,13 @@ def batch_signature_matrix(field: GField, matrix: np.ndarray,
     -- Broder-style batching.  The matrix may be narrow (``uint8``/``<u2``) or any
     wider integer dtype.
 
-    ``ladders`` optionally supplies pre-fetched position-exponent arrays
-    (one per beta, each at least ``L`` long) -- the engine passes its
-    :class:`~repro.sig.engine.PowerLadderCache` bundle here.
-
     Returns an ``(N, len(betas))`` int64 matrix of components.
     """
     n_pages, width = matrix.shape
     out = np.zeros((n_pages, len(betas)), dtype=np.int64)
     if not n_pages or not width:
         return out
-    if ladders is None:
-        ladders = tuple(ladder_exponents(field, beta, width) for beta in betas)
+    ladders = [ladder_exponents(field, beta, width) for beta in betas]
     # ``take`` buffers its output unless told how to treat out-of-range
     # indices.  Sums of a sentinel log and a ladder entry always index
     # the antilog table, and so does any symbol of a matrix whose
@@ -464,7 +442,7 @@ def batch_signature_matrix(field: GField, matrix: np.ndarray,
         np.take(field.sentinel_log, matrix[lo:hi], out=block_logs,
                 mode=log_mode)
         for j, ladder in enumerate(ladders):
-            np.add(block_logs, ladder[:width], out=block_index)
+            np.add(block_logs, ladder, out=block_index)
             np.take(field.sentinel_antilog, block_index, out=block_terms,
                     mode="wrap")
             out[lo:hi, j] = np.bitwise_xor.reduce(block_terms, axis=1)
@@ -531,8 +509,8 @@ def shift_rows(field: GField, components: np.ndarray, positions: np.ndarray,
 
 
 def delta_signature_matrix(field: GField, matrix: np.ndarray,
-                           positions: np.ndarray, betas: tuple[int, ...],
-                           ladders: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+                           positions: np.ndarray,
+                           betas: tuple[int, ...]) -> np.ndarray:
     """Shifted component signatures of many delta regions in one pass.
 
     Row ``k`` of ``matrix`` holds the (zero-padded, already-mapped)
@@ -543,7 +521,7 @@ def delta_signature_matrix(field: GField, matrix: np.ndarray,
     :func:`batch_signature_matrix` pass over all regions, then one
     :func:`shift_rows` pass for the ``alpha^r`` scaling.
     """
-    components = batch_signature_matrix(field, matrix, betas, ladders)
+    components = batch_signature_matrix(field, matrix, betas)
     return shift_rows(field, components, positions, betas)
 
 

@@ -4,8 +4,9 @@ The measurement substrate for the whole reproduction.  The paper's
 core claims about SDDS signatures are accounting results (bytes not
 shipped, pages not written, signatures computed); every subsystem
 emits that accounting into one injectable :class:`MetricsRegistry`,
-spans nest through :class:`Tracer` over wall and simulated clocks, and
-:class:`RunReport` renders both as human tables and stable JSON.
+spans carry both the simulated and the wall clock and assemble into
+per-operation trees in one :class:`TraceStore`, and :class:`RunReport`
+renders both as human tables and stable JSON.
 
 Quick tour::
 
@@ -33,7 +34,6 @@ from .registry import (
     set_registry,
     use_registry,
 )
-from .tracer import Span, SpanEvent, Tracer
 from .report import SCHEMA, RunReport
 from .trace import (
     TRACE_SCHEMA,
@@ -64,9 +64,6 @@ __all__ = [
     "set_registry",
     "use_registry",
     "labels_to_str",
-    "Span",
-    "SpanEvent",
-    "Tracer",
     "RunReport",
     "SCHEMA",
     "TRACE_SCHEMA",

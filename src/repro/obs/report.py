@@ -3,9 +3,9 @@
 One :class:`RunReport` is the end-of-run artifact of any experiment in
 this reproduction: a grouped, human-readable table of every metric
 series (the E5/E6/E7 accounting the paper tabulates -- pages written,
-bytes shipped, signatures computed) and a *stable* JSON document
-(sorted keys, no wall-clock noise by default) that benchmark and CI
-runs can diff between revisions.
+bytes shipped, signatures computed), the run's spans on both clocks,
+and a *stable* JSON document (sorted keys, no wall-clock noise by
+default) that benchmark and CI runs can diff between revisions.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 
 from .registry import HistogramBase, MetricsRegistry, labels_to_str
-from .tracer import Tracer
+from .trace import TraceStore
 
 #: Version tag of the JSON layout; bump on incompatible changes.
-SCHEMA = "repro.obs/run-report/v1"
+SCHEMA = "repro.obs/run-report/v2"
 
 
 def _format_value(value) -> str:
@@ -33,13 +33,24 @@ def _format_histogram(summary: dict) -> str:
             f"max={_format_value(summary['max'])}")
 
 
-class RunReport:
-    """Renders a registry (and optional tracer) as tables or JSON."""
+def _span_lines(bodies: list[dict], depth: int, has_clock: bool,
+                lines: list[str]) -> None:
+    """Append one row per exported span body, indented by tree depth."""
+    for body in bodies:
+        sim = (f"{(body['end'] - body['start']) * 1e3:.3f} ms sim"
+               if has_clock else "-")
+        lines.append(f"{'  ' * depth}{body['name']}  {sim}  "
+                     f"{body['wall_seconds'] * 1e3:.3f} ms wall")
+        _span_lines(body["children"], depth + 1, has_clock, lines)
 
-    def __init__(self, registry: MetricsRegistry, tracer: Tracer | None = None,
-                 meta: dict | None = None):
+
+class RunReport:
+    """Renders a registry (and optional trace store) as tables or JSON."""
+
+    def __init__(self, registry: MetricsRegistry,
+                 traces: TraceStore | None = None, meta: dict | None = None):
         self.registry = registry
-        self.tracer = tracer
+        self.traces = traces
         self.meta = dict(sorted((meta or {}).items()))
 
     # ------------------------------------------------------------------
@@ -53,8 +64,8 @@ class RunReport:
             "metrics": self.registry.snapshot(),
             "schema": SCHEMA,
         }
-        if self.tracer is not None:
-            document["spans"] = self.tracer.snapshot(include_wall=include_wall)
+        if self.traces is not None:
+            document["spans"] = self.traces.to_dict(include_wall=include_wall)
         return document
 
     def to_json(self, indent: int | None = 2,
@@ -96,15 +107,10 @@ class RunReport:
                 lines.append(
                     f"  {name:<{name_width}}  {labels:<{label_width}}  {value}"
                 )
-        if self.tracer is not None and self.tracer.finished:
+        if self.traces is not None and self.traces.finished:
             lines.append("")
             lines.append("== spans ==")
-            for span in self.tracer.finished:
-                indent = "  " * (span.depth + 1)
-                sim = ("-" if span.sim_seconds is None
-                       else f"{span.sim_seconds * 1e3:.3f} ms sim")
-                lines.append(
-                    f"{indent}{span.name}  {sim}  "
-                    f"{span.wall_seconds * 1e3:.3f} ms wall"
-                )
+            has_clock = self.traces.clock is not None
+            for trace in self.traces.to_dict(include_wall=True)["traces"]:
+                _span_lines(trace["spans"], 1, has_clock, lines)
         return "\n".join(lines)

@@ -6,16 +6,23 @@ view: a :class:`TraceContext` -- ``(trace_id, span_id)`` pair -- rides
 inside every signature-sealed wire frame of the cluster transport, so
 the spans a client, a server node, the storage plane and the parity
 group emit for one SDDS operation assemble into a single cross-node
-tree.  Identifiers are drawn deterministically from the run seed, and
-spans carry only simulated-clock timestamps, so two same-seed runs of a
-faulty-cluster scenario export byte-identical trace JSON -- the same
-determinism discipline the cluster's run reports already obey.
+tree.
+
+Every span carries both clocks the reproduction runs on: the simulated
+multicomputer time the paper's cost model predicts, and the wall time
+Python actually spent (``time.perf_counter`` at open, at finish and at
+each event).  Identifiers are drawn deterministically from the run
+seed and the default exports carry only the simulated clock, so two
+same-seed runs of a faulty-cluster scenario export byte-identical trace
+JSON -- the same determinism discipline the run reports obey.
 
 Exports come in two shapes:
 
 * a stable JSON document (:meth:`TraceStore.to_dict` /
   :meth:`TraceStore.to_json`, schema :data:`TRACE_SCHEMA`) nesting each
-  trace's spans parent-under-child;
+  trace's spans parent-under-child; ``include_wall=True`` adds each
+  span's ``wall_seconds`` and each event's ``wall_offset`` for
+  profiling;
 * the Chrome trace-event format (:meth:`TraceStore.to_chrome`), loadable
   in ``chrome://tracing`` / Perfetto, with one "process" lane per node.
 
@@ -31,6 +38,7 @@ import json
 import random
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Iterator
 
 from ..errors import ReproError
@@ -64,10 +72,16 @@ class TraceContext:
 
 
 class TraceSpan:
-    """One finished (or in-flight) span of a cross-node trace."""
+    """One finished (or in-flight) span of a cross-node trace.
+
+    ``start``/``end`` are simulated-clock seconds; ``wall_start``/
+    ``wall_end`` are ``perf_counter`` readings, and ``wall_offsets[i]``
+    is the wall seconds from the span's open to ``events[i]``.
+    """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "node",
-                 "labels", "start", "end", "status", "events")
+                 "labels", "start", "end", "status", "events",
+                 "wall_start", "wall_end", "wall_offsets")
 
     def __init__(self, trace_id: int, span_id: int, parent_id: int | None,
                  name: str, node: str, labels: dict, start: float):
@@ -81,6 +95,9 @@ class TraceSpan:
         self.end: float | None = None
         self.status = "ok"
         self.events: list[dict] = []
+        self.wall_start = perf_counter()
+        self.wall_end: float | None = None
+        self.wall_offsets: list[float] = []
 
     @property
     def context(self) -> TraceContext:
@@ -91,6 +108,12 @@ class TraceSpan:
     def sim_seconds(self) -> float:
         """Simulated duration (0.0 while still open)."""
         return 0.0 if self.end is None else self.end - self.start
+
+    @property
+    def wall_seconds(self) -> float:
+        """Wall-clock duration (0.0 while still open)."""
+        return 0.0 if self.wall_end is None else \
+            self.wall_end - self.wall_start
 
     def snapshot(self) -> dict:
         """Plain-dict view (deterministic key order, sim clock only)."""
@@ -133,8 +156,10 @@ class SpanHandle:
         return self.span.context
 
     def event(self, name: str, **fields) -> None:
-        """Record one structured event at the current simulated time."""
-        self.span.events.append({
+        """Record one structured event at the current time on both clocks."""
+        span = self.span
+        span.wall_offsets.append(perf_counter() - span.wall_start)
+        span.events.append({
             "at": self.store.now(),
             "fields": dict(sorted(fields.items())),
             "name": name,
@@ -162,9 +187,11 @@ class TraceStore:
     """Collects spans from every node and assembles per-op trace trees.
 
     Identifiers come from one ``random.Random`` stream seeded by the
-    run seed, and timestamps from the shared simulated clock, so the
-    exported documents are a deterministic function of the scenario --
-    the property the cluster's same-seed acceptance tests pin.
+    run seed, and the exported timestamps from the shared simulated
+    clock (``clock`` is anything with a ``now`` attribute in seconds;
+    without one every sim timestamp reads 0.0 and only wall time is
+    measured), so the default exports are a deterministic function of
+    the scenario -- the property the same-seed acceptance tests pin.
     """
 
     def __init__(self, seed: int = 0, clock=None):
@@ -219,6 +246,7 @@ class TraceStore:
         return self.begin(name, node=node, **labels)
 
     def _finish(self, span: TraceSpan) -> None:
+        span.wall_end = perf_counter()
         span.end = self.now()
         self.open_spans -= 1
         self.finished.append(span)
@@ -260,11 +288,22 @@ class TraceStore:
         """Every finished span with no parent, in completion order."""
         return [span for span in self.finished if span.parent_id is None]
 
-    def _nest(self, spans: list[TraceSpan]) -> list[dict]:
+    @staticmethod
+    def _body(span: TraceSpan, include_wall: bool) -> dict:
+        body = span.snapshot()
+        body["children"] = []
+        if include_wall:
+            body["wall_seconds"] = span.wall_seconds
+            body["events"] = [{**event, "wall_offset": offset}
+                              for event, offset in zip(span.events,
+                                                       span.wall_offsets)]
+        return body
+
+    def _nest(self, spans: list[TraceSpan],
+              include_wall: bool) -> list[dict]:
         """Tree-shape one trace's spans: children under their parents."""
-        by_id = {span.span_id: span.snapshot() for span in spans}
-        for body in by_id.values():
-            body["children"] = []
+        by_id = {span.span_id: self._body(span, include_wall)
+                 for span in spans}
         top: list[dict] = []
         for span in spans:  # completion order keeps this deterministic
             body = by_id[span.span_id]
@@ -276,23 +315,30 @@ class TraceStore:
                 parent["children"].append(body)
         return top
 
-    def to_dict(self) -> dict:
-        """The stable trace-export document (sorted-key JSON ready)."""
+    def to_dict(self, include_wall: bool = False) -> dict:
+        """The stable trace-export document (sorted-key JSON ready).
+
+        Wall time is excluded by default so that two runs of the same
+        simulated workload produce identical JSON; pass
+        ``include_wall=True`` for profiling output.
+        """
         documents = []
         for trace_id, spans in sorted(self.traces().items(),
                                       key=lambda item: min(
                                           s.start for s in item[1])):
             documents.append({
                 "span_count": len(spans),
-                "spans": self._nest(spans),
+                "spans": self._nest(spans, include_wall),
                 "trace_id": trace_id,
             })
         return {"schema": TRACE_SCHEMA, "trace_count": len(documents),
                 "traces": documents}
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self, indent: int | None = 2,
+                include_wall: bool = False) -> str:
         """Serialize :meth:`to_dict` with sorted keys (byte-stable)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(include_wall=include_wall),
+                          indent=indent, sort_keys=True)
 
     def to_chrome(self) -> dict:
         """The Chrome trace-event document (``chrome://tracing``).

@@ -51,7 +51,7 @@ from .compound import PageSlice, SignatureMap, slice_pages
 from .tree import SignatureTree, TreeDiff, TreeNode
 from .rolling import RollingWindow, find_signature_matches, search
 from .twisted import TwistedScheme, log_interpretation_scheme, sign_log_interpreted_fast
-from .engine import BatchSigner, PowerLadderCache, get_batch_signer
+from .engine import BatchSigner, get_batch_signer
 from .parallel import resolve_workers, scheme_from_spec, scheme_spec
 from .incremental import (
     FoldReport,
@@ -71,7 +71,7 @@ from .locate import (
     decode,
 )
 from .multisearch import MultiPatternSearcher
-from .stream import LoggedUpdate, StreamSigner, UpdateLog
+from .stream import StreamSigner
 
 __all__ = [
     "AlgebraicSignatureScheme",
@@ -101,7 +101,6 @@ __all__ = [
     "log_interpretation_scheme",
     "sign_log_interpreted_fast",
     "BatchSigner",
-    "PowerLadderCache",
     "get_batch_signer",
     "CopyLedger",
     "LEDGER",
@@ -125,6 +124,4 @@ __all__ = [
     "decode",
     "MultiPatternSearcher",
     "StreamSigner",
-    "UpdateLog",
-    "LoggedUpdate",
 ]

@@ -29,9 +29,9 @@ lookups, and β-power recomputation per page.
   page's component, zero padding included (:func:`repro.gf.vectorized.
   batch_signature_matrix`), and the components are scattered back to
   input order;
-* β-power ladders come from the process-wide LRU exposed here as
-  :class:`PowerLadderCache` and shared with the scalar and rolling
-  paths -- no caller ever recomputes a ladder;
+* β-power ladders come from the process-wide ``int32`` store of
+  :func:`repro.gf.vectorized.ladder_exponents`, shared with the scalar
+  and rolling paths -- no caller ever recomputes a ladder;
 * an optional ``workers=K`` mode signs the same groups across the
   shared-memory process pool of :mod:`repro.sig.parallel` for large
   multi-bucket scans.
@@ -49,13 +49,11 @@ from collections import OrderedDict
 import numpy as np
 
 from ..errors import PageTooLongError, SignatureError
-from ..gf import vectorized as _vec
 from ..gf.vectorized import (
     batch_signature_matrix,
     delta_signature_matrix,
     fold_rows_by_group,
     group_run,
-    ladder_exponents,
     narrow_symbol_view,
     pack_flat,
     run_signature_matrix,
@@ -82,69 +80,9 @@ RAW_BYTES = (bytes, bytearray, memoryview)
 DEFAULT_BLOCK_SYMBOLS = 1 << 22
 
 #: Small-run crossover: runs of fewer total symbols skip the packed
-#: matrix lane (its span, pack and ladder-cache setup is a fixed cost
-#: the small lane does not pay).  Measured in PERFORMANCE.md.
+#: matrix lane (its span, pack and ladder setup is a fixed cost the
+#: small lane does not pay).  Measured in PERFORMANCE.md.
 SMALL_RUN_SYMBOLS = 4096
-
-
-class PowerLadderCache:
-    """LRU cache of per-scheme β-power ladders keyed by (scheme_id, length).
-
-    A scheme's ladder bundle is one position-exponent array per base
-    coordinate (``(log β_j · i) mod 2^f−1``); the bundle for the longest
-    page seen serves every shorter page as a sliced view.  The arrays
-    themselves live in the process-wide store of
-    :mod:`repro.gf.vectorized`, so scalar and rolling callers that
-    go through :func:`~repro.gf.vectorized.ladder_exponents` share the
-    exact same memory -- this class only amortizes bundle *composition*
-    for batch callers.
-    """
-
-    def __init__(self, maxsize: int = 32):
-        if maxsize <= 0:
-            raise SignatureError("ladder cache size must be positive")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-        self._bundles: OrderedDict[tuple, tuple[int, tuple[np.ndarray, ...]]] = \
-            OrderedDict()
-
-    def exponents(self, scheme: AlgebraicSignatureScheme,
-                  length: int) -> tuple[np.ndarray, ...]:
-        """Per-coordinate position-exponent ladders covering ``length``."""
-        key = scheme.scheme_id
-        with self._lock:
-            entry = self._bundles.get(key)
-            if entry is not None and entry[0] >= length:
-                self._bundles.move_to_end(key)
-                self.hits += 1
-                capacity, bundle = entry
-                if capacity == length:
-                    return bundle
-                return tuple(ladder[:length] for ladder in bundle)
-            self.misses += 1
-        bundle = tuple(
-            ladder_exponents(scheme.field, beta, length)
-            for beta in scheme.base.betas
-        )
-        with self._lock:
-            self._bundles[key] = (length, bundle)
-            self._bundles.move_to_end(key)
-            while len(self._bundles) > self.maxsize:
-                self._bundles.popitem(last=False)
-        return bundle
-
-    def clear(self) -> None:
-        """Drop every bundle and reset the hit/miss accounting."""
-        with self._lock:
-            self._bundles.clear()
-            self.hits = 0
-            self.misses = 0
-
-
-#: The process-wide ladder cache every default signer shares.
-DEFAULT_LADDERS = PowerLadderCache()
 
 
 class BatchSigner:
@@ -167,15 +105,12 @@ class BatchSigner:
         With ``workers > 1`` the width groups are signed across the
         shared-memory process pool of :mod:`repro.sig.parallel`; by
         default everything is signed in-process.
-    ladders:
-        Ladder cache to share; defaults to :data:`DEFAULT_LADDERS`.
     block_symbols:
         Bound on rows x padded-width per packed matrix (memory ceiling).
     """
 
     def __init__(self, scheme: AlgebraicSignatureScheme,
                  workers: int | None = None,
-                 ladders: PowerLadderCache | None = None,
                  block_symbols: int = DEFAULT_BLOCK_SYMBOLS):
         if workers is not None and workers < 1:
             raise SignatureError("workers must be a positive count")
@@ -183,7 +118,6 @@ class BatchSigner:
             raise SignatureError("block size must be positive")
         self.scheme = scheme
         self.workers = workers or 1
-        self.ladders = ladders if ladders is not None else DEFAULT_LADDERS
         self.block_symbols = block_symbols
         self._obs = _obs.HandleCache()
         self._obs_delta = _obs.HandleCache()
@@ -498,19 +432,15 @@ class BatchSigner:
             np.bitwise_xor(xor, mapped_after, out=xor)
         components = scatter_groups((
             (rows, delta_signature_matrix(
-                scheme.field, matrix, positions[rows], scheme.base.betas,
-                self.ladders.exponents(scheme, matrix.shape[1]),
-            ))
+                scheme.field, matrix, positions[rows], scheme.base.betas))
             for rows, matrix in self._packed_groups(xor, lengths)
         ), len(befores))
         self._emit_deltas(len(befores), int(lengths.sum()))
         return components
 
     def _sign_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        ladders = self.ladders.exponents(self.scheme, matrix.shape[1])
         components = batch_signature_matrix(
-            self.scheme.field, matrix, self.scheme.base.betas, ladders
-        )
+            self.scheme.field, matrix, self.scheme.base.betas)
         self._emit(matrix.shape[0])
         return components
 
@@ -583,12 +513,3 @@ def get_batch_signer(scheme: AlgebraicSignatureScheme) -> BatchSigner:
             _SIGNERS.popitem(last=False)
     return signer
 
-
-def ladder_cache_info() -> dict:
-    """Hit/miss accounting for both ladder layers (engine + gf store)."""
-    return {
-        "bundle_hits": DEFAULT_LADDERS.hits,
-        "bundle_misses": DEFAULT_LADDERS.misses,
-        "ladder_hits": _vec.ladder_hits,
-        "ladder_misses": _vec.ladder_misses,
-    }

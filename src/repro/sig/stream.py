@@ -1,26 +1,19 @@
-"""Append-only stream signing and update-log verification.
+"""Append-only stream signing.
 
-Two more applications of the signature algebra:
+:class:`StreamSigner` maintains the signature of a growing stream (a
+log, a replicated file) in O(|appended|) per append via Proposition 5
+of the paper.  At any moment, :attr:`~StreamSigner.signature` equals
+the from-scratch signature of everything appended so far.
 
-* :class:`StreamSigner` -- maintain the signature of a growing stream
-  (a log, a replicated file) in O(|appended|) per append via
-  Proposition 5.  At any moment, :attr:`~StreamSigner.signature` equals
-  the from-scratch signature of everything appended so far.
-* :class:`UpdateLog` -- the Section 4.1 daemon: log every block update
-  as ``(offset, before, after)``; :meth:`UpdateLog.verify` replays the
-  log *algebraically* (Proposition 3) from the initial signature and
-  compares with a rescan of the final block, confirming "that all
-  updates in the log -- whether about to be removed or not -- have been
-  performed".  The paper frames this as a hybrid between a journaling
-  file system and a classical one, and applies it to RAID-5 blocks.
+The Section 4.1 update-log daemon (replay a log of ``(offset, before,
+after)`` writes by Proposition 3 and compare with a rescan of the
+block) is :class:`~repro.sig.incremental.WriteJournal` folded by
+:meth:`~repro.sig.incremental.IncrementalSignatureMap.apply_journal`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..errors import SignatureError
-from .algebra import apply_update, concat
+from .algebra import concat
 from .scheme import AlgebraicSignatureScheme
 from .signature import Signature
 
@@ -57,75 +50,3 @@ class StreamSigner:
         self._symbols += chunk_symbols.size
         return self._signature
 
-
-@dataclass(frozen=True, slots=True)
-class LoggedUpdate:
-    """One logged block update: region replaced at a symbol offset."""
-
-    position: int     #: symbol offset of the replaced region
-    before: bytes
-    after: bytes
-
-
-class UpdateLog:
-    """A verifiable log of in-place block updates (Section 4.1)."""
-
-    def __init__(self, scheme: AlgebraicSignatureScheme,
-                 initial_signature: Signature):
-        self.scheme = scheme
-        self.initial_signature = initial_signature
-        self.entries: list[LoggedUpdate] = []
-
-    def record(self, position: int, before: bytes, after: bytes) -> None:
-        """Log one update (before/after images of the changed region)."""
-        if len(before) != len(after):
-            raise SignatureError("logged regions must keep their length")
-        if position < 0:
-            raise SignatureError("update position cannot be negative")
-        self.entries.append(LoggedUpdate(position, bytes(before), bytes(after)))
-
-    def replay_signature(self) -> Signature:
-        """The signature the block must have if every update was applied.
-
-        Pure Proposition-3 algebra: O(sum of delta sizes) field work, no
-        access to the block itself.
-        """
-        signature = self.initial_signature
-        for entry in self.entries:
-            signature = apply_update(
-                self.scheme, signature, entry.before, entry.after,
-                entry.position,
-            )
-        return signature
-
-    def verify(self, current_block) -> bool:
-        """Check the block against the algebraic replay.
-
-        True means every logged update (and nothing else) reached the
-        block, with collision probability 2^-nf; the daemon may then
-        safely truncate the log.
-        """
-        return self.scheme.sign(current_block, strict=False) == \
-            self.replay_signature()
-
-    def truncate(self, keep_last: int = 0) -> Signature:
-        """Drop verified entries, re-anchoring the initial signature.
-
-        Returns the new anchor (the replayed signature of the dropped
-        prefix).  Call after :meth:`verify` succeeds -- the paper's
-        daemon "removes old entries in the log when they are no longer
-        needed for recovery".
-        """
-        if keep_last < 0:
-            raise SignatureError("cannot keep a negative number of entries")
-        drop = len(self.entries) - keep_last
-        if drop <= 0:
-            return self.initial_signature
-        anchor = self.initial_signature
-        for entry in self.entries[:drop]:
-            anchor = apply_update(
-                self.scheme, anchor, entry.before, entry.after, entry.position
-            )
-        self.initial_signature = anchor
-        self.entries = self.entries[drop:]
-        return anchor

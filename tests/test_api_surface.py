@@ -16,7 +16,7 @@ from repro.gf.primitives import default_polynomial, validate_generator
 from repro.errors import GaloisFieldError, SignatureMismatchError
 from repro.sdds import Bucket, LHFile, Record, RecordHeap
 from repro.sdds import messages
-from repro.sig import StreamSigner, UpdateLog, make_scheme
+from repro.sig import StreamSigner, make_scheme
 from repro.sig.base import consecutive_powers_base, primitive_powers_base
 from repro.sim import DiskModel, SimDisk, SimNetwork
 from repro.sync import Replica
@@ -115,14 +115,6 @@ class TestServerScanExact:
 
 
 class TestStreamInternals:
-    def test_replay_signature_direct(self):
-        scheme = make_scheme(f=16, n=2)
-        block = b"\x00" * 64
-        log = UpdateLog(scheme, scheme.sign(block))
-        log.record(0, b"\x00\x00", b"\x01\x02")
-        replayed = log.replay_signature()
-        assert replayed == scheme.sign(b"\x01\x02" + b"\x00" * 62)
-
     def test_stream_signer_symbols_counter(self):
         scheme = make_scheme(f=16, n=2)
         signer = StreamSigner(scheme)

@@ -232,10 +232,6 @@ class TestWire:
         body = wire.encode_reply(wire.ST_FOUND, 42, b"value")
         assert wire.decode_reply(body) == (wire.ST_FOUND, 42, b"value")
 
-    def test_mirror_roundtrip(self):
-        body = wire.encode_mirror(1000, 3, b"page bytes")
-        assert wire.decode_mirror(body) == (1000, 3, b"page bytes")
-
     def test_seal_roundtrip(self):
         scheme = make_scheme()
         sealed = wire.seal(scheme, b"hello cluster")
@@ -261,7 +257,7 @@ class TestWire:
         with pytest.raises(wire.WireError):
             wire.decode_reply(b"")
         with pytest.raises(wire.WireError):
-            wire.decode_mirror(b"")
+            wire.decode_deltas(b"")
 
     def test_invalid_codes_rejected(self):
         with pytest.raises(wire.WireError):

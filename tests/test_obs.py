@@ -1,4 +1,4 @@
-"""Tests for the observability layer: registry, tracer, run reports."""
+"""Tests for the observability layer: registry, span clocks, run reports."""
 
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from repro.obs import (
     RunReport,
     SCHEMA,
     Snapshotable,
-    Tracer,
+    TraceError,
+    TraceStore,
     get_registry,
     labels_to_str,
     set_registry,
@@ -184,52 +185,61 @@ class TestSnapshotable:
 
 
 class TestTracer:
+    """One span model: every ``TraceStore`` span runs on both clocks."""
+
     def test_nesting_under_sim_clock(self):
         clock = SimClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("outer", phase="e5") as outer:
+        traces = TraceStore(clock=clock)
+        with traces.span("outer", phase="e5") as outer:
             clock.advance(1.0)
-            with tracer.span("inner") as inner:
+            with traces.span("inner") as inner:
                 clock.advance(0.25)
                 inner.event("wrote", pages=3)
             clock.advance(0.5)
-        assert tracer.depth == 0
-        first, second = tracer.finished
-        assert (first.name, first.depth, first.parent) == ("inner", 1, "outer")
-        assert (second.name, second.depth, second.parent) == ("outer", 0, None)
+        assert traces.current is None
+        first, second = traces.finished
+        assert (first.name, first.parent_id) == ("inner", outer.span.span_id)
+        assert (second.name, second.parent_id) == ("outer", None)
+        assert first.trace_id == second.trace_id
         assert first.sim_seconds == pytest.approx(0.25)
         assert second.sim_seconds == pytest.approx(1.75)
-        assert outer.labels == {"phase": "e5"}
+        assert second.labels == {"phase": "e5"}
         event = first.events[0]
-        assert event.name == "wrote"
-        assert event.fields == {"pages": 3}
-        assert event.sim_offset == pytest.approx(0.25)
+        assert (event["name"], event["fields"]) == ("wrote", {"pages": 3})
+        assert event["at"] - first.start == pytest.approx(0.25)
+        assert 0 <= first.wall_offsets[0] <= first.wall_seconds \
+            <= second.wall_seconds
 
     def test_wall_only_without_clock(self):
-        tracer = Tracer()
-        with tracer.span("solo"):
+        traces = TraceStore()
+        with traces.span("solo"):
             pass
-        span = tracer.finished[0]
-        assert span.sim_seconds is None
-        assert span.wall_seconds >= 0
+        span = traces.finished[0]
+        assert span.start == span.end == 0.0
+        assert span.wall_end >= span.wall_start
+        assert "  solo  -  " in RunReport(MetricsRegistry(),
+                                          traces=traces).render()
 
     def test_snapshot_excludes_wall_by_default(self):
-        tracer = Tracer(clock=SimClock())
-        with tracer.span("a") as span:
+        traces = TraceStore(clock=SimClock())
+        with traces.span("a") as span:
             span.event("tick")
-        entry = tracer.snapshot()[0]
-        assert "wall_seconds" not in entry
-        assert "wall_offset" not in entry["events"][0]
-        with_wall = tracer.snapshot(include_wall=True)[0]
-        assert "wall_seconds" in with_wall
+        body = traces.to_dict()["traces"][0]["spans"][0]
+        assert "wall_seconds" not in body
+        assert "wall_offset" not in body["events"][0]
+        assert "wall" not in traces.to_json()
+        assert "wall" not in json.dumps(traces.to_chrome())
+        with_wall = traces.to_dict(include_wall=True)["traces"][0]["spans"][0]
+        assert with_wall["wall_seconds"] == traces.finished[0].wall_seconds
         assert "wall_offset" in with_wall["events"][0]
+        assert "wall_offset" not in traces.finished[0].events[0]
 
     def test_empty_span_name_rejected(self):
         from repro.errors import ReproError
 
-        with pytest.raises(ReproError):
-            with Tracer().span(""):
-                pass
+        with pytest.raises(TraceError):
+            TraceStore().span("")
+        assert issubclass(TraceError, ReproError)
 
 
 def _golden_report() -> RunReport:
@@ -243,13 +253,13 @@ def _golden_report() -> RunReport:
     for value in (1.0, 2.0, 3.0, 4.0):
         hist.observe(value)
     clock = SimClock()
-    tracer = Tracer(clock=clock)
-    with tracer.span("workload", experiment="golden"):
+    traces = TraceStore(clock=clock)
+    with traces.span("workload", experiment="golden"):
         clock.advance(1.5)
-        with tracer.span("backup") as span:
+        with traces.span("backup") as span:
             clock.advance(0.25)
             span.event("wrote", pages=2)
-    return RunReport(registry, tracer=tracer, meta={"source": "golden"})
+    return RunReport(registry, traces=traces, meta={"source": "golden"})
 
 
 class TestRunReport:
@@ -277,6 +287,9 @@ class TestRunReport:
                         "== sig ==", "== spans =="):
             assert section in text
         assert "source=golden" in text
+        # The spans table indents children under their parents.
+        assert "\n  workload  1750.000 ms sim  " in text
+        assert "\n    backup  250.000 ms sim  " in text
 
     def test_render_empty_registry(self):
         text = RunReport(MetricsRegistry()).render()

@@ -9,6 +9,7 @@ export surfaces.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pathlib
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster, Crash, FaultPlan, RetryPolicy
 from repro.cluster import wire
+from repro.obs import trace as trace_module
 from repro.obs import (
     BucketedHistogram,
     FlightRecorder,
@@ -31,7 +33,6 @@ from repro.obs import (
     TraceContext,
     TraceError,
     TraceStore,
-    Tracer,
     activate,
     active_store,
     frame_digest,
@@ -198,31 +199,22 @@ class TestSpanIfActive:
 class TestTracerZeroStart:
     def test_zero_sim_start_is_a_real_clock(self):
         # A clock sitting at exactly t=0.0 must not be mistaken for "no
-        # clock": event offsets are computed from it, not zeroed out.
+        # clock": event times are read from it, not zeroed out.
         clock = SimClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("op") as span:
-            assert span.sim_start == 0.0
+        store = TraceStore(seed=1, clock=clock)
+        with store.span("op") as handle:
+            assert handle.span.start == 0.0
             clock.advance(0.5)
-            span.event("tick")
-        assert span.events[0].sim_offset == pytest.approx(0.5)
-        assert tracer.finished[0].sim_seconds == pytest.approx(0.5)
-
-    def test_fallback_reads_zero_start_as_offset_zero(self):
-        # A bare Span (no tracer patch) with sim_start=0.0 must report
-        # offset 0.0, not misread the zero start as a missing clock.
-        from repro.obs.tracer import Span
-
-        span = Span(name="op", labels={}, depth=0, parent=None,
-                    wall_start=0.0, sim_start=0.0)
-        span.event("tick")
-        assert span.events[0].sim_offset == 0.0
+            handle.event("tick")
+        assert handle.span.events[0]["at"] == pytest.approx(0.5)
+        assert store.finished[0].sim_seconds == pytest.approx(0.5)
 
     def test_no_clock_reports_no_sim_offset(self):
-        tracer = Tracer()
-        with tracer.span("op") as handle:
+        store = TraceStore(seed=1)
+        with store.span("op") as handle:
             handle.event("tick")
-        assert handle.events[0].sim_offset is None
+        assert handle.span.events[0]["at"] == 0.0
+        assert 0.0 <= handle.span.wall_offsets[0] <= handle.span.wall_seconds
 
 
 class TestBucketedHistogram:
@@ -428,6 +420,21 @@ class TestClusterTraceGolden:
     def test_matches_golden_file(self):
         cluster, _, _ = _traced_cluster(seed=11)
         assert cluster.traces.to_json() + "\n" == TRACE_GOLDEN.read_text()
+
+    def test_default_export_ignores_the_wall_clock(self, monkeypatch):
+        # Spans read perf_counter at open, at finish and at every event;
+        # what it returns must reach only the include_wall export.
+        runs = []
+        for step in (1.0, 7.25):
+            monkeypatch.setattr(trace_module, "perf_counter",
+                                itertools.count(0.0, step).__next__)
+            cluster, _, _ = _traced_cluster(seed=11)
+            runs.append((cluster.traces.to_json(),
+                         [dump.sealed for dump in cluster.dumps],
+                         cluster.traces.to_json(include_wall=True)))
+        (json_a, dumps_a, wall_a), (json_b, dumps_b, wall_b) = runs
+        assert json_a == json_b and dumps_a == dumps_b
+        assert wall_a != wall_b
 
     def test_one_mirror_patch_per_mutation(self):
         # Each mutation seals its changed extents into one mirror patch,

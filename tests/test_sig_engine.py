@@ -22,7 +22,6 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.sig import (
     LEDGER,
     BatchSigner,
-    PowerLadderCache,
     SignatureMap,
     SignatureTree,
     concat_all,
@@ -30,11 +29,7 @@ from repro.sig import (
     make_scheme,
     slice_pages,
 )
-from repro.sig.engine import (
-    DEFAULT_LADDERS,
-    SMALL_RUN_SYMBOLS,
-    ladder_cache_info,
-)
+from repro.sig.engine import SMALL_RUN_SYMBOLS
 from repro.sig.twisted import log_interpretation_scheme
 
 from .mixed_inputs import (
@@ -247,55 +242,16 @@ class TestTreeBulkBuild:
 
 
 # ----------------------------------------------------------------------
-# Ladder caches, worker splitting, the signer pool, metrics
+# Worker splitting, the signer pool, metrics
 # ----------------------------------------------------------------------
 
-class TestPowerLadderCache:
-
-    def test_bundle_reuse_and_slicing(self):
-        scheme = make_scheme(f=16, n=2)
-        cache = PowerLadderCache()
-        long = cache.exponents(scheme, 512)
-        assert cache.misses == 1 and cache.hits == 0
-        short = cache.exponents(scheme, 100)
-        assert cache.hits == 1 and cache.misses == 1
-        for full, sliced in zip(long, short):
-            assert sliced.size == 100
-            assert np.array_equal(full[:100], sliced)
-        # Growing beyond the cached capacity is a (single) new miss.
-        cache.exponents(scheme, 1024)
-        assert cache.misses == 2
-
-    def test_lru_eviction_and_clear(self):
-        cache = PowerLadderCache(maxsize=2)
-        schemes = [make_scheme(f=16, n=n) for n in (1, 2, 3)]
-        for scheme in schemes:
-            cache.exponents(scheme, 16)
-        assert len(cache._bundles) == 2
-        cache.clear()
-        assert cache.hits == cache.misses == 0 == len(cache._bundles)
-
-    def test_batch_paths_share_default_cache(self):
-        scheme = make_scheme(f=16, n=2)
-        with matrix_lane():
-            BatchSigner(scheme).sign_many([b"ab" * 32])
-            before = DEFAULT_LADDERS.hits
-            BatchSigner(scheme).sign_many([b"cd" * 16])
-        assert DEFAULT_LADDERS.hits > before
-        info = ladder_cache_info()
-        assert set(info) == {"bundle_hits", "bundle_misses",
-                             "ladder_hits", "ladder_misses"}
+class TestEnginePlumbing:
 
     def test_invalid_sizes_rejected(self):
-        with pytest.raises(SignatureError):
-            PowerLadderCache(maxsize=0)
         with pytest.raises(SignatureError):
             BatchSigner(make_scheme(), workers=0)
         with pytest.raises(SignatureError):
             BatchSigner(make_scheme(), block_symbols=0)
-
-
-class TestEnginePlumbing:
 
     def test_signer_pool_shares_instances(self):
         scheme = make_scheme(f=16, n=2)

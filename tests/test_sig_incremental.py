@@ -288,6 +288,69 @@ def test_delta_signature_many_matches_shifted_single_deltas():
 
 
 # ----------------------------------------------------------------------
+# The Section 4.1 update log: a journal replay checked against a rescan
+# ----------------------------------------------------------------------
+
+def _logged_block(seed: int, size: int = 256):
+    """A random block and its warm map (whose journal logs the writes)."""
+    rng = np.random.default_rng(seed)
+    block = bytearray(rng.integers(0, 256, size, dtype=np.uint8))
+    inc = IncrementalSignatureMap.from_data(SCHEMES["plain-gf16"],
+                                            bytes(block), PAGE_SYMBOLS)
+    return rng, block, inc
+
+
+def _log_writes(rng, block: bytearray, journal: WriteJournal,
+                count: int = 10, region: int = 8) -> None:
+    """Apply ``count`` random aligned writes to ``block``, journaling each."""
+    for _ in range(count):
+        offset = int(rng.integers(0, (len(block) - region) // 2)) * 2
+        new = bytes(rng.integers(0, 256, region, dtype=np.uint8))
+        journal.record(offset, bytes(block[offset:offset + region]), new)
+        block[offset:offset + region] = new
+
+
+def _matches_rescan(inc: IncrementalSignatureMap, block: bytearray) -> bool:
+    rescan = get_batch_signer(inc.scheme).sign_map(bytes(block), PAGE_SYMBOLS)
+    return inc.map.signatures == rescan.signatures
+
+
+def test_logged_and_applied_writes_verify():
+    rng, block, inc = _logged_block(seed=2)
+    _log_writes(rng, block, inc.journal)
+    inc.apply_journal(inc.journal)
+    assert _matches_rescan(inc, block)
+
+
+def test_logged_write_that_never_reached_the_block_is_detected():
+    _, block, inc = _logged_block(seed=3)
+    inc.journal.record(8, bytes(block[8:16]), b"ABCDEFGH")
+    # ... the write is lost; the block is unchanged.
+    inc.apply_journal(inc.journal)
+    assert not _matches_rescan(inc, block)
+
+
+def test_unlogged_write_is_detected():
+    rng, block, inc = _logged_block(seed=4)
+    _log_writes(rng, block, inc.journal)
+    block[10] ^= 1  # a write that bypassed the journal
+    inc.apply_journal(inc.journal)
+    assert not _matches_rescan(inc, block)
+
+
+def test_folding_and_clearing_the_journal_reanchors_the_map():
+    rng, block, inc = _logged_block(seed=5)
+    _log_writes(rng, block, inc.journal, count=12)
+    report = inc.apply_journal(inc.journal)
+    assert not inc.journal and report.bytes_folded == 12 * 8
+    assert _matches_rescan(inc, block)
+    # Later writes fold against the re-anchored map.
+    _log_writes(rng, block, inc.journal, count=4)
+    inc.apply_journal(inc.journal)
+    assert _matches_rescan(inc, block)
+
+
+# ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------
 
@@ -299,6 +362,8 @@ def test_journal_rejects_misaligned_and_mismatched_regions():
         journal.record(0, b"abc", b"abc")        # odd length
     with pytest.raises(SignatureError):
         journal.record(0, b"ab", b"abcd")        # length mismatch
+    with pytest.raises(SignatureError):
+        journal.record(-2, b"ab", b"cd")         # negative offset
     journal.record(0, b"ab", b"ab")
     assert len(journal) == 1 and journal.byte_count == 2
 

@@ -1,13 +1,12 @@
-"""Tests for stream signing, update logs, and the distributed multi-scan."""
+"""Tests for stream signing and the distributed multi-scan."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SignatureError
 from repro.sdds import LHFile, Record
-from repro.sig import StreamSigner, UpdateLog, make_scheme
+from repro.sig import StreamSigner, make_scheme
 
 
 class TestStreamSigner:
@@ -52,77 +51,6 @@ class TestStreamSigner:
             total += chunk
         assert len(total) > scheme.max_page_symbols
         assert signer.signature == scheme.sign(total, strict=False)
-
-
-class TestUpdateLog:
-    def make_block(self, seed=0, size=256):
-        rng = np.random.default_rng(seed)
-        return bytearray(rng.integers(0, 256, size, dtype=np.uint8))
-
-    def apply_and_log(self, scheme, block, log, rng, count=10, region=8):
-        for _ in range(count):
-            offset = int(rng.integers(0, (len(block) - region) // 2)) * 2
-            new = bytes(rng.integers(0, 256, region, dtype=np.uint8))
-            log.record(offset // 2, bytes(block[offset:offset + region]), new)
-            block[offset:offset + region] = new
-
-    def test_verify_after_replay(self):
-        scheme = make_scheme(f=16, n=2)
-        block = self.make_block()
-        log = UpdateLog(scheme, scheme.sign(bytes(block)))
-        self.apply_and_log(scheme, block, log, np.random.default_rng(2))
-        assert log.verify(bytes(block))
-
-    def test_missed_update_detected(self):
-        """An update logged but never applied: verify must fail."""
-        scheme = make_scheme(f=16, n=2)
-        block = self.make_block(seed=3)
-        log = UpdateLog(scheme, scheme.sign(bytes(block)))
-        log.record(4, bytes(block[8:16]), b"ABCDEFGH")
-        # ... the write is lost; the block is unchanged.
-        assert not log.verify(bytes(block))
-
-    def test_unlogged_write_detected(self):
-        scheme = make_scheme(f=16, n=2)
-        block = self.make_block(seed=4)
-        log = UpdateLog(scheme, scheme.sign(bytes(block)))
-        block[10] ^= 1  # a write that bypassed the log
-        assert not log.verify(bytes(block))
-
-    def test_truncate_reanchors(self):
-        scheme = make_scheme(f=16, n=2)
-        block = self.make_block(seed=5)
-        log = UpdateLog(scheme, scheme.sign(bytes(block)))
-        rng = np.random.default_rng(6)
-        self.apply_and_log(scheme, block, log, rng, count=12)
-        assert log.verify(bytes(block))
-        log.truncate(keep_last=3)
-        assert len(log.entries) == 3
-        assert log.verify(bytes(block))
-        # Further updates keep working against the new anchor.
-        self.apply_and_log(scheme, block, log, rng, count=4)
-        assert log.verify(bytes(block))
-
-    def test_truncate_everything(self):
-        scheme = make_scheme(f=16, n=2)
-        block = self.make_block(seed=7)
-        log = UpdateLog(scheme, scheme.sign(bytes(block)))
-        self.apply_and_log(scheme, block, log, np.random.default_rng(8))
-        log.truncate()
-        assert log.entries == []
-        assert log.verify(bytes(block))
-
-    def test_region_length_mismatch_rejected(self):
-        scheme = make_scheme(f=16, n=2)
-        log = UpdateLog(scheme, scheme.zero)
-        with pytest.raises(SignatureError):
-            log.record(0, b"ab", b"abc")
-
-    def test_negative_position_rejected(self):
-        scheme = make_scheme(f=16, n=2)
-        log = UpdateLog(scheme, scheme.zero)
-        with pytest.raises(SignatureError):
-            log.record(-1, b"ab", b"cd")
 
 
 class TestDistributedMultiScan:
