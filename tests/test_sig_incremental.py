@@ -338,18 +338,6 @@ def test_unlogged_write_is_detected():
     assert not _matches_rescan(inc, block)
 
 
-def test_folding_and_clearing_the_journal_reanchors_the_map():
-    rng, block, inc = _logged_block(seed=5)
-    _log_writes(rng, block, inc.journal, count=12)
-    report = inc.apply_journal(inc.journal)
-    assert not inc.journal and report.bytes_folded == 12 * 8
-    assert _matches_rescan(inc, block)
-    # Later writes fold against the re-anchored map.
-    _log_writes(rng, block, inc.journal, count=4)
-    inc.apply_journal(inc.journal)
-    assert _matches_rescan(inc, block)
-
-
 # ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------

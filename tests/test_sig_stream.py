@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SignatureError
 from repro.sdds import LHFile, Record
-from repro.sig import StreamSigner, make_scheme
+from repro.sig import (
+    IncrementalSignatureMap,
+    StreamSigner,
+    WriteJournal,
+    get_batch_signer,
+    make_scheme,
+)
 
 
 class TestStreamSigner:
@@ -51,6 +58,71 @@ class TestStreamSigner:
             total += chunk
         assert len(total) > scheme.max_page_symbols
         assert signer.signature == scheme.sign(total, strict=False)
+
+
+class TestUpdateLog:
+    """The Section 4.1 update log, kept as a WriteJournal folded into a
+    warm signature map and checked against a rescan of the block."""
+
+    PAGE_SYMBOLS = 16
+
+    def make_logged_block(self, seed=0, size=256):
+        rng = np.random.default_rng(seed)
+        block = bytearray(rng.integers(0, 256, size, dtype=np.uint8))
+        inc = IncrementalSignatureMap.from_data(
+            make_scheme(f=16, n=2), bytes(block), self.PAGE_SYMBOLS
+        )
+        return rng, block, inc
+
+    def apply_and_log(self, block, journal, rng, count=10, region=8):
+        for _ in range(count):
+            offset = int(rng.integers(0, (len(block) - region) // 2)) * 2
+            new = bytes(rng.integers(0, 256, region, dtype=np.uint8))
+            journal.record(offset, bytes(block[offset:offset + region]), new)
+            block[offset:offset + region] = new
+
+    def matches_rescan(self, inc, block):
+        rescan = get_batch_signer(inc.scheme).sign_map(
+            bytes(block), self.PAGE_SYMBOLS
+        )
+        return inc.map.signatures == rescan.signatures
+
+    def test_truncate_reanchors(self):
+        """Folding and clearing the journal re-anchors the map; later
+        writes fold against the new anchor."""
+        rng, block, inc = self.make_logged_block(seed=5)
+        self.apply_and_log(block, inc.journal, rng, count=12)
+        report = inc.apply_journal(inc.journal)
+        assert not inc.journal and report.bytes_folded == 12 * 8
+        assert self.matches_rescan(inc, block)
+        self.apply_and_log(block, inc.journal, rng, count=4)
+        inc.apply_journal(inc.journal)
+        assert self.matches_rescan(inc, block)
+
+    def test_truncate_everything(self):
+        """Once the whole journal is folded, the empty journal holds
+        nothing and folding it again leaves the map as it is."""
+        rng, block, inc = self.make_logged_block(seed=7)
+        self.apply_and_log(block, inc.journal, rng)
+        inc.apply_journal(inc.journal)
+        assert inc.journal.entries == [] and inc.journal.byte_count == 0
+        anchored = list(inc.map.signatures)
+        report = inc.apply_journal(inc.journal)
+        assert report.bytes_folded == 0
+        assert list(inc.map.signatures) == anchored
+        assert self.matches_rescan(inc, block)
+
+    def test_region_length_mismatch_rejected(self):
+        journal = WriteJournal(symbol_bytes=2)
+        with pytest.raises(SignatureError):
+            journal.record(0, b"ab", b"abc")
+        assert not journal
+
+    def test_negative_position_rejected(self):
+        journal = WriteJournal(symbol_bytes=2)
+        with pytest.raises(SignatureError):
+            journal.record(-2, b"ab", b"cd")
+        assert not journal
 
 
 class TestDistributedMultiScan:
