@@ -21,17 +21,16 @@ space is all zero and a live header never is, so one scan in offset
 order recovers every record; the image ends at the high-water mark.
 
 The node lifecycle is ``UP -> CRASHED -> RECOVERING -> UP``: a crash
-wipes every volatile structure (bucket, image, mirror, RPC reply
-cache); recovery is driven by the cluster runtime, which reconstructs
-the bucket from the LH*RS parity group and re-converges both mirror
-relationships with :func:`repro.sync.sync_by_tree`.
+wipes every volatile structure (bucket, image, mirror, reply cache
+and low-water marks); recovery is driven by the cluster runtime, which
+reconstructs the bucket from the LH*RS parity group and re-converges
+both mirror relationships with :func:`repro.sync.sync_by_tree`.
 
-RPC handling is at-least-once with replay: requests are deduplicated by
-``request_id`` and answered from a reply cache, so a retried operation
-whose first attempt *did* execute returns its original answer instead
-of executing twice.  Every incoming payload is signature-verified
-before anything else -- a corrupted transfer is counted and discarded,
-never half-parsed.
+Requests take the front end both node runtimes share
+(:class:`~repro.serve.frontend.RequestFrontEnd`): seal check, replay
+from a reply cache bounded by client low-water marks, and inline
+execution.  The node adds only its down-node drop, its trace spans and
+its flight-recorder frames.
 """
 
 from __future__ import annotations
@@ -47,6 +46,15 @@ from ..obs import activate, get_registry, span_if_active
 from ..obs.trace import TraceContext
 from ..sdds.record import Record
 from ..sdds.server import SDDSServer
+from ..serve.frontend import RequestFrontEnd
+from ..serve.ops import (
+    EFFECT_DELETE,
+    EFFECT_INSERT,
+    EFFECT_PSEUDO,
+    MUTATING_EFFECTS,
+    apply_operation,
+)
+from ..serve.service import ServeRequest, ServicePolicy
 from ..sig.scheme import AlgebraicSignatureScheme
 from ..store.pagestore import PageStore
 from ..sync import Replica
@@ -141,40 +149,29 @@ def deserialize_bucket(image: bytes | bytearray) -> list[Record]:
     return [record for _offset, record in _scan_slots(image)]
 
 
-class ClusterNode:
+class ClusterNode(RequestFrontEnd):
     """One server node of the fault-injected cluster."""
 
+    prefix = "cluster"
+    reply_kind = REPLY_KIND
+
     def __init__(self, index: int, cluster, scheme: AlgebraicSignatureScheme,
-                 page_bytes: int, capacity_records: int = 1 << 20,
-                 policy: "ServicePolicy | None" = None):
+                 page_bytes: int):
         self.index = index
         self.cluster = cluster
         self.scheme = scheme
         self.page_bytes = page_bytes
-        self.capacity_records = capacity_records
         self.state = NodeState.UP
-        self.server = SDDSServer(index, scheme,
-                                 capacity_records=capacity_records,
+        self.server = SDDSServer(index, scheme, capacity_records=1 << 20,
                                  store_signatures=True)
-        #: Request admission and queueing (PR 7).  The default policy
-        #: is *inline* -- synchronous execution at delivery, the
-        #: original node semantics -- while a queued policy turns this
-        #: node into a modelled single-CPU server with a bounded inbox
-        #: that sheds overload with explicit ``SHED`` replies.
-        self.policy = policy if policy is not None else ServicePolicy()
-        self.service = RequestService(self.name, cluster.loop, self.policy,
-                                      execute=self._service_execute,
-                                      shed=self._service_shed)
+        # Inline service: each request executes at delivery.
+        super().__init__(cluster.loop, ServicePolicy(),
+                         cluster.faulty_network, cluster.clients)
         self.adopt_image(serialize_bucket(self.server))
         #: Hosted copy of the previous node's bucket image.
         self.mirror: Replica | None = None
-        #: request_id -> sealed reply bytes (at-least-once replay).
-        self._reply_cache: dict[int, bytes] = {}
-        #: request ids queued or executing (duplicate suppression for
-        #: queued policies; always empty between events when inline).
-        self._inflight: set[int] = set()
-        #: Durable backend (PR 5): when attached, every image extent is
-        #: also appended to a sealed local log that survives crashes.
+        #: Durable backend: when attached, every image extent is also
+        #: appended to a sealed local log that survives crashes.
         self.store: PageStore | None = None
         self.store_dir: Path | None = None
 
@@ -250,95 +247,36 @@ class ClusterNode:
                 traces.child(name, context, node=self.name, **labels) as span:
             yield span
 
-    def receive_request(self, data: bytes) -> None:
-        """Handle one delivered client request payload."""
-        body = wire.unseal(self.scheme, data)
-        registry = get_registry()
-        if body is None:
-            registry.counter("cluster.corruptions_detected",
-                             where="request").inc()
-            self.cluster.report_seal_failure(self.name, "request", data)
-            return
-        recorder = self.cluster.recorder_for(self.name)
-        if recorder is not None:
-            recorder.record_frame("recv", "request", "", data)
-        if not self.is_up:
-            registry.counter("cluster.down_drops", node=self.name).inc()
-            return
-        context, inner = wire.decode_traced(body)
-        op, request_id, key, value = wire.decode_request(inner)
-        op_name = wire.OP_NAMES[op]
-        cached = self._reply_cache.get(request_id)
-        if cached is not None:
-            registry.counter("cluster.rpc_replays", node=self.name).inc()
-            with self._traced(f"node.replay.{op_name}", context,
-                              key=str(key)):
-                pass
-            self._transmit_reply(request_id, cached)
-            return
-        if request_id in self._inflight:
-            # Only possible under a queued policy: a retransmit raced
-            # the queue.  The queued copy will answer; re-queueing the
-            # duplicate would amplify the backlog the retry is fleeing.
-            registry.counter("cluster.rpc_inflight_dups",
-                             node=self.name).inc()
-            return
-        request = ServeRequest(op, key, value,
-                               read=(op == wire.OP_SEARCH),
-                               meta=(context, request_id))
-        self._inflight.add(request_id)
-        self.service.offer(request)
+    @property
+    def recorder(self):
+        """This node's flight recorder."""
+        return self.cluster.recorder_for(self.name)
 
-    def _service_execute(self, request: "ServeRequest") -> None:
-        """Service completion callback: execute, reply, cache, answer."""
-        context, request_id = request.meta
+    def _frame_corrupt(self, data: bytes) -> None:
+        self.cluster.report_seal_failure(self.name, "request", data)
+
+    def _accepting(self) -> bool:
         if not self.is_up:
-            # A queued request completing after a crash: the volatile
-            # state it targeted is gone; drop like any in-flight frame.
             get_registry().counter("cluster.down_drops",
                                    node=self.name).inc()
-            for member in (request, *request.riders):
-                self._inflight.discard(member.meta[1])
-            return
-        op, key = request.op, request.key
-        op_name = wire.OP_NAMES[op]
-        with self._traced(f"node.handle.{op_name}", context,
-                          key=str(key)) as span:
-            status, reply_value = self._execute(op, key, request.value)
+        return self.is_up
+
+    def _replayed(self, request: wire.Request) -> None:
+        with self._traced(f"node.replay.{wire.OP_NAMES[request.op]}",
+                          request.context, key=str(request.key)):
+            pass
+
+    def _execute(self, group: ServeRequest
+                 ) -> tuple[int, bytes, TraceContext | None]:
+        op, key = group.op, group.key
+        with self._traced(f"node.handle.{wire.OP_NAMES[op]}",
+                          group.meta[0].context, key=str(key)) as span:
+            status, reply_value = self._apply(op, key, group.value)
             if span is not None:
                 span.event("executed", status=wire.ST_NAMES[status])
-        reply_context = None if span is None else span.context
-        for member in (request, *request.riders):
-            _member_context, member_id = member.meta
-            self._inflight.discard(member_id)
-            reply = wire.encode_traced(
-                reply_context, wire.encode_reply(status, member_id,
-                                                 reply_value)
-            )
-            cached = wire.seal(self.scheme, reply)
-            self._reply_cache[member_id] = cached
-            self._transmit_reply(member_id, cached)
+        return status, reply_value, None if span is None else span.context
 
-    def _service_shed(self, request: "ServeRequest", reason: str) -> None:
-        """Admission refused: explicit SHED reply, never cached."""
-        _context, request_id = request.meta
-        self._inflight.discard(request_id)
-        get_registry().counter("cluster.sheds", node=self.name,
-                               reason=reason).inc()
-        reply = wire.encode_traced(
-            None, wire.encode_reply(wire.ST_SHED, request_id))
-        self._transmit_reply(request_id, wire.seal(self.scheme, reply))
-
-    def _transmit_reply(self, request_id: int, sealed: bytes) -> None:
-        client = self.cluster.client_for_request(request_id)
-        recorder = self.cluster.recorder_for(self.name)
-        if recorder is not None:
-            recorder.record_frame("send", "reply", client.name, sealed)
-        self.cluster.faulty_network.transmit(
-            self.name, client.name, REPLY_KIND, sealed, client.receive_reply
-        )
-
-    def _execute(self, op: int, key: int, value: bytes) -> tuple[int, bytes]:
+    def _apply(self, op: int, key: int, value: bytes) -> tuple[int, bytes]:
         """Apply one operation to bucket + parity; returns (status, value)."""
         status, reply_value, effect = apply_operation(
             self.server, self.scheme, op, key, value)
@@ -501,16 +439,11 @@ class ClusterNode:
         """
         self.state = NodeState.CRASHED
         self.server = SDDSServer(self.index, self.scheme,
-                                 capacity_records=self.capacity_records,
+                                 capacity_records=1 << 20,
                                  store_signatures=True)
         self.adopt_image(serialize_bucket(self.server))
         self.mirror = None
-        self._reply_cache.clear()
-        self._inflight.clear()
-        self.service = RequestService(self.name, self.cluster.loop,
-                                      self.policy,
-                                      execute=self._service_execute,
-                                      shed=self._service_shed)
+        self.forget_requests()
         if self.store is not None:
             self.store.close()
             self.store = None
@@ -521,17 +454,3 @@ class ClusterNode:
             self.server.insert(record)
         self.adopt_image(serialize_bucket(self.server))
 
-
-# Imported last, deliberately: the serve package builds on cluster
-# primitives (wire, events) while the node builds on serve's service
-# abstraction.  Everything node.py needs from serve is defined before
-# serve imports anything from this module, so the bottom import breaks
-# the cycle in both import directions.
-from ..serve.ops import (  # noqa: E402
-    EFFECT_DELETE,
-    EFFECT_INSERT,
-    EFFECT_PSEUDO,
-    MUTATING_EFFECTS,
-    apply_operation,
-)
-from ..serve.service import RequestService, ServeRequest, ServicePolicy  # noqa: E402

@@ -28,7 +28,7 @@ class RetryPolicy:
 
     * ``budget`` caps the number of *sends* per logical operation,
       independently of ``max_attempts``.  Timeouts and ``SHED``
-      rejections both consume it, so a shedding cluster sees at most
+      rejections both consume it, so a shedding node sees at most
       ``budget`` copies of an operation -- retries cannot amplify the
       very overload that caused the shedding.
     * ``op_deadline`` bounds the whole operation in simulated seconds;

@@ -45,7 +45,7 @@ from ..sig.scheme import AlgebraicSignatureScheme, make_scheme
 from ..sim.clock import SimClock
 from ..sim.network import NetworkModel, SimNetwork
 from ..store.pagestore import PageStore
-from ..sync import sync_by_locator, sync_by_tree
+from ..sync import sync_by_tree
 from .events import EventLoop
 from .faults import Crash, FaultPlan
 from .network import FaultyNetwork
@@ -100,40 +100,20 @@ class Cluster:
                  plan: FaultPlan | None = None,
                  retry: RetryPolicy | None = None,
                  scheme: AlgebraicSignatureScheme | None = None,
-                 parity_buckets: int = 2,
-                 record_bytes: int = 256,
-                 page_bytes: int = 128,
-                 header_bytes: int = 16,
                  durable_dir: str | Path | None = None,
                  durable_checkpoint_every: int | None = 64,
                  durable_flush: str = "frame",
-                 recovery_workers: int | None = None,
-                 service: "ServicePolicy | None" = None,
-                 sync_protocol: str = "tree"):
+                 recovery_workers: int | None = None):
         if servers < 2:
             raise ClusterError("a cluster needs at least 2 server nodes")
-        if sync_protocol not in ("tree", "locator"):
-            raise ClusterError(
-                f"unknown sync protocol {sync_protocol!r}; "
-                "use 'tree' or 'locator'"
-            )
         self.seed = seed
-        #: Anti-entropy protocol for mirror repair: ``"tree"`` walks
-        #: the signature tree; ``"locator"`` ships the O(d^2 log^2 N)
-        #: group-testing locator first and falls back to the tree on
-        #: decode overflow (PR 10).
-        self.sync_protocol = sync_protocol
-        #: Per-node request-service policy (PR 7).  ``None`` keeps the
-        #: original inline semantics; a queued policy gives every node
-        #: a bounded inbox with deadline/queue-depth load shedding.
-        self.service = service
         self.scheme = scheme if scheme is not None else make_scheme()
         self.plan = plan if plan is not None else FaultPlan()
         self.retry = retry if retry is not None else RetryPolicy()
         self.clock = SimClock()
         self.loop = EventLoop(self.clock)
         self.network = SimNetwork(
-            clock=self.clock, model=NetworkModel(header_bytes=header_bytes)
+            clock=self.clock, model=NetworkModel(header_bytes=16)
         )
         self.faulty_network = FaultyNetwork(self.network, self.loop,
                                             self.plan, seed=seed)
@@ -147,13 +127,10 @@ class Cluster:
         self.traces.on_finish = self._on_span_finished
         self.faulty_network.listeners.append(self._on_link_fault)
         self.parity = LHRSStore(self.scheme, data_buckets=servers,
-                                parity_buckets=parity_buckets,
-                                record_bytes=record_bytes)
-        self.nodes = [
-            ClusterNode(index, self, self.scheme, page_bytes,
-                        policy=service)
-            for index in range(servers)
-        ]
+                                parity_buckets=2, record_bytes=256)
+        self.clients: list["ClusterClient"] = []
+        self.nodes = [ClusterNode(index, self, self.scheme, page_bytes=128)
+                      for index in range(servers)]
         for node in self.nodes:
             self._add_recorder(node.name)
         #: Durable mode (PR 5): every node appends its image extents to
@@ -172,7 +149,6 @@ class Cluster:
         for node in self.nodes:
             host = self.mirror_host(node.index)
             host.make_mirror(node.name, node.image_bytes())
-        self.clients: list["ClusterClient"] = []
         for crash in self.plan.crashes:
             self._schedule_crash(crash)
 
@@ -209,13 +185,6 @@ class Cluster:
         self.clients.append(client)
         self._add_recorder(client.name)
         return client
-
-    def client_for_request(self, request_id: int) -> "ClusterClient":
-        """Resolve the client a request id belongs to (reply routing)."""
-        index = request_id >> 32
-        if index >= len(self.clients):
-            raise ClusterError(f"request id {request_id} from unknown client")
-        return self.clients[index]
 
     # ------------------------------------------------------------------
     # Telemetry plumbing
@@ -474,11 +443,7 @@ class Cluster:
         host = self.mirror_host(source.index)
         if not (source.is_up and host.is_up) or host.mirror is None:
             return 0
-        if self.sync_protocol == "locator":
-            report = sync_by_locator(source.image, host.mirror,
-                                     self.network)
-        else:
-            report = sync_by_tree(source.image, host.mirror, self.network)
+        report = sync_by_tree(source.image, host.mirror, self.network)
         registry = get_registry()
         registry.counter("cluster.repair_bytes", phase=phase).inc(
             report.total_bytes
@@ -591,11 +556,13 @@ class ClusterClient:
             with activate(traces), \
                     traces.begin(f"rpc.{op_name}", node=self.name,
                                  key=str(key), target=node.name) as root:
-                sealed = wire.seal(self.cluster.scheme, wire.encode_traced(
-                    root.context,
-                    wire.encode_request(op, request_id, key, value),
-                ))
                 budget = policy.begin(loop.clock.now)
+                # Every earlier operation of this blocking client is
+                # resolved, so the low-water mark is the request itself.
+                sealed = wire.seal(self.cluster.scheme, wire.encode_request(
+                    op, request_id, key, value, context=root.context,
+                    deadline=0.0 if policy.op_deadline is None
+                    else budget.deadline))
                 while True:
                     if not budget.allow(loop.clock.now):
                         # Budget or operation deadline exhausted -- the
@@ -625,19 +592,7 @@ class ClusterClient:
                     if loop.run_until(
                             deadline,
                             stop=lambda: request_id in self._replies):
-                        if self._replies[request_id][0] != wire.ST_SHED:
-                            break
-                        # An overloaded node refused admission.  Back
-                        # off along the timeout ladder (spending the
-                        # budget) before offering the request again.
-                        self._replies.pop(request_id)
-                        registry.counter("cluster.shed_replies",
-                                         op=op_name).inc()
-                        root.event("shed", attempt=attempt + 1)
-                        loop.run_until(loop.clock.now
-                                       + policy.timeout_for(attempt,
-                                                            self._rng))
-                        continue
+                        break
                     registry.counter("cluster.timeouts", op=op_name).inc()
         finally:
             self._pending.discard(request_id)
@@ -663,8 +618,7 @@ class ClusterClient:
         recorder = self.cluster.recorder_for(self.name)
         if recorder is not None:
             recorder.record_frame("recv", "reply", "", data)
-        _context, inner = wire.decode_traced(body)
-        status, request_id, value = wire.decode_reply(inner)
+        _context, status, request_id, value = wire.decode_reply(body)
         if request_id not in self._pending or request_id in self._replies:
             # A late or duplicated reply for a settled operation.
             registry.counter("cluster.stale_replies").inc()

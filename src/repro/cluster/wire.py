@@ -1,6 +1,6 @@
-"""Signature-sealed wire format for cluster RPCs.
+"""Signature-sealed wire format of both node runtimes' RPCs.
 
-Every cluster message travels as ``body || sig(body)`` where the seal is
+Every message travels as ``body || sig(body)`` where the seal is
 the scheme's algebraic signature -- 4 bytes under the paper's production
 GF(2^16), n = 2 scheme.  This is Proposition 2's economics applied to
 the transport itself: a one-byte corruption changes at most one symbol,
@@ -10,19 +10,29 @@ with certainty instead of trusting the link.
 
 Bodies are fixed little-endian layouts (no pickling -- corrupting a
 byte must yield a *detected* bad message, never an exception in a
-deserializer):
+deserializer).  Both node runtimes -- the cluster and the serving
+plane -- speak the same request and reply layouts:
 
-* request:  ``op(1) || request_id(8) || key(4) || value_len(4) || value``
-* reply:    ``status(1) || request_id(8) || value_len(4) || value``
-* delta:    ``image_len(8) || count(4) || (offset(8) || length(4) ||
-  delta bytes)*`` -- one mirror patch per mutation, carrying only
-  ``before XOR after`` of each changed extent; the seal covers the
-  whole frame, so a corrupt patch is dropped whole, never applied.
+* request:  ``envelope(16) || op(1) || request_id(8) || low_water(8) ||
+  key(4) || deadline(8, f64) || value_len(4) || value`` -- the deadline
+  is an *absolute* simulated instant (zero means none), so a queued
+  node can shed work that cannot finish in time; ``low_water`` is the
+  lowest request id its client has not yet resolved, which bounds the
+  server's reply cache (PROTOCOLS.md §10);
+* reply:    ``envelope(16) || status(1) || request_id(8) ||
+  value_len(4) || value``;
+* IAM:      ``bucket(4) || level(4) || low(8) || high(8)`` -- the
+  LH*/RP* Image Adjustment Message a serving node sends when a request
+  reached it by forwarding;
+* delta:    ``envelope(16) || image_len(8) || count(4) || (offset(8) ||
+  length(4) || delta bytes)*`` -- one mirror patch per mutation,
+  carrying only ``before XOR after`` of each changed extent; the seal
+  covers the whole frame, so a corrupt patch is dropped whole, never
+  applied.
 
-Cluster frames additionally carry a 16-byte **trace envelope** ahead of
-the body -- ``trace_id(8) || span_id(8)``, the
+The 16-byte **trace envelope** is ``trace_id(8) || span_id(8)``, the
 :class:`~repro.obs.trace.TraceContext` of the operation the frame
-belongs to -- so a receiving node parents its handling span under the
+belongs to, so a receiving node parents its handling span under the
 sender's span and per-operation trace trees assemble across nodes.
 The envelope sits *inside* the seal: a corrupted trace id is a
 detected bad frame like any other corruption, never a mis-filed span.
@@ -33,6 +43,7 @@ non-traced senders emit).
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
 from ..errors import ReproError
 from ..obs.trace import TraceContext
@@ -63,11 +74,12 @@ ST_NAMES = {ST_INSERTED: "inserted", ST_DUPLICATE: "duplicate",
             ST_APPLIED: "applied", ST_DELETED: "deleted",
             ST_SHED: "shed"}
 
-_REQUEST = struct.Struct("<BQII")
+_REQUEST = struct.Struct("<BQQIdI")
 _REPLY = struct.Struct("<BQI")
 _DELTAS = struct.Struct("<QI")
 _REGION = struct.Struct("<QI")
 _TRACED = struct.Struct("<QQ")
+_IAM = struct.Struct("<IIQQ")
 
 
 class WireError(ReproError):
@@ -161,45 +173,101 @@ def decode_traced(body: bytes) -> tuple[TraceContext | None, bytes]:
 
 
 # ----------------------------------------------------------------------
-# Request / reply / delta bodies
+# Request / reply / IAM / delta bodies
 # ----------------------------------------------------------------------
 
+class Request(NamedTuple):
+    """One decoded request body (layout in the module docstring)."""
+
+    context: TraceContext | None
+    op: int
+    request_id: int
+    low_water: int
+    key: int
+    deadline: float
+    value: bytes
+
+
+class Reply(NamedTuple):
+    """One decoded reply body."""
+
+    context: TraceContext | None
+    status: int
+    request_id: int
+    value: bytes
+
+
+def _check_request(op: int, request_id: int, low_water: int,
+                   deadline: float) -> bool:
+    return (op in OP_NAMES and deadline >= 0
+            and low_water >> 32 == request_id >> 32
+            and low_water <= request_id)
+
+
 def encode_request(op: int, request_id: int, key: int,
-                   value: bytes | memoryview = b"") -> bytes:
-    """Serialize one client request body."""
-    if op not in OP_NAMES:
-        raise WireError(f"unknown operation code {op}")
-    return b"".join((_REQUEST.pack(op, request_id, key, len(value)), value))
+                   value: bytes | memoryview = b"", *,
+                   low_water: int | None = None, deadline: float = 0.0,
+                   context: TraceContext | None = None) -> bytes:
+    """Serialize one client request, trace envelope first.
+
+    ``low_water`` defaults to ``request_id`` (nothing older is still
+    outstanding); it must name the same client and not exceed it.
+    """
+    if low_water is None:
+        low_water = request_id
+    if not _check_request(op, request_id, low_water, deadline):
+        raise WireError(f"invalid request (op {op}, id {request_id}, "
+                        f"low water {low_water}, deadline {deadline})")
+    return encode_traced(context, b"".join((_REQUEST.pack(
+        op, request_id, low_water, key, deadline, len(value)), value)))
 
 
-def decode_request(body: bytes) -> tuple[int, int, int, bytes]:
-    """Inverse of :func:`encode_request`: (op, request_id, key, value)."""
-    if len(body) < _REQUEST.size:
+def decode_request(body: bytes | memoryview) -> Request:
+    """Inverse of :func:`encode_request`."""
+    context, inner = decode_traced(body)
+    if len(inner) < _REQUEST.size:
         raise WireError("truncated request body")
-    op, request_id, key, value_len = _REQUEST.unpack_from(body)
-    value = body[_REQUEST.size:]
-    if op not in OP_NAMES or len(value) != value_len:
+    op, request_id, low_water, key, deadline, value_len = \
+        _REQUEST.unpack_from(inner)
+    value = inner[_REQUEST.size:]
+    if len(value) != value_len or not _check_request(
+            op, request_id, low_water, deadline):
         raise WireError("inconsistent request body")
-    return op, request_id, key, value
+    return Request(context, op, request_id, low_water, key, deadline, value)
 
 
 def encode_reply(status: int, request_id: int,
-                 value: bytes | memoryview = b"") -> bytes:
-    """Serialize one server reply body."""
+                 value: bytes | memoryview = b"", *,
+                 context: TraceContext | None = None) -> bytes:
+    """Serialize one server reply, trace envelope first."""
     if status not in ST_NAMES:
         raise WireError(f"unknown status code {status}")
-    return b"".join((_REPLY.pack(status, request_id, len(value)), value))
+    return encode_traced(context, b"".join(
+        (_REPLY.pack(status, request_id, len(value)), value)))
 
 
-def decode_reply(body: bytes) -> tuple[int, int, bytes]:
-    """Inverse of :func:`encode_reply`: (status, request_id, value)."""
-    if len(body) < _REPLY.size:
+def decode_reply(body: bytes | memoryview) -> Reply:
+    """Inverse of :func:`encode_reply`."""
+    context, inner = decode_traced(body)
+    if len(inner) < _REPLY.size:
         raise WireError("truncated reply body")
-    status, request_id, value_len = _REPLY.unpack_from(body)
-    value = body[_REPLY.size:]
+    status, request_id, value_len = _REPLY.unpack_from(inner)
+    value = inner[_REPLY.size:]
     if status not in ST_NAMES or len(value) != value_len:
         raise WireError("inconsistent reply body")
-    return status, request_id, value
+    return Reply(context, status, request_id, value)
+
+
+def encode_iam(bucket: int, level: int, low: int, high: int) -> bytes:
+    """Serialize one Image Adjustment Message."""
+    return _IAM.pack(bucket, level, low, high)
+
+
+def decode_iam(body: bytes | memoryview) -> tuple[int, int, int, int]:
+    """Inverse of :func:`encode_iam`: (bucket, level, low, high)."""
+    if len(body) != _IAM.size:
+        raise WireError("malformed IAM")
+    return _IAM.unpack(body)
 
 
 def encode_deltas(image_len: int,

@@ -41,17 +41,26 @@ from ..cluster import wire as cwire
 from ..cluster.events import EventLoop
 from ..cluster.faults import FaultPlan
 from ..cluster.network import FaultyNetwork
-from ..cluster.node import serialize_bucket
 from ..cluster.retry import RetryPolicy
 from ..errors import ReproError
-from . import wire as swire
+from .frontend import RequestFrontEnd
 from .ops import MUTATING_EFFECTS, apply_operation
-from .service import RequestService, ServeRequest, ServicePolicy
+from .service import ServeRequest, ServicePolicy
 
 #: Knuth's multiplicative hash constant: an odd multiplier, so
 #: ``index -> key`` is a bijection on u32 and keys spread uniformly
 #: over both the LH* hash space and the RP* key range.
 _KEY_MIX = 2654435761
+
+#: LH* splits when the file holds this share of its bucket capacity.
+_SPLIT_LOAD = 0.85
+
+#: Serve-plane message kinds (TrafficStats / net.* categories).
+REQUEST_KIND = "s_request"
+FORWARD_KIND = "s_forward"
+REPLY_KIND = "s_reply"
+IAM_KIND = "s_iam"
+SPLIT_KIND = "s_split_transfer"
 
 
 def key_for(index: int) -> int:
@@ -63,13 +72,17 @@ class ServeError(ReproError):
     """Serving-plane configuration or invariant failure."""
 
 
-class BucketNode:
-    """One serving bucket: SDDS server + request service + routing."""
+class BucketNode(RequestFrontEnd):
+    """One serving bucket: SDDS server + request front end + routing."""
+
+    prefix = "serve"
+    reply_kind = REPLY_KIND
 
     def __init__(self, plane: "ServingPlane", bucket_id: int,
                  low: int = 0, high: int = KEY_SPACE):
         self.plane = plane
         self.bucket_id = bucket_id
+        self.scheme = plane.scheme
         self.server = SDDSServer(bucket_id, plane.scheme,
                                  capacity_records=1 << 20,
                                  store_signatures=True)
@@ -78,13 +91,8 @@ class BucketNode:
         self.high = high
         #: RP* forwarding hints: sorted (median, new_bucket) split history.
         self.split_hints: list[tuple[int, int]] = []
-        self.service = RequestService(self.name, plane.loop, plane.policy,
-                                      execute=self._finish,
-                                      shed=self._shed)
-        #: request_id -> sealed reply (at-least-once replay).
-        self._reply_cache: dict[int, bytes] = {}
-        #: request ids queued or executing (duplicate suppression).
-        self._inflight: set[int] = set()
+        super().__init__(plane.loop, plane.policy, plane.faulty_network,
+                         plane.sessions)
         self.split_pending = False
 
     @property
@@ -121,31 +129,14 @@ class BucketNode:
     # Request path
     # ------------------------------------------------------------------
 
-    def receive_request(self, data: bytes, forwarded: bool = False) -> None:
-        """One delivered (possibly forwarded) serve request frame."""
+    def _route(self, request: cwire.Request, data: bytes,
+               forwarded: bool) -> bool:
+        """Forward a misdirected request, with the IAM its client needs."""
         plane = self.plane
-        registry = get_registry()
-        body = cwire.unseal(plane.scheme, data)
-        if body is None:
-            registry.counter("serve.corruptions_detected",
-                             where="request").inc()
-            return
-        op, request_id, key, deadline, value = swire.decode_request(body)
-        session = plane.session_for(request_id)
-        cached = self._reply_cache.get(request_id)
-        if cached is not None:
-            registry.counter("serve.replays", node=self.name).inc()
-            self._transmit_reply(session, cached)
-            return
-        if request_id in self._inflight:
-            # A timeout retransmit raced the queue; the queued copy
-            # will answer.  Dropping (not re-queueing) is what keeps
-            # retries from amplifying the very backlog they suffer.
-            registry.counter("serve.duplicates", node=self.name).inc()
-            return
-        target = self.forward_target(key)
+        session = plane.sessions[request.request_id >> 32]
+        target = self.forward_target(request.key)
         if target is not None:
-            registry.counter("serve.forwards", node=self.name).inc()
+            get_registry().counter("serve.forwards", node=self.name).inc()
             if plane.family == "lh":
                 # LH* IAM: the *first wrong* server reports its own
                 # level/address; the client image adjustment never
@@ -153,72 +144,38 @@ class BucketNode:
                 self._send_iam(session, self.bucket_id, self.level,
                                self.low, self.high)
             plane.forward_frame(self, target, data)
-            return
+            return False
         if forwarded and plane.family == "rp":
             # RP* IAM: the owning server reports its range.
             self._send_iam(session, self.bucket_id, 0, self.low, self.high)
-        request = ServeRequest(op, key, value,
-                               read=(op == cwire.OP_SEARCH),
-                               deadline=deadline,
-                               meta=(request_id, data))
-        self._inflight.add(request_id)
-        self.service.offer(request)
+        return True
 
-    def _shed(self, request: ServeRequest, reason: str) -> None:
-        """Admission refused: answer SHED explicitly (never a silent drop)."""
-        request_id, _frame = request.meta
-        self._inflight.discard(request_id)
-        session = self.plane.session_for(request_id)
-        reply = swire.encode_reply(cwire.ST_SHED, request_id, self.bucket_id,
-                                   self.level, self.low, self.high)
-        # Shed replies are not cached: a backed-off retry of the same
-        # request id must be allowed to execute once load subsides.
-        self._transmit_reply(session, cwire.seal(self.plane.scheme, reply))
-
-    def _finish(self, request: ServeRequest) -> None:
+    def _execute(self, group: ServeRequest) -> tuple[int, bytes, None] | None:
         """Execute one request (plus coalesced riders) at queue head."""
         plane = self.plane
-        request_id, frame = request.meta
-        self._inflight.discard(request_id)
-        target = self.forward_target(request.key)
+        target = self.forward_target(group.key)
         if target is not None:
             # The key moved while the request queued (a live split won
             # the race).  Forward every frame of the group; the new
             # owner answers -- never this bucket, which would serve
             # stale or vanished data.
             registry = get_registry()
-            for member in (request, *request.riders):
-                member_id, member_frame = member.meta
-                self._inflight.discard(member_id)
+            for member in (group, *group.riders):
                 registry.counter("serve.requeues", node=self.name).inc()
-                plane.forward_frame(self, target, member_frame)
-            return
+                plane.forward_frame(self, target, member.meta[1])
+            return None
         status, reply_value, effect = apply_operation(
-            self.server, plane.scheme, request.op, request.key, request.value)
-        plane.record_execution(self, request, status, effect)
-        for member in (request, *request.riders):
-            member_id, _frame = member.meta
-            self._inflight.discard(member_id)
-            reply = swire.encode_reply(status, member_id, self.bucket_id,
-                                       self.level, self.low, self.high,
-                                       reply_value)
-            sealed = cwire.seal(plane.scheme, reply)
-            self._reply_cache[member_id] = sealed
-            self._transmit_reply(plane.session_for(member_id), sealed)
-
-    def _transmit_reply(self, session: "Session", sealed: bytes) -> None:
-        self.plane.faulty_network.transmit(
-            self.name, session.name, swire.REPLY_KIND, sealed,
-            session.receive_reply,
-        )
+            self.server, plane.scheme, group.op, group.key, group.value)
+        plane.record_execution(self, group, status, effect)
+        return status, reply_value, None
 
     def _send_iam(self, session: "Session", bucket: int, level: int,
                   low: int, high: int) -> None:
         get_registry().counter("serve.iams", node=self.name).inc()
         sealed = cwire.seal(self.plane.scheme,
-                            swire.encode_iam(bucket, level, low, high))
+                            cwire.encode_iam(bucket, level, low, high))
         self.plane.faulty_network.transmit(
-            self.name, session.name, swire.IAM_KIND, sealed,
+            self.name, session.name, IAM_KIND, sealed,
             session.receive_iam,
         )
 
@@ -292,8 +249,11 @@ class Session:
         budget = plane.retry.begin(now)
         deadline = 0.0 if plane.retry.op_deadline is None \
             else now + plane.retry.op_deadline
-        sealed = cwire.seal(plane.scheme, swire.encode_request(
-            op, request_id, key, deadline, value))
+        # Pending ids are inserted in increasing order, so the first one
+        # is the lowest this session has not resolved.
+        sealed = cwire.seal(plane.scheme, cwire.encode_request(
+            op, request_id, key, value, deadline=deadline,
+            low_water=next(iter(self.pending), request_id)))
         pending = _PendingOp(op, key, now, sealed, budget, plane.step)
         self.pending[request_id] = pending
         plane.op_started()
@@ -308,7 +268,7 @@ class Session:
             get_registry().counter("serve.client_retries").inc()
         target = self.guess(pending.key)
         plane.faulty_network.transmit(
-            self.name, target.name, swire.REQUEST_KIND, pending.sealed,
+            self.name, target.name, REQUEST_KIND, pending.sealed,
             target.receive_request,
         )
         wait = pending.budget.attempt_timeout(attempt, self._rng, now)
@@ -355,8 +315,7 @@ class Session:
             registry.counter("serve.corruptions_detected",
                              where="reply").inc()
             return
-        status, request_id, _bucket, _level, _low, _high, value = \
-            swire.decode_reply(body)
+        _context, status, request_id, value = cwire.decode_reply(body)
         pending = self.pending.get(request_id)
         if pending is None:
             registry.counter("serve.stale_replies").inc()
@@ -392,7 +351,7 @@ class Session:
             get_registry().counter("serve.corruptions_detected",
                                    where="iam").inc()
             return
-        bucket, level, low, _high = swire.decode_iam(body)
+        bucket, level, low, _high = cwire.decode_iam(body)
         if plane.family == "lh":
             self.image = plane.addressing.adjust_image(
                 self.image, level, bucket)
@@ -443,9 +402,7 @@ class ServingPlane:
                  retry: RetryPolicy | None = None,
                  plan: FaultPlan | None = None,
                  split_threshold: int = 512,
-                 split_load: float = 0.85,
-                 split_delay: float = 2e-3,
-                 header_bytes: int = 16):
+                 split_delay: float = 2e-3):
         if family not in ("lh", "rp"):
             raise ServeError(f"unknown SDDS family {family!r}")
         if buckets < 1:
@@ -464,12 +421,11 @@ class ServingPlane:
             jitter=0.1, budget=4, op_deadline=0.25)
         self.plan = plan if plan is not None else FaultPlan()
         self.split_threshold = split_threshold
-        self.split_load = split_load
         self.split_delay = split_delay
         self.clock = SimClock()
         self.loop = EventLoop(self.clock)
         self.network = SimNetwork(
-            clock=self.clock, model=NetworkModel(header_bytes=header_bytes))
+            clock=self.clock, model=NetworkModel(header_bytes=16))
         self.faulty_network = FaultyNetwork(self.network, self.loop,
                                             self.plan, seed=seed)
         registry = get_registry()
@@ -479,10 +435,10 @@ class ServingPlane:
         self.addressing = LHAddressing(initial_buckets=buckets) \
             if family == "lh" else LHAddressing()
         self.state = FileState()
+        self.sessions: list[Session] = []
         self.nodes: list[BucketNode] = [
             BucketNode(self, index) for index in range(buckets)
         ]
-        self.sessions: list[Session] = []
         #: Ground truth applied in execution order (key -> value).
         self.oracle: dict[int, bytes] = {}
         #: Keys whose mutations were acknowledged to some session.
@@ -508,13 +464,6 @@ class ServingPlane:
         self.sessions.append(session)
         return session
 
-    def session_for(self, request_id: int) -> Session:
-        """Map a request id back to the session that issued it."""
-        index = request_id >> 32
-        if index >= len(self.sessions):
-            raise ServeError(f"request id {request_id} from unknown session")
-        return self.sessions[index]
-
     def owner_of(self, key: int) -> BucketNode:
         """The bucket that owns ``key`` under the *true* current state."""
         if self.family == "lh":
@@ -534,7 +483,7 @@ class ServingPlane:
                 f"{source.name} forwarded to unknown bucket {target}")
         node = self.nodes[target]
         self.faulty_network.transmit(
-            source.name, node.name, swire.FORWARD_KIND, data,
+            source.name, node.name, FORWARD_KIND, data,
             lambda payload: node.receive_request(payload, forwarded=True),
         )
 
@@ -628,7 +577,7 @@ class ServingPlane:
             return
         capacity = self.split_threshold * len(self.nodes)
         if (not self._lh_split_pending
-                and len(self.oracle) > self.split_load * capacity):
+                and len(self.oracle) > _SPLIT_LOAD * capacity):
             self._lh_split_pending = True
             self.loop.after(self.split_delay, self._split_lh)
 
@@ -648,7 +597,7 @@ class ServingPlane:
             shipped += 8 + len(record.value)
         if shipped:
             self.network.account(source.name, target.name,
-                                 swire.SPLIT_KIND, shipped)
+                                 SPLIT_KIND, shipped)
         return shipped
 
     def _split_lh(self) -> None:
@@ -718,7 +667,7 @@ class ServingPlane:
                     self._split_rp(node)
             else:
                 capacity = self.split_threshold * len(self.nodes)
-                if len(self.oracle) > self.split_load * capacity:
+                if len(self.oracle) > _SPLIT_LOAD * capacity:
                     self._lh_split_pending = True
                     self._split_lh()
 
@@ -745,6 +694,9 @@ class ServingPlane:
         LH*/RP* placement invariants and that every acknowledged
         mutation survived whatever splits raced it.
         """
+        # Imported here: repro.cluster.node builds on this package.
+        from ..cluster.node import serialize_bucket
+
         expected: dict[int, SDDSServer] = {}
         for key, value in self.oracle.items():
             owner = self.owner_of(key)

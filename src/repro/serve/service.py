@@ -1,14 +1,12 @@
 """Non-blocking request service: bounded inbox, admission, coalescing.
 
 The paper's SDDS servers (LH*/RP* buckets) must serve thousands of
-concurrent clients without blocking; this module is the serving plane's
-core abstraction, refactored out of
-:class:`~repro.cluster.node.ClusterNode`'s inline request handling so
-both worlds share one request path:
+concurrent clients without blocking.  Both node runtimes admit their
+requests here, behind the shared
+:class:`~repro.serve.frontend.RequestFrontEnd`:
 
-* **Inline policy** (the cluster default): zero service time, no inbox
-  bound -- ``offer()`` executes the request synchronously, exactly the
-  pre-refactor behaviour, byte-for-byte.
+* **Inline policy** (every cluster node): zero service time, no inbox
+  bound -- ``offer()`` executes the request synchronously.
 * **Queued policy** (the serving plane): each request costs a modelled
   service time on the node's single "CPU", so requests queue.  The
   service then enforces *admission control*: a request is *shed* (an
@@ -50,52 +48,43 @@ class ServicePolicy:
     """How a node admits, queues, and charges for requests.
 
     The all-defaults policy is *inline*: no modelled cost, no bound, no
-    shedding -- requests execute at delivery time, preserving the
-    original ``ClusterNode`` semantics (and its byte-identical traces).
+    shedding -- requests execute at delivery time, as on a cluster node.
+    A queued policy always coalesces same-key reads and sheds work that
+    cannot meet its deadline.
     """
 
     inbox_limit: int = 0          #: max queued requests (0 = unbounded)
     service_seconds: float = 0.0  #: modelled CPU cost per request (s)
-    byte_seconds: float = 0.0     #: extra cost per payload byte (s)
-    coalesce_reads: bool = True   #: fold queued same-key reads together
-    shed_on_deadline: bool = True  #: reject work that cannot meet its deadline
 
     def __post_init__(self) -> None:
         if self.inbox_limit < 0:
             raise ValueError("inbox limit cannot be negative")
-        if self.service_seconds < 0 or self.byte_seconds < 0:
+        if self.service_seconds < 0:
             raise ValueError("service costs cannot be negative")
 
     @property
     def inline(self) -> bool:
         """True when requests execute synchronously at delivery."""
-        return (self.service_seconds == 0.0 and self.byte_seconds == 0.0
-                and self.inbox_limit == 0)
-
-    def cost(self, size: int) -> float:
-        """Modelled execution seconds for a ``size``-byte payload."""
-        return self.service_seconds + self.byte_seconds * size
+        return self.service_seconds == 0.0 and self.inbox_limit == 0
 
     @classmethod
-    def serving(cls, rate: float, inbox_limit: int = 64,
-                **kwargs) -> "ServicePolicy":
+    def serving(cls, rate: float, inbox_limit: int = 64) -> "ServicePolicy":
         """A queued policy with capacity ``rate`` requests/second."""
         if rate <= 0:
             raise ValueError("service rate must be positive")
-        return cls(inbox_limit=inbox_limit, service_seconds=1.0 / rate,
-                   **kwargs)
+        return cls(inbox_limit=inbox_limit, service_seconds=1.0 / rate)
 
 
 class ServeRequest:
     """One admitted unit of work flowing through a :class:`RequestService`.
 
-    ``meta`` is an opaque slot for the caller's bookkeeping (request id,
-    trace context, reply route); the service itself only reads ``key``,
-    ``read``, ``size``, and ``deadline``.  ``riders`` collects coalesced
+    ``meta`` is an opaque slot for the caller's bookkeeping (the decoded
+    request and its frame); the service itself only reads ``key``,
+    ``read`` and ``deadline``.  ``riders`` collects coalesced
     same-key reads that share this request's execution.
     """
 
-    __slots__ = ("op", "key", "value", "read", "size", "deadline",
+    __slots__ = ("op", "key", "value", "read", "deadline",
                  "meta", "riders", "accepted_at")
 
     def __init__(self, op: int, key: int, value: bytes = b"",
@@ -104,7 +93,6 @@ class ServeRequest:
         self.key = key
         self.value = value
         self.read = read
-        self.size = len(value)
         self.deadline = deadline
         self.meta = meta
         self.riders: list["ServeRequest"] = []
@@ -155,7 +143,7 @@ class RequestService:
             self._execute(request)
             return True
         now = self.loop.clock.now
-        if policy.coalesce_reads and request.read:
+        if request.read:
             head = self._reads.get(request.key)
             if head is not None:
                 head.riders.append(request)
@@ -164,9 +152,8 @@ class RequestService:
                                        node=self.name).inc()
                 return True
         start = max(now, self._finish_at)
-        finish = start + policy.cost(request.size)
-        if (policy.shed_on_deadline and request.deadline
-                and finish > request.deadline):
+        finish = start + policy.service_seconds
+        if request.deadline and finish > request.deadline:
             self._drop(request, "deadline")
             return False
         if policy.inbox_limit and len(self._queue) >= policy.inbox_limit:
@@ -175,7 +162,7 @@ class RequestService:
         request.accepted_at = now
         self._queue.append(request)
         self._finish_at = finish
-        if policy.coalesce_reads and request.read:
+        if request.read:
             self._reads[request.key] = request
         depth = self.depth
         if depth > self.max_depth:
@@ -196,13 +183,12 @@ class RequestService:
         if self._busy or not self._queue:
             return
         request = self._queue.popleft()
-        if (self.policy.coalesce_reads and request.read
-                and self._reads.get(request.key) is request):
+        if request.read and self._reads.get(request.key) is request:
             # Reads arriving while this one executes must queue afresh:
             # the result is computed now, they would observe later state.
             del self._reads[request.key]
         self._busy = True
-        self.loop.after(self.policy.cost(request.size),
+        self.loop.after(self.policy.service_seconds,
                         lambda: self._complete(request))
 
     def _complete(self, request: ServeRequest) -> None:

@@ -13,6 +13,7 @@ from repro.cluster import (
 )
 from repro.cluster import wire
 from repro.obs import MetricsRegistry, use_registry
+from repro.obs.trace import TraceContext
 from repro.sig import make_scheme
 from repro.sim import SimNetwork
 
@@ -224,13 +225,34 @@ class TestRetryPolicy:
 
 
 class TestWire:
+    CONTEXT = TraceContext(trace_id=0x1122334455667788, span_id=0x99)
+
     def test_request_roundtrip(self):
-        body = wire.encode_request(wire.OP_INSERT, 42, 7, b"value")
-        assert wire.decode_request(body) == (wire.OP_INSERT, 42, 7, b"value")
+        client = 3 << 32
+        body = wire.encode_request(
+            wire.OP_INSERT, client | 42, 7, b"value", low_water=client | 40,
+            deadline=1.25, context=self.CONTEXT)
+        assert wire.decode_request(body) == (
+            self.CONTEXT, wire.OP_INSERT, client | 42, client | 40, 7, 1.25,
+            b"value")
+        # Defaults: untraced, no deadline, nothing older outstanding.
+        plain = wire.decode_request(wire.encode_request(wire.OP_SEARCH, 42, 7))
+        assert plain == (None, wire.OP_SEARCH, 42, 42, 7, 0.0, b"")
+        assert plain.low_water == plain.request_id
+        # The envelope leads: all-zero when untraced.
+        assert wire.encode_request(wire.OP_SEARCH, 42, 7)[:16] == bytes(16)
 
     def test_reply_roundtrip(self):
-        body = wire.encode_reply(wire.ST_FOUND, 42, b"value")
-        assert wire.decode_reply(body) == (wire.ST_FOUND, 42, b"value")
+        body = wire.encode_reply(wire.ST_FOUND, 42, b"value",
+                                 context=self.CONTEXT)
+        assert wire.decode_reply(body) == (self.CONTEXT, wire.ST_FOUND, 42,
+                                           b"value")
+        assert wire.decode_reply(wire.encode_reply(wire.ST_SHED, 42)) == (
+            None, wire.ST_SHED, 42, b"")
+
+    def test_iam_roundtrip(self):
+        body = wire.encode_iam(5, 3, 1 << 20, 1 << 31)
+        assert wire.decode_iam(body) == (5, 3, 1 << 20, 1 << 31)
 
     def test_seal_roundtrip(self):
         scheme = make_scheme()
@@ -252,10 +274,22 @@ class TestWire:
         scheme = make_scheme()
         assert wire.unseal(scheme, b"") is None
         assert wire.unseal(scheme, b"ab") is None
-        with pytest.raises(wire.WireError):
-            wire.decode_request(b"")
-        with pytest.raises(wire.WireError):
-            wire.decode_reply(b"")
+        request = wire.encode_request(wire.OP_UPDATE, 42, 7, b"value",
+                                      context=self.CONTEXT)
+        reply = wire.encode_reply(wire.ST_FOUND, 42, b"value")
+        iam = wire.encode_iam(5, 3, 0, 1 << 31)
+        for body, decode in ((request, wire.decode_request),
+                             (reply, wire.decode_reply),
+                             (iam, wire.decode_iam)):
+            for cut in (0, 8, 17, len(body) - 1):
+                with pytest.raises(wire.WireError):
+                    decode(body[:cut])
+        # A value longer than its declared length is inconsistent too.
+        for body, decode in ((request, wire.decode_request),
+                             (reply, wire.decode_reply),
+                             (iam, wire.decode_iam)):
+            with pytest.raises(wire.WireError):
+                decode(body + b"x")
         with pytest.raises(wire.WireError):
             wire.decode_deltas(b"")
 
@@ -264,3 +298,23 @@ class TestWire:
             wire.encode_request(99, 0, 0)
         with pytest.raises(wire.WireError):
             wire.encode_reply(99, 0)
+        with pytest.raises(wire.WireError):
+            wire.encode_request(wire.OP_SEARCH, 42, 7, deadline=-1.0)
+        # The low-water mark names the request's own client, not above it.
+        with pytest.raises(wire.WireError):
+            wire.encode_request(wire.OP_SEARCH, 42, 7, low_water=43)
+        with pytest.raises(wire.WireError):
+            wire.encode_request(wire.OP_SEARCH, 42, 7, low_water=1 << 32)
+        # Bad codes that arrive inside well-formed bodies are refused.
+        request = bytearray(wire.encode_request(wire.OP_SEARCH, 42, 7))
+        request[16] = 99                                  # op byte
+        reply = bytearray(wire.encode_reply(wire.ST_FOUND, 42))
+        reply[16] = 99                                    # status byte
+        for body, decode in ((request, wire.decode_request),
+                             (reply, wire.decode_reply)):
+            with pytest.raises(wire.WireError):
+                decode(bytes(body))
+        stale_mark = bytearray(wire.encode_request(wire.OP_SEARCH, 42, 7))
+        stale_mark[25:33] = (43).to_bytes(8, "little")    # low water > id
+        with pytest.raises(wire.WireError):
+            wire.decode_request(bytes(stale_mark))
