@@ -74,7 +74,7 @@ class Rig:
         return self.owner(key).server.search(key).value
 
 
-@pytest.fixture(params=["cluster", "serve"])
+@pytest.fixture
 def rig(request):
     with use_registry(MetricsRegistry()) as registry:
         made = Rig(request.param)
@@ -85,6 +85,7 @@ def rig(request):
 KEY = 6
 
 
+@pytest.mark.parametrize("rig", ["cluster", "serve"], indirect=True)
 class TestSharedFrontEnd:
     def test_redelivered_request_executes_once(self, rig):
         frame = rig.call(wire.OP_INSERT, KEY, b"first")
