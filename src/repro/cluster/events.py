@@ -39,9 +39,6 @@ class Timer:
         """Mark the timer dead; the loop discards it unfired."""
         self.cancelled = True
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"Timer(t={self.time:.6f}s, seq={self.seq}, {state})"
@@ -59,14 +56,16 @@ class EventLoop:
 
     def __init__(self, clock: SimClock | None = None):
         self.clock = clock if clock is not None else SimClock()
-        self._heap: list[Timer] = []
+        #: ``(time, seq, timer)``; the unique ``seq`` settles every tie,
+        #: so the heap never compares timers.
+        self._heap: list[tuple[float, int, Timer]] = []
         self._seq = 0
         self.fired = 0
 
     @property
     def pending(self) -> int:
         """Number of live (uncancelled) timers in the queue."""
-        return sum(1 for timer in self._heap if not timer.cancelled)
+        return sum(not timer.cancelled for _, _, timer in self._heap)
 
     def at(self, time: float, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` for absolute simulated ``time``."""
@@ -79,7 +78,7 @@ class EventLoop:
             )
         timer = Timer(time, self._seq, callback)
         self._seq += 1
-        heapq.heappush(self._heap, timer)
+        heapq.heappush(self._heap, (time, timer.seq, timer))
         return timer
 
     def after(self, delay: float, callback: Callable[[], None]) -> Timer:
@@ -104,8 +103,8 @@ class EventLoop:
             raise EventError(f"cannot run until t={deadline}")
         if stop is not None and stop():
             return True
-        while self._heap and self._heap[0].time <= deadline:
-            timer = heapq.heappop(self._heap)
+        while self._heap and self._heap[0][0] <= deadline:
+            timer = heapq.heappop(self._heap)[2]
             if timer.cancelled:
                 continue
             self.clock.sleep_until(timer.time)
@@ -125,12 +124,16 @@ class EventLoop:
         horizon = self.clock.now + max_seconds
         fired_before = self.fired
         while self._heap:
-            if self._heap[0].time > horizon:
+            head = self._heap[0][2]
+            if head.cancelled:
+                heapq.heappop(self._heap)  # it must not move the clock
+            elif head.time > horizon:
                 raise EventError(
                     f"event chain still busy {max_seconds}s out; "
                     "likely a self-rescheduling loop"
                 )
-            self.run_until(self._heap[0].time)
+            else:
+                self.run_until(head.time)
         return self.fired - fired_before
 
     def __repr__(self) -> str:

@@ -247,13 +247,8 @@ class ClusterNode(RequestFrontEnd):
                 traces.child(name, context, node=self.name, **labels) as span:
             yield span
 
-    @property
-    def recorder(self):
-        """This node's flight recorder."""
-        return self.cluster.recorder_for(self.name)
-
     def _frame_corrupt(self, data: bytes) -> None:
-        self.cluster.report_seal_failure(self.name, "request", data)
+        self.cluster.report_seal_failure(self.recorder, "request", data)
 
     def _accepting(self) -> bool:
         if not self.is_up:
@@ -410,11 +405,9 @@ class ClusterNode(RequestFrontEnd):
         if body is None:
             registry.counter("cluster.corruptions_detected",
                              where="mirror").inc()
-            self.cluster.report_seal_failure(self.name, "mirror", data)
+            self.cluster.report_seal_failure(self.recorder, "mirror", data)
             return
-        recorder = self.cluster.recorder_for(self.name)
-        if recorder is not None:
-            recorder.record_frame("recv", "mirror_delta", "", data)
+        self.recorder.record_frame("recv", "mirror_delta", "", data)
         if not self.is_up or self.mirror is None:
             registry.counter("cluster.down_drops", node=self.name).inc()
             return

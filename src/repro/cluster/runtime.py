@@ -25,7 +25,6 @@ byte-identical run-report JSON.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from ..obs import (
 )
 from ..parity import LHRSStore
 from ..sdds.record import Record
+from ..serve.session import Session
 from ..sig.engine import get_batch_signer
 from ..sig.scheme import AlgebraicSignatureScheme, make_scheme
 from ..sim.clock import SimClock
@@ -132,7 +132,7 @@ class Cluster:
         self.nodes = [ClusterNode(index, self, self.scheme, page_bytes=128)
                       for index in range(servers)]
         for node in self.nodes:
-            self._add_recorder(node.name)
+            node.recorder = self._add_recorder(node.name)
         #: Durable mode (PR 5): every node appends its image extents to
         #: a sealed per-node log; a ``Crash`` then recovers by certified
         #: local replay instead of LH*RS reconstruction.
@@ -183,7 +183,7 @@ class Cluster:
         index = len(self.clients)
         client = ClusterClient(index, name or f"client{index}", self)
         self.clients.append(client)
-        self._add_recorder(client.name)
+        client.recorder = self._add_recorder(client.name)
         return client
 
     # ------------------------------------------------------------------
@@ -196,10 +196,6 @@ class Cluster:
         recorder.sinks.append(self.dumps.append)
         self.recorders[name] = recorder
         return recorder
-
-    def recorder_for(self, name: str) -> FlightRecorder | None:
-        """The named participant's flight recorder (None if unknown)."""
-        return self.recorders.get(name)
 
     def _on_span_finished(self, span) -> None:
         """Ring every finished span into its emitting node's recorder."""
@@ -220,7 +216,7 @@ class Cluster:
         if recorder is not None:
             recorder.record_fault(f"link_{kind}", source=source)
 
-    def report_seal_failure(self, name: str, where: str,
+    def report_seal_failure(self, recorder: FlightRecorder, where: str,
                             frame: bytes) -> None:
         """Dump a post-mortem bundle for one failed seal verification.
 
@@ -229,9 +225,6 @@ class Cluster:
         signature-tail digest, so every ``corruptions_detected``
         increment has matching sealed evidence.
         """
-        recorder = self.recorders.get(name)
-        if recorder is None:
-            return
         digest = frame_digest(self.scheme, frame)
         recorder.record_fault("seal_failure", digest=digest, where=where)
         recorder.dump("seal_failure", digest=digest, where=where)
@@ -273,10 +266,8 @@ class Cluster:
             # node's crash degrades the LH*RS store.
             self.parity.fail_bucket(node.index)
         get_registry().counter("cluster.crashes", node=node.name).inc()
-        recorder = self.recorder_for(node.name)
-        if recorder is not None:
-            recorder.record_fault("crash", durable=str(durable).lower())
-            recorder.dump("crash")
+        node.recorder.record_fault("crash", durable=str(durable).lower())
+        node.recorder.dump("crash")
         self.loop.at(crash.recover_at,
                      lambda: self._recover(node, crashed_at=crash.at))
 
@@ -337,15 +328,13 @@ class Cluster:
             )
         except (ReproError, OSError):
             return False
-        recorder = self.recorder_for(node.name)
-        if recorder is not None:
-            for volume_name, pages in sorted(report.condemned.items()):
-                if pages:
-                    recorder.record_fault("page_condemned",
-                                          pages=list(pages),
-                                          volume=volume_name)
-                    recorder.dump("page_condemned", pages=list(pages),
-                                  volume=volume_name)
+        for volume_name, pages in sorted(report.condemned.items()):
+            if pages:
+                node.recorder.record_fault("page_condemned",
+                                           pages=list(pages),
+                                           volume=volume_name)
+                node.recorder.dump("page_condemned", pages=list(pages),
+                                   volume=volume_name)
         volume = node.IMAGE_VOLUME
         if volume not in store.volumes():
             store.close()
@@ -499,21 +488,17 @@ class Cluster:
                 )
 
 
-class ClusterClient:
-    """A client of the fault-injected cluster: retries + verification."""
+class ClusterClient(Session):
+    """A blocking cluster client: each call submits on the shared
+    :class:`~repro.serve.session.Session` inside an ``rpc.<op>`` trace
+    root, then runs the loop until the operation resolves."""
+
+    prefix = "cluster"
+    request_kinds = REQUEST_KINDS
 
     def __init__(self, index: int, name: str, cluster: Cluster):
-        self.index = index
-        self.name = name
+        super().__init__(cluster, index, name)
         self.cluster = cluster
-        self._seq = 0
-        self._pending: set[int] = set()
-        self._replies: dict[int, tuple[int, bytes]] = {}
-        self._rng = random.Random(f"{cluster.seed}|{name}|retry")
-
-    # ------------------------------------------------------------------
-    # Public operations
-    # ------------------------------------------------------------------
 
     def insert(self, key: int, value: bytes) -> ClusterResult:
         """Insert a record."""
@@ -531,96 +516,48 @@ class ClusterClient:
         """Remove a record."""
         return self._call(wire.OP_DELETE, key)
 
-    # ------------------------------------------------------------------
-    # The retry loop
-    # ------------------------------------------------------------------
-
     def _call(self, op: int, key: int, value: bytes = b"") -> ClusterResult:
+        """Submit one operation, then run the loop until it resolves."""
         if len(value) > self.cluster.max_value_bytes:
             raise ClusterError(
                 f"value of {len(value)} bytes exceeds the "
                 f"{self.cluster.max_value_bytes}-byte parity slot"
             )
         op_name = wire.OP_NAMES[op]
-        node = self.cluster.node_for(key)
-        request_id = (self.index << 32) | self._seq
-        self._seq += 1
-        registry = get_registry()
-        policy = self.cluster.retry
-        loop = self.cluster.loop
         traces = self.cluster.traces
-        recorder = self.cluster.recorder_for(self.name)
-        started = loop.clock.now
-        self._pending.add(request_id)
-        try:
-            with activate(traces), \
-                    traces.begin(f"rpc.{op_name}", node=self.name,
-                                 key=str(key), target=node.name) as root:
-                budget = policy.begin(loop.clock.now)
-                # Every earlier operation of this blocking client is
-                # resolved, so the low-water mark is the request itself.
-                sealed = wire.seal(self.cluster.scheme, wire.encode_request(
-                    op, request_id, key, value, context=root.context,
-                    deadline=0.0 if policy.op_deadline is None
-                    else budget.deadline))
-                while True:
-                    if not budget.allow(loop.clock.now):
-                        # Budget or operation deadline exhausted -- the
-                        # retry loop may not add pressure past either.
-                        registry.counter("cluster.ops", op=op_name,
-                                         status="gave_up").inc()
-                        root.finish("gave_up")
-                        raise RetryExhaustedError(
-                            f"{op_name}({key}) failed after "
-                            f"{budget.spent} attempts"
-                        )
-                    attempt = budget.spend()
-                    if attempt:
-                        registry.counter("cluster.retries",
-                                         op=op_name).inc()
-                        root.event("retry", attempt=attempt + 1)
-                    if recorder is not None:
-                        recorder.record_frame("send", "request", node.name,
-                                              sealed)
-                    self.cluster.faulty_network.transmit(
-                        self.name, node.name, REQUEST_KINDS[op], sealed,
-                        node.receive_request,
-                    )
-                    deadline = loop.clock.now + budget.attempt_timeout(
-                        attempt, self._rng, loop.clock.now
-                    )
-                    if loop.run_until(
-                            deadline,
-                            stop=lambda: request_id in self._replies):
-                        break
-                    registry.counter("cluster.timeouts", op=op_name).inc()
-        finally:
-            self._pending.discard(request_id)
-        status_code, reply_value = self._replies.pop(request_id)
-        status = wire.ST_NAMES[status_code]
-        attempts = budget.spent
-        elapsed = loop.clock.now - started
-        registry.counter("cluster.ops", op=op_name, status=status).inc()
-        registry.histogram("cluster.op_seconds", op=op_name).observe(elapsed)
-        registry.histogram("cluster.op_attempts", op=op_name).observe(attempts)
-        return ClusterResult(op=op_name, status=status, value=reply_value,
-                             attempts=attempts, elapsed=elapsed)
+        with activate(traces), \
+                traces.begin(f"rpc.{op_name}", node=self.name, key=str(key),
+                             target=self._target(key).name) as root:
+            pending = self.submit(op, key, value, span=root)
+            # Until it resolves the operation always has a live timer,
+            # so the hour-long horizon is a safety net, never reached.
+            self.loop.run_until(
+                self.loop.clock.now + 3600.0,
+                stop=lambda: pending.request_id not in self.pending)
+            if pending.status is None:
+                root.finish("gave_up")
+                raise RetryExhaustedError(f"{op_name}({key}) failed after "
+                                          f"{pending.budget.spent} attempts")
+        return ClusterResult(op_name, wire.ST_NAMES[pending.status],
+                             pending.value, pending.budget.spent,
+                             self.loop.clock.now - pending.start)
 
-    def receive_reply(self, data: bytes) -> None:
-        """Handle one delivered reply payload (verify, then match)."""
-        body = wire.unseal(self.cluster.scheme, data)
+    def _target(self, key: int) -> ClusterNode:
+        return self.cluster.node_for(key)
+
+    def _resolved(self, pending) -> None:
+        op_name = wire.OP_NAMES[pending.op]
         registry = get_registry()
-        if body is None:
-            registry.counter("cluster.corruptions_detected",
-                             where="reply").inc()
-            self.cluster.report_seal_failure(self.name, "reply", data)
-            return
-        recorder = self.cluster.recorder_for(self.name)
-        if recorder is not None:
-            recorder.record_frame("recv", "reply", "", data)
-        _context, status, request_id, value = wire.decode_reply(body)
-        if request_id not in self._pending or request_id in self._replies:
-            # A late or duplicated reply for a settled operation.
-            registry.counter("cluster.stale_replies").inc()
-            return
-        self._replies[request_id] = (status, value)
+        registry.counter("cluster.ops", op=op_name,
+                         status=wire.ST_NAMES[pending.status]).inc()
+        registry.histogram("cluster.op_seconds", op=op_name).observe(
+            self.loop.clock.now - pending.start)
+        registry.histogram("cluster.op_attempts", op=op_name).observe(
+            pending.budget.spent)
+
+    def _failed(self, pending, reason: str) -> None:
+        get_registry().counter("cluster.ops", op=wire.OP_NAMES[pending.op],
+                               status="gave_up").inc()
+
+    def _frame_corrupt(self, data: bytes) -> None:
+        self.cluster.report_seal_failure(self.recorder, "reply", data)

@@ -13,7 +13,8 @@ Every run is deterministic: same seed, byte-identical report.
 
 from .service import RequestService, ServeRequest, ServiceError, ServicePolicy
 from .ops import MUTATING_EFFECTS, apply_operation
-from .plane import BucketNode, ServeError, ServingPlane, Session, key_for
+from .session import Session
+from .plane import BucketNode, PlaneSession, ServeError, ServingPlane, key_for
 from .loadgen import LoadGenerator, LoadMix
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "ServingPlane",
     "BucketNode",
     "Session",
+    "PlaneSession",
     "ServeError",
     "key_for",
     "LoadGenerator",

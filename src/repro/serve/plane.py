@@ -5,11 +5,9 @@ A :class:`ServingPlane` assembles, on one deterministic event loop:
 * N **bucket nodes**, each an :class:`~repro.sdds.server.SDDSServer`
   behind a queued :class:`~repro.serve.service.RequestService` -- the
   modelled single-CPU server with admission control;
-* thousands of **sessions** -- lightweight non-blocking clients that
-  submit, time out, back off on ``SHED``, and learn addressing through
-  LH*/RP* Image Adjustment Messages, all without ever blocking the
-  loop (unlike :class:`~repro.cluster.runtime.ClusterClient`, whose
-  one-op-at-a-time retry loop *drives* the loop);
+* thousands of **sessions** -- the shared non-blocking client of
+  :mod:`repro.serve.session`, each learning addressing through LH*/RP*
+  Image Adjustment Messages;
 * live **splits**: buckets split by the real LH*/RP* algorithms while
   requests for the moving keys sit in their queues.
 
@@ -26,7 +24,6 @@ machinery rather than by trusting the data structures.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right, insort
 
 from ..obs import get_registry
@@ -46,6 +43,7 @@ from ..errors import ReproError
 from .frontend import RequestFrontEnd
 from .ops import MUTATING_EFFECTS, apply_operation
 from .service import ServeRequest, ServicePolicy
+from .session import PendingOp, Session
 
 #: Knuth's multiplicative hash constant: an odd multiplier, so
 #: ``index -> key`` is a bijection on u32 and keys spread uniformly
@@ -169,7 +167,7 @@ class BucketNode(RequestFrontEnd):
         plane.record_execution(self, group, status, effect)
         return status, reply_value, None
 
-    def _send_iam(self, session: "Session", bucket: int, level: int,
+    def _send_iam(self, session: "PlaneSession", bucket: int, level: int,
                   low: int, high: int) -> None:
         get_registry().counter("serve.iams", node=self.name).inc()
         sealed = cwire.seal(self.plane.scheme,
@@ -180,41 +178,21 @@ class BucketNode(RequestFrontEnd):
         )
 
 
-class _PendingOp:
-    """Session-side state of one in-flight logical operation."""
+class PlaneSession(Session):
+    """The shared client addressing keys through a private LH*/RP* image.
 
-    __slots__ = ("op", "key", "start", "sealed", "budget", "timer",
-                 "attempts", "step")
-
-    def __init__(self, op: int, key: int, start: float, sealed: bytes,
-                 budget, step: int):
-        self.op = op
-        self.key = key
-        self.start = start
-        self.sealed = sealed
-        self.budget = budget
-        self.timer = None
-        self.attempts = 0
-        self.step = step
-
-
-class Session:
-    """One non-blocking client session: submit, back off, learn, record.
-
-    Sessions never drive the event loop; every continuation (timeout,
-    shed backoff, reply) is a scheduled callback, which is what lets
-    thousands of them stay concurrently in flight on one loop.
+    Image Adjustment Messages refine the image; every operation is
+    filed under the plane's load step current at submission.
     """
 
-    __slots__ = ("plane", "index", "name", "_seq", "pending",
-                 "image", "_bounds", "_owners", "_rng", "served")
+    __slots__ = ("plane", "image", "_bounds", "_owners", "served")
+
+    prefix = "serve"
+    request_kinds = dict.fromkeys(cwire.OP_NAMES, REQUEST_KIND)
 
     def __init__(self, plane: "ServingPlane", index: int):
+        super().__init__(plane, index, f"s{index}")
         self.plane = plane
-        self.index = index
-        self.name = f"s{index}"
-        self._seq = 0
-        self.pending: dict[int, _PendingOp] = {}
         #: LH* image snapshot (refined by IAMs).
         self.image = ClientImage(plane.state.level, plane.state.pointer) \
             if plane.family == "lh" else None
@@ -227,10 +205,15 @@ class Session:
         else:
             self._bounds = []
             self._owners = []
-        self._rng = random.Random(f"{plane.seed}|{self.name}|retry")
         self.served = 0
 
-    def guess(self, key: int) -> BucketNode:
+    def submit(self, op: int, key: int, value: bytes = b"") -> PendingOp:
+        """Fire one open-loop operation (non-blocking)."""
+        pending = super().submit(op, key, value)
+        pending.tag = self.plane.op_started()
+        return pending
+
+    def _target(self, key: int) -> BucketNode:
         """The bucket this session's image addresses ``key`` to."""
         plane = self.plane
         if plane.family == "lh":
@@ -240,108 +223,12 @@ class Session:
         index = bisect_right(self._bounds, key) - 1
         return plane.nodes[self._owners[index]]
 
-    def submit(self, op: int, key: int, value: bytes = b"") -> None:
-        """Fire one open-loop operation (non-blocking)."""
-        plane = self.plane
-        now = plane.loop.clock.now
-        request_id = (self.index << 32) | self._seq
-        self._seq += 1
-        budget = plane.retry.begin(now)
-        deadline = 0.0 if plane.retry.op_deadline is None \
-            else now + plane.retry.op_deadline
-        # Pending ids are inserted in increasing order, so the first one
-        # is the lowest this session has not resolved.
-        sealed = cwire.seal(plane.scheme, cwire.encode_request(
-            op, request_id, key, value, deadline=deadline,
-            low_water=next(iter(self.pending), request_id)))
-        pending = _PendingOp(op, key, now, sealed, budget, plane.step)
-        self.pending[request_id] = pending
-        plane.op_started()
-        self._send(request_id, pending)
+    def _resolved(self, pending: PendingOp) -> None:
+        self.plane.record_completion(self, pending)
 
-    def _send(self, request_id: int, pending: _PendingOp) -> None:
-        plane = self.plane
-        now = plane.loop.clock.now
-        attempt = pending.budget.spend()
-        pending.attempts = attempt + 1
-        if attempt:
-            get_registry().counter("serve.client_retries").inc()
-        target = self.guess(pending.key)
-        plane.faulty_network.transmit(
-            self.name, target.name, REQUEST_KIND, pending.sealed,
-            target.receive_request,
-        )
-        wait = pending.budget.attempt_timeout(attempt, self._rng, now)
-        pending.timer = plane.loop.after(
-            wait, lambda: self._timeout(request_id))
-
-    def _timeout(self, request_id: int) -> None:
-        pending = self.pending.get(request_id)
-        if pending is None:
-            return
-        get_registry().counter("serve.client_timeouts").inc()
-        if pending.budget.allow(self.plane.loop.clock.now):
-            self._send(request_id, pending)
-        else:
-            self._fail(request_id, pending, "timeout")
-
-    def _backoff_resend(self, request_id: int) -> None:
-        pending = self.pending.get(request_id)
-        if pending is None:
-            return
-        if pending.budget.allow(self.plane.loop.clock.now):
-            self._send(request_id, pending)
-        else:
-            self._fail(request_id, pending, "shed")
-
-    def _fail(self, request_id: int, pending: _PendingOp,
-              reason: str) -> None:
-        if pending.timer is not None:
-            pending.timer.cancel()
-        del self.pending[request_id]
+    def _failed(self, pending: PendingOp, reason: str) -> None:
         get_registry().counter("serve.client_failures", reason=reason).inc()
-        self.plane.record_failure(self, pending, reason)
-
-    # ------------------------------------------------------------------
-    # Inbound frames
-    # ------------------------------------------------------------------
-
-    def receive_reply(self, data: bytes) -> None:
-        """Handle a sealed reply frame: resolve, shed-backoff, or drop."""
-        plane = self.plane
-        registry = get_registry()
-        body = cwire.unseal(plane.scheme, data)
-        if body is None:
-            registry.counter("serve.corruptions_detected",
-                             where="reply").inc()
-            return
-        _context, status, request_id, value = cwire.decode_reply(body)
-        pending = self.pending.get(request_id)
-        if pending is None:
-            registry.counter("serve.stale_replies").inc()
-            return
-        now = plane.loop.clock.now
-        if status == cwire.ST_SHED:
-            pending.timer.cancel()
-            registry.counter("serve.client_sheds").inc()
-            if pending.budget.allow(now):
-                # Back off along the same ladder a timeout would use --
-                # shedding must *reduce* inbound pressure, not turn the
-                # client into an immediate-retry battering ram.
-                wait = pending.budget.attempt_timeout(
-                    min(pending.attempts,
-                        plane.retry.max_attempts - 1),
-                    self._rng, now)
-                pending.timer = plane.loop.after(
-                    wait, lambda: self._backoff_resend(request_id))
-            else:
-                self._fail(request_id, pending, "shed")
-            return
-        pending.timer.cancel()
-        del self.pending[request_id]
-        self.served += 1
-        plane.record_completion(self, pending, status, value,
-                                now - pending.start)
+        self.plane.record_failure(pending, reason)
 
     def receive_iam(self, data: bytes) -> None:
         """Refine this session's private image from an IAM frame."""
@@ -435,7 +322,7 @@ class ServingPlane:
         self.addressing = LHAddressing(initial_buckets=buckets) \
             if family == "lh" else LHAddressing()
         self.state = FileState()
-        self.sessions: list[Session] = []
+        self.sessions: list[PlaneSession] = []
         self.nodes: list[BucketNode] = [
             BucketNode(self, index) for index in range(buckets)
         ]
@@ -458,9 +345,9 @@ class ServingPlane:
     # Topology and routing
     # ------------------------------------------------------------------
 
-    def session(self) -> Session:
+    def session(self) -> PlaneSession:
         """Create (and register) one client session."""
-        session = Session(self, len(self.sessions))
+        session = PlaneSession(self, len(self.sessions))
         self.sessions.append(session)
         return session
 
@@ -487,11 +374,12 @@ class ServingPlane:
             lambda payload: node.receive_request(payload, forwarded=True),
         )
 
-    def op_started(self) -> None:
-        """Track one more in-flight operation (peak concurrency stat)."""
+    def op_started(self) -> int:
+        """Track one more in-flight operation; returns the current step."""
         self._inflight_now += 1
         if self._inflight_now > self.max_inflight:
             self.max_inflight = self._inflight_now
+        return self.step
 
     # ------------------------------------------------------------------
     # Execution accounting, split triggers
@@ -524,26 +412,28 @@ class ServingPlane:
             registry.counter("serve.coalesced_group", node=node.name) \
                 .inc(group)
 
-    def record_completion(self, session: Session, pending: _PendingOp,
-                          status: int, value: bytes, latency: float) -> None:
+    def record_completion(self, session: PlaneSession,
+                          pending: PendingOp) -> None:
         """Account a client-visible completion against the current step."""
         self._inflight_now -= 1
+        session.served += 1
         registry = get_registry()
         op_name = cwire.OP_NAMES[pending.op]
-        status_name = cwire.ST_NAMES[status]
+        status_name = cwire.ST_NAMES[pending.status]
+        latency = self.clock.now - pending.start
         registry.counter("serve.ops", op=op_name, status=status_name).inc()
         registry.histogram("serve.latency_seconds", op=op_name) \
             .observe(latency)
-        ok = status in (cwire.ST_INSERTED, cwire.ST_FOUND,
-                        cwire.ST_APPLIED, cwire.ST_DELETED)
+        ok = pending.status in (cwire.ST_INSERTED, cwire.ST_FOUND,
+                                cwire.ST_APPLIED, cwire.ST_DELETED)
         if ok and op_name in ("insert", "update", "delete"):
             # "Acked" records what some session was *told* happened;
             # verify() cross-checks it against the execution journal.
             self.acked[pending.key] = op_name
         stats = self.stats
-        if pending.step == self.step:
+        if pending.tag == self.step:
             stats.hist.observe(latency)
-            stats.attempts += pending.attempts
+            stats.attempts += pending.budget.spent
             stats.sessions.add(session.index)
             stats.last_resolved = self.clock.now
             if ok:
@@ -551,13 +441,12 @@ class ServingPlane:
             else:
                 stats.not_ok += 1
 
-    def record_failure(self, session: Session, pending: _PendingOp,
-                       reason: str) -> None:
+    def record_failure(self, pending: PendingOp, reason: str) -> None:
         """Account an operation the session gave up on (timeout/shed)."""
         self._inflight_now -= 1
-        if pending.step == self.step:
+        if pending.tag == self.step:
             self.stats.failures[reason] += 1
-            self.stats.attempts += pending.attempts
+            self.stats.attempts += pending.budget.spent
             self.stats.last_resolved = self.clock.now
 
     def begin_step(self, name: str) -> StepStats:

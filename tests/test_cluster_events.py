@@ -141,6 +141,20 @@ class TestRunUntilIdle:
         assert loop.run_until_idle() == 0
         assert loop.clock.now == 0.0
 
+    def test_cancelled_head_does_not_move_the_clock(self):
+        loop = EventLoop()
+        late = loop.at(5.0, lambda: None)
+        loop.at(1.0, lambda: None)
+        late.cancel()
+        assert loop.run_until_idle() == 1
+        assert loop.clock.now == 1.0
+
+    def test_cancelled_timers_past_the_horizon_are_not_busy(self):
+        loop = EventLoop()
+        loop.at(100.0, lambda: None).cancel()
+        assert loop.run_until_idle(max_seconds=10.0) == 0
+        assert loop.clock.now == 0.0
+
 
 class TestDeterminism:
     def test_same_schedule_same_order(self):

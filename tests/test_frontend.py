@@ -1,35 +1,40 @@
-"""The request front end both node runtimes share (PROTOCOLS.md §10).
+"""The message flow both node runtimes share (PROTOCOLS.md §10).
 
 Each behaviour is checked once over the fault-injected cluster and once
-over the serving plane: replay of a redelivered request from the reply
-cache, seal rejection of a corrupted request, duplicate suppression
-under a queued policy, and the low-water bound on the reply cache.
+over the serving plane.  Server half (the request front end): replay of
+a redelivered request from the reply cache, seal rejection of a
+corrupted request, duplicate suppression under a queued policy, and the
+low-water bound on the reply cache.  Client half (the session): the
+send budget, seal rejection of a corrupted reply, stale duplicated
+replies, and the low-water mark each request carries.  Last, a durable
+cluster node that crashes loses its reply cache, so a retry executes
+again and is answered ``duplicate``.
 """
 
 import pytest
 
-from repro.cluster import Cluster, FaultPlan, LinkFaults, RetryPolicy
+from repro.cluster import (Cluster, Crash, FaultPlan, LinkFaults,
+                           RetryPolicy, deserialize_bucket)
 from repro.cluster import wire
 from repro.obs import MetricsRegistry, use_registry
 from repro.serve import ServingPlane
 
-#: Cluster client method of each operation these tests issue.
-METHODS = {wire.OP_INSERT: "insert", wire.OP_UPDATE: "update"}
-REQUEST_KINDS = {"c_insert", "c_update", "s_request"}
+KINDS = ["cluster", "serve"]
+REQUEST_KINDS = {"c_insert", "c_search", "c_update", "c_delete", "s_request"}
 
 
 class Rig:
     """One runtime, one client, and every frame put on its network."""
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, **options):
         self.kind = kind
         if kind == "cluster":
-            self.runtime = Cluster(servers=2, seed=1)
+            self.runtime = Cluster(servers=2, seed=1, **options)
             self.client = self.runtime.client()
             self.prefix = "cluster"
         else:
             self.runtime = ServingPlane(buckets=2, family="lh", seed=1,
-                                        split_threshold=1 << 20)
+                                        split_threshold=1 << 20, **options)
             self.client = self.runtime.session()
             self.prefix = "serve"
         #: ``(kind, payload)`` of every transmitted frame, in order.
@@ -50,15 +55,17 @@ class Rig:
         return self.runtime.owner_of(key)
 
     def call(self, op: int, key: int, value: bytes = b"") -> bytes:
-        """Run one operation to completion; returns its request frame."""
+        """Submit one operation and settle; returns its request frame."""
         first = len(self.sent)
-        if self.kind == "cluster":
-            getattr(self.client, METHODS[op])(key, value)
-        else:
-            self.client.submit(op, key, value)
-            self.runtime.settle()
+        self.client.submit(op, key, value)
+        self.settle()
         return next(payload for kind, payload in self.sent[first:]
                     if kind in REQUEST_KINDS)
+
+    def requests(self) -> list[wire.Request]:
+        """Every request frame sent so far, decoded."""
+        return [wire.decode_request(wire.unseal(self.runtime.scheme, payload))
+                for kind, payload in self.sent if kind in REQUEST_KINDS]
 
     def replies(self) -> list[bytes]:
         """Every reply frame sent so far."""
@@ -85,7 +92,7 @@ def rig(request):
 KEY = 6
 
 
-@pytest.mark.parametrize("rig", ["cluster", "serve"], indirect=True)
+@pytest.mark.parametrize("rig", KINDS, indirect=True)
 class TestSharedFrontEnd:
     def test_redelivered_request_executes_once(self, rig):
         frame = rig.call(wire.OP_INSERT, KEY, b"first")
@@ -130,6 +137,70 @@ class TestSharedFrontEnd:
         assert len(rig.replies()) == replies
 
 
+@pytest.mark.parametrize("rig", KINDS, indirect=True)
+class TestSharedClient:
+    def test_flipped_reply_is_counted_and_leaves_the_op_pending(self, rig):
+        pending = rig.client.submit(wire.OP_INSERT, KEY, b"v")
+        reply = bytearray(wire.seal(rig.runtime.scheme, wire.encode_reply(
+            wire.ST_INSERTED, pending.request_id)))
+        reply[5] ^= 0x01
+        rig.client.receive_reply(bytes(reply))
+        assert rig.registry.total(f"{rig.prefix}.corruptions_detected",
+                                  where="reply") == 1
+        assert rig.client.pending == {pending.request_id: pending}
+        assert pending.status is None
+        if rig.kind == "cluster":
+            # The client's recorder dumped the evidence.
+            assert [(dump.node, dump.reason) for dump in rig.runtime.dumps] \
+                == [(rig.client.name, "seal_failure")]
+        rig.settle()
+        # The genuine reply still resolves the operation.
+        assert pending.status == wire.ST_INSERTED
+        assert rig.client.pending == {}
+
+    def test_duplicated_reply_is_stale_once(self, rig):
+        rig.call(wire.OP_INSERT, KEY, b"v")
+        # The first copy resolved the insert; a duplicate of it is
+        # stale and resolves nothing a second time.
+        rig.client.receive_reply(rig.replies()[-1])
+        assert rig.registry.total(f"{rig.prefix}.stale_replies") == 1
+        assert rig.registry.total(f"{rig.prefix}.ops") == 1
+
+    def test_low_water_is_the_oldest_unresolved_id(self, rig):
+        client = rig.client
+        first = client.submit(wire.OP_INSERT, KEY, b"a")
+        second = client.submit(wire.OP_UPDATE, KEY, b"b")
+        rig.runtime.loop.run_until(
+            1.0, stop=lambda: first.request_id not in client.pending)
+        assert list(client.pending) == [second.request_id]
+        third = client.submit(wire.OP_UPDATE, KEY, b"c")
+        rig.settle()
+        rig.call(wire.OP_UPDATE, KEY, b"d")
+        marks = [(request.request_id, request.low_water)
+                 for request in rig.requests()]
+        fourth = third.request_id + 1
+        assert marks == [(first.request_id, first.request_id),
+                         (second.request_id, first.request_id),
+                         (third.request_id, second.request_id),
+                         (fourth, fourth)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sends_stop_at_the_budget(kind):
+    # A black-hole network: every attempt times out; the client must
+    # stop at the budget, not at max_attempts.
+    with use_registry(MetricsRegistry()) as registry:
+        rig = Rig(kind, plan=FaultPlan(default=LinkFaults(drop=1.0)),
+                  retry=RetryPolicy(timeout=0.01, max_attempts=8, budget=3))
+        pending = rig.client.submit(wire.OP_SEARCH, 5)
+        rig.settle()
+    assert len(rig.requests()) == 3
+    assert pending.budget.spent == 3
+    assert pending.status is None and rig.client.pending == {}
+    assert registry.total(f"{rig.prefix}.timeouts", op="search") == 3
+    assert registry.total(f"{rig.prefix}.retries", op="search") == 2
+
+
 def test_queued_duplicate_is_dropped_and_counted():
     with use_registry(MetricsRegistry()) as registry:
         rig = Rig("serve")
@@ -167,3 +238,41 @@ def test_closed_loop_cluster_caches_one_reply_per_client():
         assert set(node.replies) <= {0, 1}
         assert all(len(cached) <= 1 for cached in node.replies.values())
     assert registry.total("cluster.stale_requests") > 0
+
+
+def test_crash_loses_the_reply_cache_so_a_retry_executes_again(tmp_path):
+    # The insert executes at about 0.1 ms and its reply is lost; node0
+    # crashes at 1 ms and recovers from its log at 2 ms; the client's
+    # first timeout (5 ms) retries into the recovered node.
+    plan = FaultPlan(crashes=(Crash("node0", at=1e-3, recover_at=2e-3),))
+    with use_registry(MetricsRegistry()) as registry:
+        cluster = Cluster(servers=2, seed=1, plan=plan, durable_dir=tmp_path)
+        node = cluster.nodes[0]
+        network = cluster.faulty_network
+        transmit = network.transmit
+        lost = []
+
+        def losing_first_reply(source, destination, kind, payload, deliver):
+            if kind == "c_reply" and not lost:
+                lost.append(payload)
+                return
+            transmit(source, destination, kind, payload, deliver)
+
+        network.transmit = losing_first_reply
+        recovered = []
+        cluster.loop.at(3e-3, lambda: recovered.append(
+            (node.is_up, dict(node.replies), dict(node.marks))))
+        result = cluster.client().insert(0, b"once")
+    assert wire.decode_reply(wire.unseal(cluster.scheme, lost[0])).status \
+        == wire.ST_INSERTED
+    assert registry.total("cluster.durable_recoveries") == 1
+    # The reply cache and the marks are volatile: recovery starts empty.
+    assert recovered == [(True, {}, {})]
+    # So the retry is not a replay: it executes again and the bucket,
+    # already holding the record, answers "duplicate" -- which the
+    # at-least-once client reads as success.
+    assert registry.total("cluster.replays") == 0
+    assert (result.status, result.attempts, result.ok) == ("duplicate", 2, True)
+    keys = [record.key for record in deserialize_bucket(node.image_bytes())]
+    assert keys == [0]
+    assert node.server.search(0).value == b"once"
