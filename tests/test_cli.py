@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line entry point."""
 
 import json
+import pathlib
 
 from repro.__main__ import main
 from repro.obs import SCHEMA
@@ -94,3 +95,29 @@ class TestReportCommand:
     def test_report_too_many_arguments(self, capsys):
         assert main(["report", "a.py", "b.py"]) == 2
         assert "usage" in capsys.readouterr().err
+
+
+class TestDemoGoldens:
+    """Same-seed demo documents pinned byte for byte.
+
+    Recovery's certification scan and replay may be restructured for
+    speed, but the certified state, the condemned pages and every
+    counter they emit must not move: these goldens pin the ``store``
+    demo (crash, rot, certified recovery, verified patch) and the
+    ``locate`` demo (group-testing localization).
+    """
+
+    DATA = pathlib.Path(__file__).parent / "data"
+
+    def test_store_demo_matches_golden(self, capsys):
+        assert main(["store", "--json", "--seed", "42"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        # The one wall-clock series; every other byte is deterministic.
+        del document["metrics"]["store.recovery_seconds"]
+        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        assert text == (self.DATA / "store_demo_golden.json").read_text()
+
+    def test_locate_demo_matches_golden(self, capsys):
+        assert main(["locate", "--json"]) == 0
+        assert capsys.readouterr().out \
+            == (self.DATA / "locate_golden.json").read_text()
