@@ -144,7 +144,7 @@ class BatchSigner:
                               count=len(rows))
         if strict:
             self._check_bound(int(lengths.max()))
-        return self._sign_flat(_concat(rows), lengths)
+        return self._signatures(self._components_flat(_concat(rows), lengths))
 
     def sign_concat(self, parts, strict: bool = True) -> Signature:
         """Signature of the concatenation of ``parts``, joined lazily.
@@ -159,17 +159,27 @@ class BatchSigner:
     def sign_concat_many(self, bodies, strict: bool = True) -> list[Signature]:
         """One signature per body, each body a sequence of byte parts.
 
-        All bodies land in one join (the single copy), each body
-        starting on a symbol boundary; odd-length GF(2^16) bodies get
-        the same trailing zero byte ``scheme.sign`` pads with.  A lone
-        single-part symbol-aligned body is signed in place.
+        The :class:`Signature` rows of :meth:`concat_components`.
+        """
+        return self._signatures(self.concat_components(bodies, strict))
+
+    def concat_components(self, bodies, strict: bool = True) -> np.ndarray:
+        """Component matrix ``(len(bodies), n)``, one row per body.
+
+        Row ``i`` holds the components of ``scheme.sign`` over the
+        concatenation of ``bodies[i]``'s parts.  All bodies land in one
+        join (the single copy), each body starting on a symbol
+        boundary; odd-length GF(2^16) bodies get the same trailing zero
+        byte ``scheme.sign`` pads with.  A lone single-part
+        symbol-aligned body is signed in place.  Callers that only
+        compare signatures (a seal check) use the matrix directly.
         """
         field = self.scheme.field
         symbol_bytes = field.f // 8
         if not isinstance(bodies, (list, tuple)):
             bodies = list(bodies)
         if not bodies:
-            return []
+            return np.zeros((0, self.scheme.n), dtype=np.int64)
         pieces: list = []
         lengths: list[int] = []
         for parts in bodies:
@@ -187,8 +197,8 @@ class BatchSigner:
         else:
             joined = b"".join(pieces)
             LEDGER.count(len(joined))
-        return self._sign_flat(narrow_symbol_view(joined, field),
-                               np.array(lengths, dtype=np.int64))
+        return self._components_flat(narrow_symbol_view(joined, field),
+                                     np.array(lengths, dtype=np.int64))
 
     def sign_map(self, data, page_symbols: int) -> SignatureMap:
         """The compound signature of ``data``, one batched pass.
@@ -213,8 +223,9 @@ class BatchSigner:
         lengths = np.full(count, page_symbols, dtype=np.int64)
         if total % page_symbols:
             lengths[-1] = total % page_symbols
-        return SignatureMap(scheme, page_symbols,
-                            self._sign_flat(flat, lengths), total)
+        return SignatureMap(
+            scheme, page_symbols,
+            self._signatures(self._components_flat(flat, lengths)), total)
 
     def sign_tree(self, data, page_symbols: int, fanout: int = 16) -> SignatureTree:
         """Batch-build the leaf level, then fold parents algebraically."""
@@ -352,9 +363,9 @@ class BatchSigner:
                 LEDGER.count(matrix.nbytes)
             yield rows, matrix
 
-    def _sign_flat(self, flat: np.ndarray,
-                   lengths: np.ndarray) -> list[Signature]:
-        """Sign a flat concatenation of raw page symbols.
+    def _components_flat(self, flat: np.ndarray,
+                         lengths: np.ndarray) -> np.ndarray:
+        """Component rows of a flat concatenation of raw page symbols.
 
         ``flat`` holds the raw symbols of every page back to back;
         ``lengths`` gives per-page symbol counts.  The scheme's
@@ -368,13 +379,13 @@ class BatchSigner:
         """
         scheme = self.scheme
         if not lengths.size:
-            return []
+            return np.zeros((0, scheme.n), dtype=np.int64)
         if flat.size < SMALL_RUN_SYMBOLS:
             components = run_signature_matrix(
                 scheme.field, scheme.map_symbols(flat), lengths,
                 scheme.ladders(int(lengths.max())))
             scheme._count_signed(flat.size, "small", calls=lengths.size)
-            return self._signatures(components)
+            return components
         if self.workers > 1:
             components = parallel.sign_flat_spans(
                 scheme, flat, lengths, workers=self.workers,
@@ -392,7 +403,7 @@ class BatchSigner:
         scheme._count_signed(int(lengths.sum()), "batch",
                              calls=int(lengths.size))
         self._emit_workers()
-        return self._signatures(components)
+        return components
 
     def _delta_components(self, befores: list[np.ndarray],
                           afters: list[np.ndarray],

@@ -44,7 +44,6 @@ from .pagestore import (
 from .recovery import (
     MIN_PARALLEL_BYTES,
     RECOVERY_WORKERS_ENV,
-    FrameVerdict,
     SegmentVerdict,
     effective_workers,
     resolve_recovery_workers,
@@ -58,7 +57,6 @@ __all__ = [
     "DurableDisk",
     "Frame",
     "FrameError",
-    "FrameVerdict",
     "GROUP_BYTES",
     "GROUP_LATENCY_S",
     "KIND_DELTA",

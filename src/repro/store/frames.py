@@ -33,6 +33,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import StoreError
 from ..sig.scheme import AlgebraicSignatureScheme
 
@@ -127,19 +129,13 @@ def encode_many(scheme: AlgebraicSignatureScheme,
     ]
 
 
-def parse_at(buffer, offset: int, seal_bytes: int, copy: bool = True):
-    """Structurally parse the frame starting at ``offset``.
+def _header_at(buffer, offset: int, seal_bytes: int):
+    """Structural header check of the frame at ``offset``.
 
-    Returns ``(frame, end_offset, body_end)`` where ``buffer[offset:
-    body_end]`` is the sealed region and ``buffer[body_end:end_offset]``
-    the seal, or ``None`` when no structurally valid frame starts there
-    (bad magic, impossible lengths, or the buffer ends mid-frame --
-    the torn-write shape).  The seal is *not* checked here; callers
-    batch-verify seals over all structurally valid frames at once.
-
-    With ``copy=False`` the frame's payload is a ``memoryview`` into
-    ``buffer`` (the scanner's zero-copy mode); the caller must keep the
-    buffer alive for the frame's lifetime.
+    Returns ``(kind, seq, payload_start, body_end, end)`` -- the volume
+    name spans ``offset + HEADER_BYTES`` to ``payload_start`` and is
+    not yet decoded -- or ``None`` when the magic or kind is wrong or
+    the buffer ends before the frame does.
     """
     if offset + HEADER_BYTES > len(buffer):
         return None
@@ -148,17 +144,37 @@ def parse_at(buffer, offset: int, seal_bytes: int, copy: bool = True):
     )
     if magic != MAGIC or kind not in KIND_NAMES:
         return None
-    body_end = offset + HEADER_BYTES + volume_len + payload_len
+    payload_start = offset + HEADER_BYTES + volume_len
+    body_end = payload_start + payload_len
     end = body_end + seal_bytes
     if end > len(buffer):
         return None
-    volume_raw = bytes(buffer[offset + HEADER_BYTES:
-                              offset + HEADER_BYTES + volume_len])
+    return kind, seq, payload_start, body_end, end
+
+
+def parse_at(buffer, offset: int, seal_bytes: int, copy: bool = True):
+    """Structurally parse the frame starting at ``offset``.
+
+    Returns ``(frame, end_offset, body_end)`` where ``buffer[offset:
+    body_end]`` is the sealed region and ``buffer[body_end:end_offset]``
+    the seal, or ``None`` when no structurally valid frame starts there
+    (bad magic, impossible lengths, a volume name that is not UTF-8, or
+    the buffer ends mid-frame -- the torn-write shape).  The seal is
+    *not* checked here; callers batch-verify seals over all
+    structurally valid frames at once.
+
+    With ``copy=False`` the frame's payload is a ``memoryview`` into
+    ``buffer``; the caller must keep the buffer alive for the frame's
+    lifetime.
+    """
+    header = _header_at(buffer, offset, seal_bytes)
+    if header is None:
+        return None
+    kind, seq, payload_start, body_end, end = header
     try:
-        volume = volume_raw.decode()
+        volume = bytes(buffer[offset + HEADER_BYTES:payload_start]).decode()
     except UnicodeDecodeError:
         return None
-    payload_start = offset + HEADER_BYTES + volume_len
     if copy:
         payload = bytes(buffer[payload_start:body_end])
     else:
@@ -168,48 +184,130 @@ def parse_at(buffer, offset: int, seal_bytes: int, copy: bool = True):
     return Frame(kind, seq, volume, payload), end, body_end
 
 
+@dataclass(frozen=True, slots=True)
+class FrameTable:
+    """Structurally walked frames as parallel columns, one row a frame.
+
+    Offsets index the buffer the frames were walked from (or, after
+    :meth:`shifted`, the whole log); ``volume`` indexes ``volumes``.
+    A table holds no payload bytes, so it crosses a process boundary
+    as a few small arrays, and certification (seal check, ``seq``
+    fold, replay split) is array work over its columns.
+    """
+
+    kind: np.ndarray             #: uint8 frame kind
+    seq: np.ndarray              #: uint64 sequence number
+    volume: np.ndarray           #: int64 index into ``volumes``
+    start: np.ndarray            #: int64 frame start (header)
+    end: np.ndarray              #: int64 frame end (after the seal)
+    payload_start: np.ndarray    #: int64 first payload byte
+    body_end: np.ndarray         #: int64 end of the sealed body
+    volumes: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return int(self.start.size)
+
+    def rows(self, index) -> "FrameTable":
+        """The rows a slice, mask or index array selects."""
+        return FrameTable(self.kind[index], self.seq[index],
+                          self.volume[index], self.start[index],
+                          self.end[index], self.payload_start[index],
+                          self.body_end[index], self.volumes)
+
+    def shifted(self, base: int) -> "FrameTable":
+        """The same rows with every offset moved by ``base``."""
+        return FrameTable(self.kind, self.seq, self.volume,
+                          self.start + base, self.end + base,
+                          self.payload_start + base, self.body_end + base,
+                          self.volumes)
+
+    def frame(self, row: int, buffer, base: int = 0) -> Frame:
+        """Row ``row`` as a :class:`Frame` whose payload is a view into
+        ``buffer`` (which holds the bytes from offset ``base`` on)."""
+        view = buffer if isinstance(buffer, memoryview) \
+            else memoryview(buffer)
+        return Frame(int(self.kind[row]), int(self.seq[row]),
+                     self.volumes[self.volume[row]],
+                     view[self.payload_start[row] - base:
+                          self.body_end[row] - base])
+
+
 def scan_buffer(buffer, seal_bytes: int):
     """Structurally walk one contiguous buffer of appended frames.
 
-    Returns ``(candidates, garbage)`` in *local* offsets: each candidate
-    is ``(frame, start, end, body_end)`` with a zero-copy payload view
-    into ``buffer``, each garbage span ``(start, end)`` covers bytes
-    where no structurally valid frame begins.  After corruption the walk
-    *resyncs* at the next offset where a frame parses.  Seals are not
-    checked here -- callers batch-verify them over all candidates at
-    once, which is what lets the sequential scan and the per-segment
-    recovery workers share this exact walk.
+    Returns ``(table, garbage)`` in *local* offsets: ``table`` is a
+    :class:`FrameTable` of every structurally valid frame, ``garbage``
+    a list of ``(start, end)`` spans where no such frame begins.  The
+    walk unpacks each header once and decodes each distinct volume
+    name once; it builds no per-frame object.  After corruption it
+    *resyncs* at the next offset where :func:`parse_at` finds a frame.
+    Seals are not checked here -- callers batch-verify them over the
+    whole table, which is what lets the sequential scan and the
+    per-segment recovery workers share this exact walk.
     """
-    view = buffer if isinstance(buffer, memoryview) else memoryview(buffer)
-    size = len(view)
-    candidates = []
+    size = len(buffer)
+    volume_ids: dict[bytes, int] = {}   # raw name -> id (-1: not UTF-8)
+    volumes: list[str] = []
+    name_fields: dict[int, struct.Struct] = {}
+    kinds, seqs, ids, starts, payload_starts, body_ends = \
+        [], [], [], [], [], []
     garbage = []
     offset = 0
     haystack = None     # owned bytes for resync searches, built lazily
     while offset < size:
-        parsed = parse_at(view, offset, seal_bytes, copy=False)
-        if parsed is not None:
-            frame, end, body_end = parsed
-            candidates.append((frame, offset, end, body_end))
-            offset = end
-            continue
+        header = _header_at(buffer, offset, seal_bytes)
+        if header is not None:
+            kind, seq, payload_start, body_end, end = header
+            name_len = payload_start - offset - HEADER_BYTES
+            field = name_fields.get(name_len)
+            if field is None:
+                field = name_fields[name_len] = struct.Struct(f"{name_len}s")
+            raw = field.unpack_from(buffer, offset + HEADER_BYTES)[0]
+            volume = volume_ids.get(raw)
+            if volume is None:
+                volume = volume_ids[raw] = _volume_id(raw, volumes)
+            if volume >= 0:
+                kinds.append(kind)
+                seqs.append(seq)
+                ids.append(volume)
+                starts.append(offset)
+                payload_starts.append(payload_start)
+                body_ends.append(body_end)
+                offset = end
+                continue
         if haystack is None:
             # Only the (rare) corrupt path pays a materialization; a
             # shared-memory segment view has no ``find``.
             haystack = buffer if isinstance(buffer, (bytes, bytearray)) \
-                else bytes(view)
+                else bytes(buffer)
         bad_start = offset
         resync = None
         probe = haystack.find(MAGIC, offset + 1)
         while probe != -1:
-            if parse_at(view, probe, seal_bytes, copy=False) is not None:
+            if parse_at(haystack, probe, seal_bytes, copy=False) is not None:
                 resync = probe
                 break
             probe = haystack.find(MAGIC, probe + 1)
         stop = resync if resync is not None else size
         garbage.append((bad_start, stop))
         offset = stop
-    return candidates, garbage
+    body_end = np.array(body_ends, dtype=np.int64)
+    table = FrameTable(
+        np.array(kinds, dtype=np.uint8), np.array(seqs, dtype=np.uint64),
+        np.array(ids, dtype=np.int64), np.array(starts, dtype=np.int64),
+        body_end + seal_bytes, np.array(payload_starts, dtype=np.int64),
+        body_end, tuple(volumes))
+    return table, garbage
+
+
+def _volume_id(raw: bytes, volumes: list[str]) -> int:
+    """Decode a volume name once: its index in ``volumes``, or -1 when
+    it is not UTF-8 (no frame starts where such a name sits)."""
+    try:
+        volumes.append(raw.decode())
+    except UnicodeDecodeError:
+        return -1
+    return len(volumes) - 1
 
 
 # ----------------------------------------------------------------------

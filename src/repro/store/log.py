@@ -79,13 +79,63 @@ class CorruptRegion:
 
 
 @dataclass(frozen=True, slots=True)
-class ScanResult:
-    """Outcome of one certification scan over the whole log."""
+class CertifiedRun:
+    """One segment's certified frames: their columns and their bytes.
 
-    frames: list[ScannedFrame]
+    ``frames`` is in absolute log coordinates; ``view`` holds the
+    segment's bytes, which start at absolute offset ``base``.  Replay
+    and the lazily built :attr:`ScanResult.frames` read payloads as
+    zero-copy views into it.
+    """
+
+    frames: fr.FrameTable
+    view: memoryview
+    base: int
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def scanned(self) -> list[ScannedFrame]:
+        """The run as :class:`ScannedFrame` objects (built on demand)."""
+        table = self.frames
+        return [ScannedFrame(table.frame(row, self.view, self.base),
+                             start, end)
+                for row, (start, end) in enumerate(zip(
+                    table.start.tolist(), table.end.tolist()))]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ScanResult:
+    """Outcome of one certification scan over the whole log.
+
+    Certified frames are kept as one :class:`CertifiedRun` per segment;
+    :attr:`frame_count`, :attr:`next_seq` and :attr:`certified_end`
+    read their columns, and :attr:`frames` materializes them as
+    :class:`ScannedFrame` objects only when asked.
+    """
+
+    runs: list[CertifiedRun]
     corrupt: list[CorruptRegion]
     torn_start: int | None       #: absolute start of the torn tail
     total_bytes: int
+
+    @property
+    def frames(self) -> list[ScannedFrame]:
+        """Every certified frame, in log order."""
+        return [scanned for run in self.runs for scanned in run.scanned()]
+
+    @property
+    def frame_count(self) -> int:
+        """Number of certified frames."""
+        return sum(len(run) for run in self.runs)
+
+    @property
+    def next_seq(self) -> int:
+        """One past the largest certified ``seq`` (0 for none).
+
+        Certified ``seq``s strictly increase, so it is the last one's.
+        """
+        return int(self.runs[-1].frames.seq[-1]) + 1 if self.runs else 0
 
     @property
     def certified_end(self) -> int:

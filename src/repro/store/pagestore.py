@@ -47,6 +47,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import SignatureError, StoreError
 from ..obs import get_registry, span_if_active
 from ..sig.compound import SignatureMap
@@ -56,11 +58,11 @@ from ..sig.locate import LocateDesign, LocatorMap, decode
 from ..sig.scheme import AlgebraicSignatureScheme
 from ..sig.signature import Signature
 from ..sig.tree import SignatureTree
-from ..sync.replica import Replica
+from ..sync.replica import Replica, xor_into
 from . import checkpoint as ckpt
 from . import frames as fr
-from .log import (GROUP_BYTES, GROUP_LATENCY_S, SEGMENT_BYTES, ScanResult,
-                  SegmentedLog)
+from .log import (GROUP_BYTES, GROUP_LATENCY_S, SEGMENT_BYTES, CertifiedRun,
+                  ScanResult, SegmentedLog)
 
 DEFAULT_PAGE_BYTES = 4096
 
@@ -257,7 +259,7 @@ class PageStore:
         """
         offsets = self._log.append_many(frame_list)
         for frame in frame_list:
-            self._apply(frame)
+            self._apply(frame.kind, frame.volume, frame.payload)
         self._frames_since_checkpoint += len(frame_list)
         if (self.checkpoint_every is not None
                 and self._frames_since_checkpoint >= self.checkpoint_every):
@@ -414,42 +416,60 @@ class PageStore:
 
     @staticmethod
     def _set_length(replica: Replica, image_len: int) -> None:
-        if image_len < len(replica.data):
-            replica.truncate(image_len)
-        elif image_len > len(replica.data):
+        image = replica.data
+        if image_len < len(image):
+            if replica.journaled:
+                replica.truncate(image_len)
+            else:
+                del image[image_len:]
+        elif image_len > len(image):
             # Pure zero growth: extended space is accounted
             # algebraically by the next fold, no journaling needed.
-            replica.data.extend(bytes(image_len - len(replica.data)))
+            image.extend(bytes(image_len - len(image)))
 
-    def _apply(self, frame: fr.Frame) -> int | None:
+    def _apply(self, kind: int, volume: str, payload) -> int | None:
         """Apply one (already logged / certified) frame to RAM state.
 
-        Returns the page index a ``PAGE`` frame wrote, else ``None``.
+        A volume with warm signature state takes journaled replica
+        writes, so the next Proposition-3 fold stays exact.  A cold one
+        -- replay before the checkpoint position, or any volume before
+        its first signature request -- has nothing to keep exact and
+        takes plain slice writes and XORs on its image: the same bytes,
+        no journal.  Returns the page index a ``PAGE`` frame wrote,
+        else ``None``.
         """
-        if frame.kind == fr.KIND_PAGE:
-            index, page_size, data = fr.decode_page(frame.payload)
-            state = self._materialize(frame.volume, page_size)
-            offset = index * state.page_bytes
+        if kind == fr.KIND_PAGE:
+            index, page_size, data = fr.decode_page(payload)
+            state = self._materialize(volume, page_size)
             replica = state.replica
-            replica.write_at(offset, data)
+            image = replica.data
+            offset = index * state.page_bytes
             end = offset + len(data)
-            if (offset + state.page_bytes >= len(replica.data)
-                    and len(replica.data) > end):
+            if replica.journaled:
+                replica.write_at(offset, data)
+            else:
+                if end > len(image):
+                    image.extend(bytes(end - len(image)))
+                image[offset:end] = data
+            if offset + state.page_bytes >= len(image) > end:
                 # A short write to the final page sets the length
                 # (sim-disk semantics).
-                replica.truncate(end)
+                self._set_length(replica, end)
             return index
-        if frame.kind == fr.KIND_DELTA:
-            image_len, offset, delta = fr.decode_delta(frame.payload)
-            state = self._materialize(frame.volume, DEFAULT_PAGE_BYTES)
-            state.replica.apply_xor(offset, delta)
-            self._set_length(state.replica, image_len)
-        elif frame.kind == fr.KIND_TRUNCATE:
-            image_len, page_size = fr.decode_truncate(frame.payload)
-            state = self._materialize(frame.volume, page_size)
+        if kind == fr.KIND_DELTA:
+            image_len, offset, delta = fr.decode_delta(payload)
+            replica = self._materialize(volume, DEFAULT_PAGE_BYTES).replica
+            if replica.journaled:
+                replica.apply_xor(offset, delta)
+            else:
+                xor_into(replica.data, offset, delta)
+            self._set_length(replica, image_len)
+        elif kind == fr.KIND_TRUNCATE:
+            image_len, page_size = fr.decode_truncate(payload)
+            state = self._materialize(volume, page_size)
             self._set_length(state.replica, image_len)
         else:
-            raise fr.FrameError(f"unknown frame kind {frame.kind}")
+            raise fr.FrameError(f"unknown frame kind {kind}")
         return None
 
     # ------------------------------------------------------------------
@@ -719,20 +739,18 @@ class PageStore:
         registry.counter("store.corrupt_frames_detected").inc(
             len(scan.corrupt)
         )
-        registry.counter("store.frames_replayed").inc(len(scan.frames))
+        registry.counter("store.frames_replayed").inc(scan.frame_count)
         for name in self._volumes:
             self.signature_map(name)
         self._next_seq = max(
-            [snapshot.next_seq if snapshot is not None else 0]
-            + [sf.frame.seq + 1 for sf in scan.frames]
-        )
+            snapshot.next_seq if snapshot is not None else 0, scan.next_seq)
         # Condemnation: headers of rejected frames point at pages
         # (best effort), the Proposition-5 scrub certifies pre-tail
         # damage, later full-page writes exonerate.
         condemned, expected = self._condemn(scan, replay.last_page_write)
         return RecoveryReport(
             seconds=0.0, used_checkpoint=snapshot is not None,
-            frames_valid=len(scan.frames),
+            frames_valid=scan.frame_count,
             frames_folded=replay.frames_folded,
             bytes_replayed=replay.bytes_replayed,
             torn_bytes=scan.torn_bytes,
@@ -850,19 +868,42 @@ class _StreamingReplay:
         #: Log position of the last full-page write per (volume, page).
         self.last_page_write: dict[tuple[str, int], int] = {}
 
-    def feed(self, scanned_frames) -> None:
-        """Apply one segment's certified frames (in log order)."""
-        store = self.store
-        for scanned in scanned_frames:
-            if not self.seeded and scanned.end > self.position:
+    def feed(self, run: CertifiedRun) -> None:
+        """Apply one segment's certified frames (in log order).
+
+        The frames ending at or before the checkpoint position apply
+        before the warm state is seeded, the rest after it; the byte
+        and fold counts are sums over the run's columns.
+        """
+        table = run.frames
+        split = len(table)
+        if not self.seeded:
+            split = int(np.searchsorted(table.end, self.position,
+                                        side="right"))
+        self._apply_rows(run, slice(0, split))
+        if split < len(table):
+            if not self.seeded:
                 self._seed()
-            page = store._apply(scanned.frame)
+            self._apply_rows(run, slice(split, None))
+        self.bytes_replayed += int((table.body_end
+                                    - table.payload_start).sum())
+        self.frames_folded += int(np.count_nonzero(
+            table.end > self.position))
+
+    def _apply_rows(self, run: CertifiedRun, rows: slice) -> None:
+        """Apply ``rows`` of a run through :meth:`PageStore._apply`."""
+        table, view = run.frames, run.view
+        names, apply = table.volumes, self.store._apply
+        last_page_write = self.last_page_write
+        for kind, volume, start, payload_start, body_end in zip(
+                table.kind[rows].tolist(), table.volume[rows].tolist(),
+                table.start[rows].tolist(),
+                (table.payload_start[rows] - run.base).tolist(),
+                (table.body_end[rows] - run.base).tolist()):
+            name = names[volume]
+            page = apply(kind, name, view[payload_start:body_end])
             if page is not None:
-                self.last_page_write[(scanned.frame.volume, page)] = \
-                    scanned.start
-            self.bytes_replayed += len(scanned.frame.payload)
-            if scanned.end > self.position:
-                self.frames_folded += 1
+                last_page_write[(name, page)] = start
 
     def _seed(self) -> None:
         """Seed the certified warm state over the replayed images."""
@@ -871,7 +912,7 @@ class _StreamingReplay:
             state = store._materialize(name, volume_ckpt.page_bytes)
             state.replica = Replica.from_warm(
                 f"store:{name}", store.scheme,
-                bytes(state.replica.data), volume_ckpt.page_bytes,
+                state.replica.data, volume_ckpt.page_bytes,
                 volume_ckpt.map, volume_ckpt.tree,
             )
             store._warm_from_checkpoint.add(name)

@@ -51,6 +51,8 @@ from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import StoreError
 from ..obs import get_registry, span_if_active
 from ..sig.arena import PageArena
@@ -58,7 +60,7 @@ from ..sig.engine import get_batch_signer
 from ..sig.parallel import (_cached_scheme, _discard_pool, get_pool,
                             resolve_workers, scheme_spec)
 from . import frames as fr
-from .log import CorruptRegion, ScanResult, ScannedFrame
+from .log import CertifiedRun, CorruptRegion, ScanResult
 
 #: Environment override for the recovery scan fleet.
 RECOVERY_WORKERS_ENV = "REPRO_RECOVERY_WORKERS"
@@ -100,34 +102,22 @@ def effective_workers(requested: int | None, total_bytes: int,
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
-class FrameVerdict:
-    """One structurally parsed frame: coordinates plus its seal verdict.
-
-    All offsets are absolute log positions; the payload coordinates let
-    the parent rebuild the frame as a zero-copy view into its own arena
-    mapping, so a worker never pickles page content.  ``seal_ok`` is
-    true for verified seals *and* for frames inside the trusted prefix
-    (whose seals the sealed checkpoint already certifies).
-    """
-
-    kind: int
-    seq: int
-    volume: str
-    start: int
-    end: int
-    payload_start: int
-    body_end: int
-    seal_ok: bool
-
-
-@dataclass(frozen=True, slots=True)
 class SegmentVerdict:
-    """One segment's certified/corrupt partition, absolute coordinates."""
+    """One segment's walk and seal verdicts, absolute coordinates.
+
+    ``frames`` holds every structurally parsed frame as columns; the
+    payload coordinates let the parent read each frame as a zero-copy
+    view into its own arena mapping, so a worker never pickles page
+    content.  ``seal_ok[i]`` is true for a verified seal *and* for a
+    frame inside the trusted prefix (whose seal the sealed checkpoint
+    already certifies).
+    """
 
     index: int
     base: int
     size: int
-    frames: tuple[FrameVerdict, ...]
+    frames: fr.FrameTable
+    seal_ok: np.ndarray
     garbage: tuple[tuple[int, int], ...]
 
 
@@ -135,33 +125,44 @@ def scan_segment(scheme, buffer, index: int, base: int,
                  trusted_bytes: int) -> SegmentVerdict:
     """Structurally walk and seal-verify one segment's bytes.
 
-    ``sign_concat_many`` signs every body in its own matrix row, so a
-    frame's verdict is independent of which batch verified it: per-
-    segment batches here produce seals byte-identical to the sequential
-    scan's one global batch.
+    The untrusted frames' bodies are signed in one
+    ``concat_components`` batch and the component matrix is compared
+    with the stored seals, gathered from the buffer and read as
+    ``<u{symbol_bytes}`` symbols, in one array comparison: no
+    :class:`~repro.sig.signature.Signature` is built.  Every body is
+    signed in its own matrix row, so a frame's verdict is independent
+    of which batch verified it: per-segment batches here agree with
+    any other partition of the log.
     """
     seal_bytes = scheme.scheme_id.signature_bytes
-    candidates, garbage = fr.scan_buffer(buffer, seal_bytes)
-    view = buffer if isinstance(buffer, memoryview) else memoryview(buffer)
-    unverified = [c for c in candidates if base + c[2] > trusted_bytes]
-    seals = get_batch_signer(scheme).sign_concat_many(
-        [[view[c[1]:c[3]]] for c in unverified], strict=False,
-    ) if unverified else []
-    # The unverified frames are the trailing candidates (the trusted
-    # prefix is a byte prefix); everything before them is trusted.
-    verdicts = [True] * (len(candidates) - len(unverified)) + [
-        seal.to_bytes() == view[c[3]:c[2]]
-        for c, seal in zip(unverified, seals)]
-    frames = []
-    for (frame, start, end, body_end), seal_ok in zip(candidates, verdicts):
-        frames.append(FrameVerdict(
-            frame.kind, frame.seq, frame.volume,
-            base + start, base + end,
-            base + body_end - len(frame.payload), base + body_end,
-            seal_ok,
-        ))
-    return SegmentVerdict(index, base, len(view), tuple(frames),
+    table, garbage = fr.scan_buffer(buffer, seal_bytes)
+    seal_ok = np.ones(len(table), dtype=bool)
+    # The trusted prefix is a byte prefix: the frames ending inside it
+    # lead the table and everything after them is verified.
+    first = int(np.searchsorted(table.end, trusted_bytes - base,
+                                side="right"))
+    if first < len(table):
+        seal_ok[first:] = _seals_hold(scheme, buffer, table.rows(
+            slice(first, None)))
+    return SegmentVerdict(index, base, len(buffer), table.shifted(base),
+                          seal_ok,
                           tuple((base + s, base + e) for s, e in garbage))
+
+
+def _seals_hold(scheme, buffer, table: fr.FrameTable) -> np.ndarray:
+    """Per row of ``table``: does the stored seal equal the signature
+    of the body (Proposition 1's check, one array comparison)?"""
+    scheme_id = scheme.scheme_id
+    view = buffer if isinstance(buffer, memoryview) else memoryview(buffer)
+    components = get_batch_signer(scheme).concat_components(
+        [(view[start:body_end],) for start, body_end in zip(
+            table.start.tolist(), table.body_end.tolist())],
+        strict=False)
+    raw = np.frombuffer(buffer, dtype=np.uint8)
+    seals = raw[table.body_end[:, None]
+                + np.arange(scheme_id.signature_bytes)]
+    stored = seals.view(f"<u{scheme_id.symbol_bytes}")
+    return (stored == components).all(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +204,10 @@ class _Stitcher:
     frames while later segments are still being verified.
     """
 
-    __slots__ = ("frames", "corrupt", "last_seq", "on_frames")
+    __slots__ = ("runs", "corrupt", "last_seq", "on_frames")
 
     def __init__(self, on_frames=None):
-        self.frames: list[ScannedFrame] = []
+        self.runs: list[CertifiedRun] = []
         self.corrupt: list[CorruptRegion] = []
         self.last_seq = -1
         self.on_frames = on_frames
@@ -216,34 +217,54 @@ class _Stitcher:
         base = verdict.base
         for start, end in verdict.garbage:
             self.corrupt.append(CorruptRegion(start, end, "garbage"))
-        fresh: list[ScannedFrame] = []
-        for meta in verdict.frames:
-            frame = fr.Frame(meta.kind, meta.seq, meta.volume,
-                             view[meta.payload_start - base:
-                                  meta.body_end - base])
-            if not meta.seal_ok:
-                self.corrupt.append(
-                    CorruptRegion(meta.start, meta.end, "seal", frame))
-                continue
-            if meta.seq <= self.last_seq:
-                self.corrupt.append(
-                    CorruptRegion(meta.start, meta.end, "stale_seq", frame))
-                continue
-            self.last_seq = meta.seq
-            fresh.append(ScannedFrame(frame, meta.start, meta.end))
-        self.frames.extend(fresh)
-        if self.on_frames is not None and fresh:
-            self.on_frames(fresh)
+        table, seal_ok = verdict.frames, verdict.seal_ok
+        if not len(table):
+            return
+        certified = _certify(table.seq, seal_ok, self.last_seq)
+        for row in np.flatnonzero(~certified).tolist():
+            self.corrupt.append(CorruptRegion(
+                int(table.start[row]), int(table.end[row]),
+                "seal" if not seal_ok[row] else "stale_seq",
+                table.frame(row, view, base)))
+        if seal_ok.any():
+            self.last_seq = max(self.last_seq,
+                                int(table.seq[seal_ok].max()))
+        if certified.any():
+            run = CertifiedRun(table.rows(certified), view, base)
+            self.runs.append(run)
+            if self.on_frames is not None:
+                self.on_frames(run)
 
     def result(self, total_bytes: int) -> ScanResult:
         """Seal the fold: torn tail after the last certified frame."""
-        certified_end = self.frames[-1].end if self.frames else 0
+        certified_end = int(self.runs[-1].frames.end[-1]) \
+            if self.runs else 0
         torn_start = certified_end if certified_end < total_bytes else None
         regions = self.corrupt
         if torn_start is not None:
             regions = [r for r in regions if r.start < torn_start]
         regions.sort(key=lambda region: region.start)
-        return ScanResult(self.frames, regions, torn_start, total_bytes)
+        return ScanResult(self.runs, regions, torn_start, total_bytes)
+
+
+def _certify(seq: np.ndarray, seal_ok: np.ndarray,
+             last_seq: int) -> np.ndarray:
+    """Which frames extend the certified prefix, in one array pass.
+
+    Frame ``i`` is certified iff its seal held and its ``seq`` exceeds
+    every certified ``seq`` before it (and the carried ``last_seq``).
+    A sealed frame rejected as stale never raises that maximum, so it
+    equals the running max over *all* sealed frames before ``i``.
+    """
+    sealed_seq = np.where(seal_ok, seq, np.uint64(0))
+    before = np.zeros_like(sealed_seq)
+    np.maximum.accumulate(sealed_seq[:-1], out=before[1:])
+    sealed_before = np.zeros(seq.size, dtype=bool)
+    np.logical_or.accumulate(seal_ok[:-1], out=sealed_before[1:])
+    certified = seal_ok & (~sealed_before | (seq > before))
+    if last_seq >= 0:
+        certified &= seq > np.uint64(last_seq)
+    return certified
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +359,7 @@ def scan_log(log, trusted_bytes: int = 0,
         registry.gauge("store.recovery_workers").set(workers)
         result = stitcher.result(log.total_bytes)
         if span is not None:
-            span.event("certified", frames=len(result.frames),
+            span.event("certified", frames=result.frame_count,
                        corrupt=len(result.corrupt),
                        torn_bytes=result.torn_bytes)
     return result

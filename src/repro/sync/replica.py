@@ -49,6 +49,19 @@ PAGE_REQUEST = "sync_page_request"
 PAGE_DATA = "sync_page_data"
 
 
+def xor_into(image: bytearray, offset: int, delta) -> None:
+    """XOR ``delta`` onto ``image[offset:]``, growing it with zeros
+    first when the patch lands past its end (a mirror patch's or a
+    durable ``DELTA`` frame's byte semantics)."""
+    end = offset + len(delta)
+    if end > len(image):
+        image.extend(bytes(end - len(image)))
+    image[offset:end] = (
+        int.from_bytes(image[offset:end], "little")
+        ^ int.from_bytes(delta, "little")
+    ).to_bytes(len(delta), "little")
+
+
 class Replica:
     """One node's copy of a replicated byte image.
 
@@ -168,15 +181,8 @@ class Replica:
             # A patch landing past the current end grows the image with
             # zeros first; XOR against zeros then writes the content.
             self.data.extend(bytes(end - len(self.data)))
-
-        def mutate() -> None:
-            patched = (
-                int.from_bytes(self.data[offset:end], "little")
-                ^ int.from_bytes(delta, "little")
-            ).to_bytes(len(delta), "little")
-            self.data[offset:end] = patched
-
-        self._record(offset, len(delta), mutate)
+        self._record(offset, len(delta),
+                     lambda: xor_into(self.data, offset, delta))
 
     def truncate(self, new_length: int) -> None:
         """Shrink the image, journaling the zeroing of the dropped tail."""
@@ -193,6 +199,14 @@ class Replica:
         # removes the zero run's contribution algebraically.
         self._record(new_length, tail, mutate)
         del self.data[new_length:]
+
+    @property
+    def journaled(self) -> bool:
+        """True while warm signature state is kept, so every write
+        through this replica is journaled for the next fold.  A cold
+        replica's image may be written directly: there is nothing to
+        keep exact."""
+        return self._incremental is not None
 
     def invalidate(self) -> None:
         """Drop warm signature state after an untracked data mutation."""

@@ -22,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SignatureError, StoreError
+from repro.gf import GF
 from repro.obs import MetricsRegistry, use_registry
 from repro.sig import SignatureMap, make_scheme
+from repro.sig.twisted import log_interpretation_scheme
 from repro.store import (
     KIND_PAGE,
     MIN_PARALLEL_BYTES,
@@ -393,3 +395,190 @@ class TestMixedWidthSegment:
             assert store.image("vol") == image
         finally:
             store.close()
+
+
+# ----------------------------------------------------------------------
+# The array seal verdict
+# ----------------------------------------------------------------------
+
+VERDICT_SCHEMES = {
+    "gf16-n2": make_scheme(),
+    "gf8-n4": make_scheme(8, 4),
+    "gf16-twisted": log_interpretation_scheme(GF(16), n=2),
+}
+
+
+def _symbol_xor(data, symbol_bytes: int, real_bytes: int) -> bytes:
+    """A non-zero XOR pattern for one symbol's ``real_bytes`` bytes (the
+    rest of the symbol is the signing pad, which is not stored)."""
+    value = data.draw(st.integers(1, (1 << (8 * real_bytes)) - 1),
+                      label="xor")
+    return value.to_bytes(real_bytes, "little")
+
+
+class TestArraySealVerdict:
+    """``scan_segment``'s one array comparison (component matrix vs the
+    gathered seal symbols) equals the per-frame ``Signature`` verdict,
+    and still rejects every damage Proposition 1 covers."""
+
+    @pytest.mark.parametrize("name", sorted(VERDICT_SCHEMES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_array_verdict_equals_signature_verdict(self, name, data):
+        from repro.sig.engine import get_batch_signer
+        from repro.store.recovery import scan_segment
+
+        scheme = VERDICT_SCHEMES[name]
+        n = scheme.n
+        symbol_bytes = scheme.scheme_id.symbol_bytes
+        seal_bytes = scheme.scheme_id.signature_bytes
+        # Bodies stay inside GF(2^8)'s 255-symbol certainty bound; an
+        # even payload gives an odd body (17-byte header, 1-byte name).
+        payloads = data.draw(st.lists(st.binary(max_size=200), min_size=1,
+                                      max_size=8), label="payloads")
+        payloads.append(b"\x01" * 40)      # always one odd-length body
+        frames = [Frame(data.draw(st.sampled_from(sorted(fr.KIND_NAMES)),
+                                  label="kind"), seq, "v", payload)
+                  for seq, payload in enumerate(payloads)]
+        encoded = fr.encode_many(scheme, frames)
+        buffer = bytearray(b"".join(encoded))
+        starts = [0]
+        for chunk in encoded:
+            starts.append(starts[-1] + len(chunk))
+        # Damage one frame: <= n symbols of its payload, or its seal.
+        victim = data.draw(st.integers(0, len(frames) - 1), label="victim")
+        start, end = starts[victim], starts[victim + 1]
+        body_end = end - seal_bytes
+        payload_start = body_end - len(payloads[victim])
+        first_symbol = -(-(payload_start - start) // symbol_bytes)
+        symbols = range(first_symbol,
+                        -(-(body_end - start) // symbol_bytes))
+        if symbols and data.draw(st.booleans(), label="in_body"):
+            for symbol in data.draw(
+                    st.lists(st.sampled_from(symbols), min_size=1,
+                             max_size=n, unique=True), label="symbols"):
+                at = start + symbol * symbol_bytes
+                real = min(symbol_bytes, body_end - at)
+                for i, byte in enumerate(
+                        _symbol_xor(data, symbol_bytes, real)):
+                    buffer[at + i] ^= byte
+        else:
+            value = data.draw(st.integers(1, (1 << (8 * seal_bytes)) - 1),
+                              label="seal_xor")
+            for i, byte in enumerate(value.to_bytes(seal_bytes, "little")):
+                buffer[body_end + i] ^= byte
+        # The segment sits at ``base`` in the log; the trusted prefix
+        # may end anywhere, mid-segment included.
+        base = data.draw(st.sampled_from([0, 4096, 1 << 20]), label="base")
+        trusted = base + data.draw(st.integers(0, len(buffer)),
+                                   label="trusted")
+        segment = bytes(buffer)
+        verdict = scan_segment(scheme, segment, 3, base, trusted)
+
+        table = verdict.frames
+        assert (table.start - base).tolist() == starts[:-1]
+        assert (table.end - base).tolist() == starts[1:]
+        seals = get_batch_signer(scheme).sign_concat_many(
+            [[segment[s:e - seal_bytes]] for s, e in
+             zip(starts, starts[1:])], strict=False)
+        expected = [
+            base + e <= trusted or seal.to_bytes() == segment[e - seal_bytes:e]
+            for e, seal in zip(starts[1:], seals)]
+        assert verdict.seal_ok.tolist() == expected
+        if base + end > trusted:
+            # Proposition 1: <= n damaged body symbols, or a damaged
+            # seal, never certify.
+            assert not verdict.seal_ok[victim]
+
+
+# ----------------------------------------------------------------------
+# Cold replay == journaled replay
+# ----------------------------------------------------------------------
+
+def _awkward_store(directory, rot: bool) -> int:
+    """A log with every replay edge case around a mid-segment checkpoint.
+
+    Returns the checkpoint position.
+    """
+    page_bytes = 512
+    store = PageStore(SCHEME, directory, segment_bytes=SEGMENT)
+    image = bytes(range(256)) * (12 * page_bytes // 256)
+    store.write_image("a", image, page_bytes)
+    rotted = store.record_extent("a", 1600, image[1600:1664],
+                                 bytes(64), len(image))
+    # A short final PAGE truncates the image.
+    store.write_page("a", 11, b"\x07" * 100)
+    # A PAGE whose page_size differs from its volume's (the volume's
+    # page size places it).
+    store._append([Frame(KIND_PAGE, store._take_seq(), "a",
+                         fr.encode_page(2, 256, b"\x33" * 256))])
+    # A DELTA that grows the image past its end, then a TRUNCATE.
+    length = store.image_len("a")
+    store.record_extent("a", length + 30, b"", b"\x44" * 50, length + 80)
+    store.truncate("a", length + 40)
+    store.checkpoint()
+    position = store.log_bytes
+    # The warm tail repeats every shape, plus a volume born after it.
+    store.write_page("a", 1, b"\x55" * page_bytes)
+    length = store.image_len("a")
+    store.record_extent("a", length + 6, b"", b"\x66" * 90, length + 96)
+    store.write_page("a", (length + 96) // page_bytes, b"\x77" * 10)
+    store._append([Frame(KIND_PAGE, store._take_seq(), "a",
+                         fr.encode_page(0, 1024, b"\x88" * 300))])
+    store.truncate("a", store.image_len("a") - 3)
+    store.write_image("b", bytes(range(200)) * 9, 256)
+    store.record_extent("b", 10, bytes(range(10, 30)), b"\x99" * 20,
+                        store.image_len("b"))
+    store.close()
+    if rot:
+        store.corrupt_log(rotted + 40, b"\xff\xff")
+    return position
+
+
+def _recovered_state(directory, verify: str) -> tuple:
+    store, report = PageStore.recover(SCHEME, directory,
+                                      segment_bytes=SEGMENT, verify=verify)
+    try:
+        return (
+            {name: store.image(name) for name in store.volumes()},
+            {name: store.signature_map(name).signatures
+             for name in store.volumes()},
+            {name: store.signature_tree(name).root
+             for name in store.volumes()},
+            report.condemned, report.expected,
+            (report.used_checkpoint, report.frames_valid,
+             report.frames_folded, report.bytes_replayed,
+             report.torn_bytes, report.corrupt_frames, report.volumes,
+             report.log_bytes),
+        )
+    finally:
+        store.close()
+
+
+class TestColdReplay:
+    """Frames replayed before the checkpoint (no warm map yet) are plain
+    slice writes and XORs on the image; the result must equal replaying
+    every frame through the replica's journaled calls."""
+
+    @pytest.mark.parametrize("verify", ["full", "tail"])
+    @pytest.mark.parametrize("rot", [False, True], ids=["clean", "rot"])
+    def test_cold_branch_equals_journaled_replay(self, tmp_path,
+                                                 monkeypatch, verify, rot):
+        from repro.sync.replica import Replica
+
+        position = _awkward_store(tmp_path, rot)
+        assert position % SEGMENT and SegmentedLog(
+            tmp_path, SCHEME, segment_bytes=SEGMENT).segment_count > 2
+        cold = _recovered_state(tmp_path, verify)
+        with monkeypatch.context() as patched:
+            patched.setattr(Replica, "journaled",
+                            property(lambda replica: True))
+            journaled = _recovered_state(tmp_path, verify)
+        assert cold == journaled
+        images, maps = cold[0], cold[1]
+        for name, image in images.items():
+            page_bytes = 256 if name == "b" else 512
+            assert maps[name] == SignatureMap.compute(
+                SCHEME, image, page_bytes // 2).signatures
+        # Tail mode trusts the checkpoint for the rotted prefix frame.
+        assert bool(cold[3]) == (rot and verify == "full")
