@@ -846,7 +846,7 @@ def _bench_recovery(quick: bool, repeats: int) -> dict:
         document = {
             "log_bytes": log.total_bytes,
             "segments": log.segment_count,
-            "frames_valid": len(baseline.frames),
+            "frames_valid": baseline.frame_count,
             "corrupt_regions": len(baseline.corrupt),
             "torn_bytes": baseline.torn_bytes,
             "cpu_count": cpu_count,

@@ -7,10 +7,14 @@ appended to the log as one *frame*::
     | volume | payload | seal
 
 where ``seal`` is the scheme's n-symbol algebraic signature of
-everything before it.  By Proposition 1 a torn write or bit rot
-touching at most ``n`` symbols of a frame is detected *with certainty*
--- 4 bytes of seal per frame under the paper's production GF(2^16),
-n = 2 scheme.  Three frame kinds cover the write paths:
+everything before it.  By Proposition 1 bit rot touching at most ``n``
+symbols of a frame's body, or only its seal, is detected *with
+certainty* -- 4 bytes of seal per frame under the paper's production
+GF(2^16), n = 2 scheme, which also catches any two damaged symbols
+split between body and seal.  (For n = 4 such a split can cancel: two
+body symbols ``85`` apart in GF(2^8) change only two signature
+components, which two damaged seal symbols then match.)  Three frame
+kinds cover the write paths:
 
 * ``PAGE`` (payload ``page_index(4) | page_size(4) | data``) -- a full
   page write, the backup engine's granule.  A short write to the final
@@ -26,6 +30,12 @@ n = 2 scheme.  Three frame kinds cover the write paths:
 
 Bodies are fixed little-endian layouts: corrupting a byte must yield a
 *detected* bad frame, never an exception inside a deserializer.
+
+Recovery reads a segment through :func:`scan_buffer`, which returns the
+structurally valid frames as a column :class:`FrameTable` (kind, seq,
+volume, start, end, payload start, body end) rather than one
+:class:`Frame` per frame; :func:`parse_at` parses one frame for the
+resync search and for callers that want the object.
 """
 
 from __future__ import annotations

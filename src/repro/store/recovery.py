@@ -11,29 +11,34 @@ shards the pass by segment:
   shared :class:`~repro.sig.arena.PageArena`;
 * workers from :mod:`repro.sig.parallel` attach the arena by name,
   structurally walk their segment (:func:`repro.store.frames.
-  scan_buffer` -- the same walk the sequential lane runs), and
-  batch-verify the untrusted seals through the engine's
-  ``sign_concat_many`` lane, zero copies of page content crossing the
-  process boundary: a worker returns only compact
-  :class:`FrameVerdict` coordinates;
+  scan_buffer` -- the same walk the sequential lane runs) into a
+  column :class:`~repro.store.frames.FrameTable`, and check the
+  untrusted seals with one array comparison: the engine's
+  ``concat_components`` matrix against the stored seal symbols.  No
+  copy of page content and no per-frame object crosses the process
+  boundary: a worker returns a :class:`SegmentVerdict` of a few small
+  arrays;
 * the parent *stitches* verdicts in segment order.  Validity is a
   left-to-right property -- a frame is certified iff its seal held and
   its ``seq`` exceeds every certified frame before it -- so the global
   longest-certified-prefix fold needs exactly one integer of carried
   state (the running max ``seq``), which is also what rejects
   cross-segment ``stale_seq`` replays and what makes the fold
-  *streamable*.
+  *streamable*.  Within a segment the fold is one running-max pass
+  over the ``seq`` column; only rejected frames become objects
+  (:class:`~repro.store.log.CorruptRegion`).
 
 Streaming is the pipelined replay: the parent reads segment ``k+1``
 into the arena while workers verify earlier segments, and folds (and
-via ``on_frames`` *applies*) segment ``k``'s certified frames the
-moment its verdict lands -- reads, seal verification and ``Replica``
-application overlap instead of serializing.  A frame never spans two
-segments (the log rolls before that could happen), so per-segment walks
-see exactly the byte ranges the sequential walk sees; would-be-spanning
-bytes at a segment's end classify as garbage/torn identically in both
-modes, and the per-frame seal is independent of which batch verified it
--- properties the parallel == sequential exactness tests pin.
+via ``on_frames`` *applies*) segment ``k``'s certified frames -- one
+:class:`~repro.store.log.CertifiedRun` -- the moment its verdict lands:
+reads, seal verification and replay overlap instead of serializing.  A
+frame never spans two segments (the log rolls before that could
+happen), so per-segment walks see exactly the byte ranges the
+sequential walk sees; would-be-spanning bytes at a segment's end
+classify as garbage/torn identically in both modes, and the per-frame
+seal is independent of which batch verified it -- properties the
+parallel == sequential exactness tests pin.
 
 Worker counts resolve ``REPRO_RECOVERY_WORKERS`` over
 ``REPRO_SIGN_WORKERS`` over ``cpu_count`` (:func:`resolve_recovery_

@@ -408,9 +408,9 @@ VERDICT_SCHEMES = {
 }
 
 
-def _symbol_xor(data, symbol_bytes: int, real_bytes: int) -> bytes:
-    """A non-zero XOR pattern for one symbol's ``real_bytes`` bytes (the
-    rest of the symbol is the signing pad, which is not stored)."""
+def _symbol_xor(data, real_bytes: int) -> bytes:
+    """A non-zero XOR pattern for one symbol's ``real_bytes`` stored
+    bytes (the rest of a final odd symbol is the signing pad)."""
     value = data.draw(st.integers(1, (1 << (8 * real_bytes)) - 1),
                       label="xor")
     return value.to_bytes(real_bytes, "little")
@@ -445,7 +445,7 @@ class TestArraySealVerdict:
         starts = [0]
         for chunk in encoded:
             starts.append(starts[-1] + len(chunk))
-        # Damage one frame: <= n symbols of its payload, or its seal.
+        # Damage one frame: <= n symbols of its payload, or of its seal.
         victim = data.draw(st.integers(0, len(frames) - 1), label="victim")
         start, end = starts[victim], starts[victim + 1]
         body_end = end - seal_bytes
@@ -460,13 +460,16 @@ class TestArraySealVerdict:
                 at = start + symbol * symbol_bytes
                 real = min(symbol_bytes, body_end - at)
                 for i, byte in enumerate(
-                        _symbol_xor(data, symbol_bytes, real)):
+                        _symbol_xor(data, real)):
                     buffer[at + i] ^= byte
         else:
-            value = data.draw(st.integers(1, (1 << (8 * seal_bytes)) - 1),
-                              label="seal_xor")
-            for i, byte in enumerate(value.to_bytes(seal_bytes, "little")):
-                buffer[body_end + i] ^= byte
+            for symbol in data.draw(
+                    st.lists(st.integers(0, n - 1), min_size=1,
+                             max_size=n, unique=True), label="seal"):
+                at = body_end + symbol * symbol_bytes
+                for i, byte in enumerate(
+                        _symbol_xor(data, symbol_bytes)):
+                    buffer[at + i] ^= byte
         # The segment sits at ``base`` in the log; the trusted prefix
         # may end anywhere, mid-segment included.
         base = data.draw(st.sampled_from([0, 4096, 1 << 20]), label="base")
@@ -504,6 +507,7 @@ def _awkward_store(directory, rot: bool) -> int:
     store = PageStore(SCHEME, directory, segment_bytes=SEGMENT)
     image = bytes(range(256)) * (12 * page_bytes // 256)
     store.write_image("a", image, page_bytes)
+    store.write_image("c", image[:4 * page_bytes], page_bytes)
     rotted = store.record_extent("a", 1600, image[1600:1664],
                                  bytes(64), len(image))
     # A short final PAGE truncates the image.
@@ -516,16 +520,20 @@ def _awkward_store(directory, rot: bool) -> int:
     length = store.image_len("a")
     store.record_extent("a", length + 30, b"", b"\x44" * 50, length + 80)
     store.truncate("a", length + 40)
+    # The last frame before the checkpoint rewrites bytes in place.
+    store.record_extent("a", 3000, image[3000:3040], b"\x5a" * 40,
+                        store.image_len("a"))
     store.checkpoint()
     position = store.log_bytes
-    # The warm tail repeats every shape, plus a volume born after it.
+    # The warm tail repeats the shapes on "c" ("a"'s grown tail must
+    # survive to the end), plus a volume born after the checkpoint.
     store.write_page("a", 1, b"\x55" * page_bytes)
-    length = store.image_len("a")
-    store.record_extent("a", length + 6, b"", b"\x66" * 90, length + 96)
-    store.write_page("a", (length + 96) // page_bytes, b"\x77" * 10)
     store._append([Frame(KIND_PAGE, store._take_seq(), "a",
                          fr.encode_page(0, 1024, b"\x88" * 300))])
-    store.truncate("a", store.image_len("a") - 3)
+    length = store.image_len("c")
+    store.record_extent("c", length + 6, b"", b"\x66" * 90, length + 96)
+    store.write_page("c", (length + 96) // page_bytes, b"\x77" * 10)
+    store.truncate("c", store.image_len("c") - 3)
     store.write_image("b", bytes(range(200)) * 9, 256)
     store.record_extent("b", 10, bytes(range(10, 30)), b"\x99" * 20,
                         store.image_len("b"))
@@ -576,9 +584,11 @@ class TestColdReplay:
             journaled = _recovered_state(tmp_path, verify)
         assert cold == journaled
         images, maps = cold[0], cold[1]
-        for name, image in images.items():
-            page_bytes = 256 if name == "b" else 512
-            assert maps[name] == SignatureMap.compute(
-                SCHEME, image, page_bytes // 2).signatures
+        if not rot:
+            for name, image in images.items():
+                page_bytes = 256 if name == "b" else 512
+                assert maps[name] == SignatureMap.compute(
+                    SCHEME, image, page_bytes // 2).signatures
         # Tail mode trusts the checkpoint for the rotted prefix frame.
-        assert bool(cold[3]) == (rot and verify == "full")
+        detected = rot and verify == "full"
+        assert bool(cold[3]) == bool(cold[4]) == detected
