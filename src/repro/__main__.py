@@ -20,10 +20,12 @@ Commands:
                      demo (unreliable network, retries, a crash with
                      signature-driven recovery) and print its run
                      report; identical seeds yield identical JSON
-* ``store [--json] [--seed N] [--workers W] [--flush MODE]`` -- run
+* ``store [--json] [--seed N] [--workers W] [--flush MODE]
+  [--segment-bytes B]`` -- run
                      the durable-store demo: write a volume through the
                      sealed log (``--flush group`` coalesces frames into
-                     group commits), checkpoint, inject mid-log bit rot
+                     group commits, ``--segment-bytes`` sizes the log's
+                     segment files), checkpoint, inject mid-log bit rot
                      and a torn tail write, then run certified recovery
                      (``--workers`` shards the certification scan by
                      segment) and verify the condemned-page report
@@ -284,15 +286,16 @@ def _store(arguments: list[str]) -> int:
     from repro import make_scheme
     from repro.obs import MetricsRegistry, RunReport, use_registry
     from repro.sig.compound import SignatureMap
-    from repro.store import PageStore
+    from repro.store import SEGMENT_BYTES, PageStore
 
     usage = ("usage: python -m repro store [--json] [--seed N] "
-             "[--workers W] [--flush frame|group]")
+             "[--workers W] [--flush frame|group] [--segment-bytes B]")
     as_json = "--json" in arguments
     rest = [a for a in arguments if a != "--json"]
     seed = 42
     workers: int | None = None
     flush = "frame"
+    segment_bytes = SEGMENT_BYTES
     while rest:
         if rest[0] == "--seed" and len(rest) >= 2:
             seed = int(rest[1])
@@ -301,6 +304,8 @@ def _store(arguments: list[str]) -> int:
         elif rest[0] == "--flush" and len(rest) >= 2 \
                 and rest[1] in ("frame", "group"):
             flush = rest[1]
+        elif rest[0] == "--segment-bytes" and len(rest) >= 2:
+            segment_bytes = int(rest[1])
         else:
             print(usage, file=sys.stderr)
             return 2
@@ -311,7 +316,8 @@ def _store(arguments: list[str]) -> int:
     registry = MetricsRegistry()
     checks: list[tuple[str, bool]] = []
     with use_registry(registry), tempfile.TemporaryDirectory() as tmp:
-        store = PageStore(scheme, tmp, flush=flush)
+        store = PageStore(scheme, tmp, flush=flush,
+                          segment_bytes=segment_bytes)
         image = bytes(rng.randrange(256) for _ in range(48 * page_bytes))
         store.write_image("demo", image, page_bytes)
         # Scattered journaled deltas, a checkpoint, then more deltas.
@@ -352,7 +358,8 @@ def _store(arguments: list[str]) -> int:
                 final[at:at + 64] = after
         recovered, report = PageStore.recover(scheme, tmp,
                                               verify_workers=workers,
-                                              flush=flush)
+                                              flush=flush,
+                                              segment_bytes=segment_bytes)
         checks.append(("torn tail detected and truncated",
                        report.torn_bytes > 0))
         checks.append(("mid-log corruption detected",

@@ -58,7 +58,7 @@ from ..sig.locate import LocateDesign, LocatorMap, decode
 from ..sig.scheme import AlgebraicSignatureScheme
 from ..sig.signature import Signature
 from ..sig.tree import SignatureTree
-from ..sync.replica import Replica, xor_into
+from ..sync.replica import Replica
 from . import checkpoint as ckpt
 from . import frames as fr
 from .log import (GROUP_BYTES, GROUP_LATENCY_S, SEGMENT_BYTES, CertifiedRun,
@@ -416,54 +416,39 @@ class PageStore:
 
     @staticmethod
     def _set_length(replica: Replica, image_len: int) -> None:
-        image = replica.data
-        if image_len < len(image):
-            if replica.journaled:
-                replica.truncate(image_len)
-            else:
-                del image[image_len:]
-        elif image_len > len(image):
+        if image_len < len(replica.data):
+            replica.truncate(image_len)
+        elif image_len > len(replica.data):
             # Pure zero growth: extended space is accounted
             # algebraically by the next fold, no journaling needed.
-            image.extend(bytes(image_len - len(image)))
+            replica.data.extend(bytes(image_len - len(replica.data)))
 
     def _apply(self, kind: int, volume: str, payload) -> int | None:
         """Apply one (already logged / certified) frame to RAM state.
 
-        A volume with warm signature state takes journaled replica
-        writes, so the next Proposition-3 fold stays exact.  A cold one
-        -- replay before the checkpoint position, or any volume before
-        its first signature request -- has nothing to keep exact and
-        takes plain slice writes and XORs on its image: the same bytes,
-        no journal.  Returns the page index a ``PAGE`` frame wrote,
-        else ``None``.
+        Every write goes through the volume's replica, which journals it
+        while warm signature state exists (so the next Proposition-3
+        fold stays exact) and writes the image directly while cold.
+        Returns the page index a ``PAGE`` frame wrote, else ``None``.
         """
         if kind == fr.KIND_PAGE:
             index, page_size, data = fr.decode_page(payload)
             state = self._materialize(volume, page_size)
-            replica = state.replica
-            image = replica.data
             offset = index * state.page_bytes
+            replica = state.replica
+            replica.write_at(offset, data)
             end = offset + len(data)
-            if replica.journaled:
-                replica.write_at(offset, data)
-            else:
-                if end > len(image):
-                    image.extend(bytes(end - len(image)))
-                image[offset:end] = data
-            if offset + state.page_bytes >= len(image) > end:
+            if (offset + state.page_bytes >= len(replica.data)
+                    and len(replica.data) > end):
                 # A short write to the final page sets the length
                 # (sim-disk semantics).
-                self._set_length(replica, end)
+                replica.truncate(end)
             return index
         if kind == fr.KIND_DELTA:
             image_len, offset, delta = fr.decode_delta(payload)
-            replica = self._materialize(volume, DEFAULT_PAGE_BYTES).replica
-            if replica.journaled:
-                replica.apply_xor(offset, delta)
-            else:
-                xor_into(replica.data, offset, delta)
-            self._set_length(replica, image_len)
+            state = self._materialize(volume, DEFAULT_PAGE_BYTES)
+            state.replica.apply_xor(offset, delta)
+            self._set_length(state.replica, image_len)
         elif kind == fr.KIND_TRUNCATE:
             image_len, page_size = fr.decode_truncate(payload)
             state = self._materialize(volume, page_size)

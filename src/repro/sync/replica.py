@@ -49,19 +49,6 @@ PAGE_REQUEST = "sync_page_request"
 PAGE_DATA = "sync_page_data"
 
 
-def xor_into(image: bytearray, offset: int, delta) -> None:
-    """XOR ``delta`` onto ``image[offset:]``, growing it with zeros
-    first when the patch lands past its end (a mirror patch's or a
-    durable ``DELTA`` frame's byte semantics)."""
-    end = offset + len(delta)
-    if end > len(image):
-        image.extend(bytes(end - len(image)))
-    image[offset:end] = (
-        int.from_bytes(image[offset:end], "little")
-        ^ int.from_bytes(delta, "little")
-    ).to_bytes(len(delta), "little")
-
-
 class Replica:
     """One node's copy of a replicated byte image.
 
@@ -69,8 +56,11 @@ class Replica:
     (and :meth:`signature_tree` a warm tree): from then on, every write
     through :meth:`write_page`, :meth:`apply_xor` or :meth:`truncate` is
     journaled, and the next signature request folds the journal in
-    O(|written bytes|) instead of re-signing the whole image.  Code
-    that mutates :attr:`data` directly must call :meth:`invalidate`.
+    O(|written bytes|) instead of re-signing the whole image.  Before
+    that (a cold replica) the same calls are plain slice writes, XORs
+    and ``del`` on :attr:`data`: there is no warm state to keep exact.
+    Code that mutates :attr:`data` directly must call
+    :meth:`invalidate`.
     """
 
     def __init__(self, name: str, scheme: AlgebraicSignatureScheme,
@@ -164,6 +154,9 @@ class Replica:
             # Grown space is zero-filled, which the incremental fold
             # accounts for algebraically without journaling it.
             self.data.extend(bytes(end - len(self.data)))
+        if self._incremental is None:
+            self.data[offset:end] = content
+            return
         self._record(offset, len(content),
                      lambda: self.data.__setitem__(slice(offset, end), content))
 
@@ -181,14 +174,24 @@ class Replica:
             # A patch landing past the current end grows the image with
             # zeros first; XOR against zeros then writes the content.
             self.data.extend(bytes(end - len(self.data)))
-        self._record(offset, len(delta),
-                     lambda: xor_into(self.data, offset, delta))
+
+        def mutate() -> None:
+            patched = (
+                int.from_bytes(self.data[offset:end], "little")
+                ^ int.from_bytes(delta, "little")
+            ).to_bytes(len(delta), "little")
+            self.data[offset:end] = patched
+
+        self._record(offset, len(delta), mutate)
 
     def truncate(self, new_length: int) -> None:
         """Shrink the image, journaling the zeroing of the dropped tail."""
         if new_length < 0 or new_length > len(self.data):
             raise ReproError(f"cannot truncate to {new_length} bytes")
         if new_length == len(self.data):
+            return
+        if self._incremental is None:
+            del self.data[new_length:]
             return
         tail = len(self.data) - new_length
 
@@ -199,14 +202,6 @@ class Replica:
         # removes the zero run's contribution algebraically.
         self._record(new_length, tail, mutate)
         del self.data[new_length:]
-
-    @property
-    def journaled(self) -> bool:
-        """True while warm signature state is kept, so every write
-        through this replica is journaled for the next fold.  A cold
-        replica's image may be written directly: there is nothing to
-        keep exact."""
-        return self._incremental is not None
 
     def invalidate(self) -> None:
         """Drop warm signature state after an untracked data mutation."""

@@ -117,6 +117,25 @@ class TestDemoGoldens:
         text = json.dumps(document, indent=2, sort_keys=True) + "\n"
         assert text == (self.DATA / "store_demo_golden.json").read_text()
 
+    def test_store_demo_sharded_scan_matches_sequential(self, capsys):
+        # 8 KiB segments give the demo log several segment files, so
+        # two workers take the sharded lane.
+        documents = []
+        for workers, mode in (("1", "sequential"), ("2", "parallel")):
+            assert main(["store", "--json", "--workers", workers,
+                         "--segment-bytes", "8192"]) == 0
+            metrics = json.loads(capsys.readouterr().out)["metrics"]
+            assert metrics["store.scans"] == {f"mode={mode}": 1}
+            # Worker processes sign into their own registries, so the
+            # signing counters, like the lane's own series and the wall
+            # clock, differ by lane.
+            documents.append({
+                name: value for name, value in metrics.items()
+                if not name.startswith("sig.") and name not in (
+                    "store.scans", "store.recovery_workers",
+                    "store.recovery_seconds")})
+        assert documents[0] == documents[1]
+
     def test_locate_demo_matches_golden(self, capsys):
         assert main(["locate", "--json"]) == 0
         assert capsys.readouterr().out \

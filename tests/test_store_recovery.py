@@ -493,6 +493,56 @@ class TestArraySealVerdict:
             # seal, never certify.
             assert not verdict.seal_ok[victim]
 
+    @pytest.mark.parametrize("name", ["gf16-n2", "gf16-twisted"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_n2_rejects_damage_split_between_body_and_seal(self, name,
+                                                           data):
+        from repro.store.recovery import scan_segment
+
+        # One damaged body symbol changes every component, so with
+        # n = 2 one further damaged seal symbol cannot hide it.
+        scheme = VERDICT_SCHEMES[name]
+        payload = data.draw(st.binary(min_size=1, max_size=300),
+                            label="payload")
+        buffer = bytearray(fr.encode(scheme, Frame(KIND_PAGE, 7, "v",
+                                                   payload)))
+        body_end = len(buffer) - scheme.scheme_id.signature_bytes
+        # (Payload bytes: the header stays parseable, so the seal
+        # check is what must reject.)
+        at = data.draw(st.integers(body_end - len(payload), body_end - 1),
+                       label="body_byte")
+        buffer[at] ^= data.draw(st.integers(1, 255), label="body_xor")
+        symbol = data.draw(st.integers(0, scheme.n - 1), label="seal")
+        at = body_end + symbol * 2
+        for i, byte in enumerate(_symbol_xor(data, 2)):
+            buffer[at + i] ^= byte
+        verdict = scan_segment(scheme, bytes(buffer), 3, 0, 0)
+        assert verdict.seal_ok.tolist() == [False]
+
+    def test_gf8_n4_split_damage_is_the_documented_limit(self):
+        """Proposition 1 bounds damage to the body.  With n = 4 over
+        GF(2^8), two body symbols 85 apart damaged by 1 and alpha^170
+        change only components 2 and 3 (alpha^(3*85) = 1), so damaging
+        those two seal symbols to match certifies the frame: four
+        damaged symbols, split between body and seal, can pass."""
+        from repro.store.recovery import scan_segment
+
+        scheme = VERDICT_SCHEMES["gf8-n4"]
+        frame = Frame(KIND_PAGE, 7, "v", bytes(range(120)))
+        buffer = bytearray(fr.encode(scheme, frame))
+        body_end = len(buffer) - scheme.n
+        buffer[30] ^= 1
+        buffer[30 + 85] ^= scheme.field.alpha_power(170)
+        resealed = scheme.sign(bytes(buffer[:body_end]),
+                               strict=False).to_bytes()
+        changed = [i for i in range(scheme.n)
+                   if resealed[i] != buffer[body_end + i]]
+        assert changed == [1, 2]
+        buffer[body_end:] = resealed
+        assert scan_segment(scheme, bytes(buffer), 3, 0, 0
+                            ).seal_ok.tolist() == [True]
+
 
 # ----------------------------------------------------------------------
 # Cold replay == journaled replay
@@ -566,7 +616,8 @@ def _recovered_state(directory, verify: str) -> tuple:
 class TestColdReplay:
     """Frames replayed before the checkpoint (no warm map yet) are plain
     slice writes and XORs on the image; the result must equal replaying
-    every frame through the replica's journaled calls."""
+    every frame into replicas that are warm from birth, so that every
+    write takes the journaled path."""
 
     @pytest.mark.parametrize("verify", ["full", "tail"])
     @pytest.mark.parametrize("rot", [False, True], ids=["clean", "rot"])
@@ -578,9 +629,14 @@ class TestColdReplay:
         assert position % SEGMENT and SegmentedLog(
             tmp_path, SCHEME, segment_bytes=SEGMENT).segment_count > 2
         cold = _recovered_state(tmp_path, verify)
+        born_cold = Replica.__init__
+
+        def born_warm(replica, *args, **kwargs):
+            born_cold(replica, *args, **kwargs)
+            replica.signature_map()
+
         with monkeypatch.context() as patched:
-            patched.setattr(Replica, "journaled",
-                            property(lambda replica: True))
+            patched.setattr(Replica, "__init__", born_warm)
             journaled = _recovered_state(tmp_path, verify)
         assert cold == journaled
         images, maps = cold[0], cold[1]
