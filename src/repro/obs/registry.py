@@ -424,6 +424,17 @@ class MetricsRegistry:
         self._histogram_backends: dict[str, str] = {}
         self._lock = threading.Lock()
 
+    def __getstate__(self) -> dict:
+        """Pickle the series without the lock (a worker process ships
+        its registry back for :meth:`merge_from`)."""
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     # ------------------------------------------------------------------
     # Series accessors
     # ------------------------------------------------------------------

@@ -15,28 +15,19 @@ optimistic signature comparison.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
-from ..errors import DuplicateKeyError, KeyNotFoundError, SDDSError
+from ..errors import DuplicateKeyError, KeyNotFoundError
 from ..obs import get_registry, span_if_active
 from ..sig.algebra import apply_update
-from ..sig.incremental import IncrementalSignatureMap, aligned_span
+from ..sig.incremental import aligned_span
 from ..sig.rolling import find_signature_matches
 from ..gf.vectorized import all_window_signatures as _window_sigs
-from ..sig.compound import SignatureMap
 from ..sig.scheme import AlgebraicSignatureScheme
 from ..sig.signature import Signature
 from .bucket import Bucket
 from .record import Record
-
-if TYPE_CHECKING:
-    from ..store.pagestore import PageStore
-
-#: Durable index-blob entry: key, heap offset, extent length.
-_INDEX_ENTRY = struct.Struct("<IQI")
 
 
 class UpdateOutcome(Enum):
@@ -80,10 +71,6 @@ class SDDSServer:
         #: computations moved entirely to the clients).
         self.store_signatures = store_signatures
         self._stored_sigs: dict[int, Signature] = {}
-        self._live_map: IncrementalSignatureMap | None = None
-        self._durable_store: "PageStore | None" = None
-        self._durable_volume = ""
-        self._durable_index_prev = b""
         self.stats = ServerStats()
 
     @property
@@ -117,7 +104,6 @@ class SDDSServer:
                 if stored_signature is None:
                     stored_signature = self._compute_signature(record.value)
                 self._stored_sigs[record.key] = stored_signature
-            self._sync_durable_index()
             return True
 
     def delete(self, key: int) -> Record | None:
@@ -129,7 +115,6 @@ class SDDSServer:
             except KeyNotFoundError:
                 return None
             self._stored_sigs.pop(key, None)
-            self._sync_durable_index()
             return record
 
     # ------------------------------------------------------------------
@@ -196,7 +181,6 @@ class SDDSServer:
             self.stats.updates_applied += 1
             get_registry().counter("sdds.server.updates",
                                    outcome="applied").inc()
-            self._sync_durable_index()
             return UpdateOutcome.APPLIED
 
     def _updated_signature(self, current: Signature, before_value: bytes,
@@ -227,188 +211,6 @@ class SDDSServer:
         get_registry().counter("sdds.server.delta_updates").inc()
         return apply_update(self.scheme, current, before_value[lo:hi],
                             after_value[lo:hi], lo // symbol_bytes)
-
-    # ------------------------------------------------------------------
-    # Live bucket signature map (incremental plane over the record heap)
-    # ------------------------------------------------------------------
-
-    def enable_live_map(self, page_bytes: int = 4096) -> None:
-        """Keep a warm signature map of the bucket's heap image.
-
-        Seeds the map with one full batched scan, then registers a
-        capture listener on the record heap so every subsequent insert,
-        update, delete and free lands in a write journal.  After that,
-        :meth:`live_map` costs O(journaled bytes), never O(bucket) --
-        the server-side backup/scan consumers read the map without
-        triggering rescans.
-        """
-        symbol_bytes = self.scheme.scheme_id.symbol_bytes
-        if page_bytes <= 0 or page_bytes % symbol_bytes:
-            raise SDDSError(
-                f"live-map page size {page_bytes} must be a positive "
-                f"multiple of the {symbol_bytes}-byte symbol width"
-            )
-        if self._live_map is not None:
-            raise SDDSError("live map already enabled for this server")
-        heap = self.bucket.heap
-        self._live_map = IncrementalSignatureMap.from_data(
-            self.scheme, bytes(heap.image), page_bytes // symbol_bytes
-        )
-        heap.add_capture_listener(self._live_map.journal.record,
-                                  align=symbol_bytes)
-
-    def live_map(self) -> SignatureMap:
-        """The bucket heap's signature map, folded up to date.
-
-        Requires a prior :meth:`enable_live_map`.  Pending journaled
-        writes are folded in one batched Proposition-3 pass; the result
-        is byte-identical to ``SignatureMap.compute`` over the heap
-        image.
-        """
-        if self._live_map is None:
-            raise SDDSError(
-                f"server {self.server_id} has no live map; call "
-                "enable_live_map() first"
-            )
-        live = self._live_map
-        if live.journal or live.total_bytes != self.bucket.heap.size:
-            live.apply_journal(live.journal,
-                               total_bytes=self.bucket.heap.size)
-        return live.map
-
-    # ------------------------------------------------------------------
-    # Durability (PR 5): sealed local log of the bucket heap + index
-    # ------------------------------------------------------------------
-
-    def enable_durability(self, store: "PageStore",
-                          volume: str | None = None,
-                          page_bytes: int = 4096) -> None:
-        """Append every bucket mutation to a sealed durable page store.
-
-        The record heap rides a capture listener: each journaled heap
-        write becomes one ``DELTA`` frame (``before XOR after`` only),
-        exactly the PR-4 incremental plane made durable.  The key index
-        is persisted as a companion volume (``<volume>.index``) updated
-        by diffed extents after every ``insert`` / ``delete`` /
-        ``conditional_update``.  Mutations applied directly to
-        ``server.bucket`` bypass the index hook; call
-        :meth:`sync_durable_index` afterwards when doing that.
-        """
-        symbol_bytes = self.scheme.scheme_id.symbol_bytes
-        if page_bytes <= 0 or page_bytes % symbol_bytes:
-            raise SDDSError(
-                f"durable page size {page_bytes} must be a positive "
-                f"multiple of the {symbol_bytes}-byte symbol width"
-            )
-        if self._durable_store is not None:
-            raise SDDSError("durability already enabled for this server")
-        self._durable_store = store
-        self._durable_volume = volume if volume is not None \
-            else f"{self.name}.heap"
-        heap = self.bucket.heap
-        store.write_image(self._durable_volume, bytes(heap.image),
-                          page_bytes)
-        store.ensure_volume(self._durable_index_volume, page_bytes)
-        heap.add_capture_listener(self._durable_capture, align=symbol_bytes)
-        self._durable_index_prev = b""
-        self.sync_durable_index()
-
-    @property
-    def _durable_index_volume(self) -> str:
-        return self._durable_volume + ".index"
-
-    def _durable_capture(self, offset: int, before, after) -> None:
-        """Heap capture listener: one sealed DELTA frame per write."""
-        self._durable_store.record_extent(
-            self._durable_volume, offset, bytes(before), bytes(after),
-            self.bucket.heap.size,
-        )
-
-    def _durable_index_blob(self) -> bytes:
-        """The key index as a flat blob: count | (key, offset, length)*."""
-        parts = [b""]
-        count = 0
-        for key, (offset, length) in self.bucket.index.items():
-            parts.append(_INDEX_ENTRY.pack(key, offset, length))
-            count += 1
-        parts[0] = count.to_bytes(4, "little")
-        return b"".join(parts)
-
-    def sync_durable_index(self) -> None:
-        """Persist the index volume (diffed: only changed extents log)."""
-        if self._durable_store is None:
-            return
-        blob = self._durable_index_blob()
-        previous = self._durable_index_prev
-        if blob == previous:
-            return
-        span = max(len(blob), len(previous))
-        first = next(i for i in range(span)
-                     if previous[i:i + 1] != blob[i:i + 1])
-        last = next(i for i in range(span - 1, -1, -1)
-                    if previous[i:i + 1] != blob[i:i + 1])
-        lo, hi = aligned_span(first, last - first + 1,
-                              self.scheme.scheme_id.symbol_bytes)
-        hi = min(hi, span)
-        self._durable_store.record_extent(
-            self._durable_index_volume, lo, previous[lo:hi], blob[lo:hi],
-            len(blob),
-        )
-        self._durable_index_prev = blob
-
-    def _sync_durable_index(self) -> None:
-        if self._durable_store is not None:
-            self.sync_durable_index()
-
-    @classmethod
-    def recover_durable(cls, server_id: int,
-                        scheme: AlgebraicSignatureScheme,
-                        store: "PageStore", volume: str | None = None,
-                        capacity_records: int = 256,
-                        store_signatures: bool = False,
-                        btree_degree: int = 16) -> "SDDSServer":
-        """Rebuild a server's records from a *recovered* page store.
-
-        Reads the heap image and index blob volumes and re-inserts
-        every record in key order.  The rebuilt heap is compacted (its
-        internal layout is not preserved), so continuing durably means
-        calling :meth:`enable_durability` against a fresh store.
-        """
-        from ..errors import StoreError
-
-        heap_volume = volume if volume is not None else f"server{server_id}.heap"
-        index_volume = heap_volume + ".index"
-        if heap_volume not in store.volumes() \
-                or index_volume not in store.volumes():
-            raise StoreError(
-                f"store holds no durable volumes for server {server_id}"
-            )
-        image = store.image(heap_volume)
-        blob = store.image(index_volume)
-        if len(blob) < 4:
-            raise StoreError("durable index blob is truncated")
-        count = int.from_bytes(blob[:4], "little")
-        server = cls(server_id, scheme, capacity_records=capacity_records,
-                     store_signatures=store_signatures,
-                     btree_degree=btree_degree)
-        position = 4
-        for _ in range(count):
-            if position + _INDEX_ENTRY.size > len(blob):
-                raise StoreError("durable index blob is truncated")
-            key, offset, length = _INDEX_ENTRY.unpack_from(blob, position)
-            position += _INDEX_ENTRY.size
-            if offset + length > len(image):
-                raise StoreError(
-                    f"record {key} extends past the recovered heap image"
-                )
-            record = Record.from_bytes(image[offset:offset + length])
-            if record.key != key:
-                raise StoreError(
-                    f"recovered record key {record.key} does not match "
-                    f"index key {key}"
-                )
-            server.insert(record)
-        return server
 
     # ------------------------------------------------------------------
     # Scan (Section 2.3, server side)

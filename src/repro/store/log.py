@@ -15,10 +15,11 @@ signing engine, and classifies every byte of the log as
 * part of a **corrupt region** -- a frame whose seal fails (bit rot:
   detected with certainty for <= n corrupted symbols, Proposition 1)
   or bytes where no frame parses, with valid frames following, or
-* the **torn tail**: everything after the last valid frame.  A torn
+* the **torn tail**: everything after the last whole frame.  A torn
   write is indistinguishable from deliberate trailing garbage, so
-  recovery truncates it -- the durable state is exactly the longest
-  certified prefix.
+  recovery truncates it.  A tear leaves a prefix of the last write, so
+  a whole frame failing its seal after the last valid one was written
+  in full and then rotted: it is a corrupt region, not torn.
 
 After in-region corruption the scanner *resyncs* by searching for the
 next offset where a structurally valid frame begins; stale bytes that
@@ -139,7 +140,7 @@ class ScanResult:
 
     @property
     def certified_end(self) -> int:
-        """End of the longest certified prefix (= torn-tail start)."""
+        """End of the last whole frame (= torn-tail start)."""
         return self.torn_start if self.torn_start is not None \
             else self.total_bytes
 

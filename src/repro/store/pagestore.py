@@ -18,8 +18,8 @@ applied to crash consistency:
    signature map + tree and the log position they describe;
 2. scan the log, batch-verifying every frame seal (Proposition 1
    certifies each frame against <= n corrupted symbols); truncate the
-   torn tail after the last valid frame -- the durable state is
-   exactly the **longest certified prefix**;
+   torn tail after the last whole frame -- the durable state is
+   exactly the **certified frames**, rejected whole frames condemned;
 3. replay pre-checkpoint frames into the images *without* signature
    work, seed the checkpointed map/tree, and **fold** only the
    post-checkpoint tail through
@@ -337,9 +337,9 @@ class PageStore:
         """Durably log one journaled write as a ``DELTA`` frame.
 
         ``before``/``after`` are the region's content around the write
-        (as a :class:`~repro.sdds.heap.RecordHeap` capture listener or
-        the cluster node's slot writes produce); only their XOR travels
-        to disk.  ``image_len`` is the volume's length after the write.
+        (as the cluster node's slot writes or a caller's own image edits
+        produce); only their XOR travels to disk.  ``image_len`` is the
+        volume's length after the write.
         Returns the frame's log offset (``None`` for an empty region).
         A one-region :meth:`record_extents`.
         """

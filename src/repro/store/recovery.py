@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import StoreError
-from ..obs import get_registry, span_if_active
+from ..obs import MetricsRegistry, get_registry, span_if_active, use_registry
 from ..sig.arena import PageArena
 from ..sig.engine import get_batch_signer
 from ..sig.parallel import (_cached_scheme, _discard_pool, get_pool,
@@ -181,16 +181,23 @@ def _scan_attached(scheme, buf, offset: int, length: int, index: int,
     return scan_segment(scheme, view, index, base, trusted_bytes)
 
 
-def _worker_scan(task) -> SegmentVerdict:
-    """Pool entry point: attach by name, scan one segment, detach."""
+def _worker_scan(task) -> tuple[SegmentVerdict, MetricsRegistry]:
+    """Pool entry point: attach by name, scan one segment, detach.
+
+    The scan runs under a fresh registry that travels back with the
+    verdict, so the parent can fold the worker's signing counters into
+    its own and a sharded scan reports what a sequential one does.
+    """
     name, spec, offset, length, index, base, trusted_bytes = task
     from multiprocessing import shared_memory
 
     scheme = _cached_scheme(spec)
     shm = shared_memory.SharedMemory(name=name)
     try:
-        return _scan_attached(scheme, shm.buf, offset, length, index,
-                              base, trusted_bytes)
+        with use_registry(MetricsRegistry()) as registry:
+            verdict = _scan_attached(scheme, shm.buf, offset, length,
+                                     index, base, trusted_bytes)
+        return verdict, registry
     finally:
         shm.close()
 
@@ -209,12 +216,14 @@ class _Stitcher:
     frames while later segments are still being verified.
     """
 
-    __slots__ = ("runs", "corrupt", "last_seq", "on_frames")
+    __slots__ = ("runs", "corrupt", "last_seq", "whole_end", "on_frames")
 
     def __init__(self, on_frames=None):
         self.runs: list[CertifiedRun] = []
         self.corrupt: list[CorruptRegion] = []
         self.last_seq = -1
+        #: End of the last structurally whole frame, certified or not.
+        self.whole_end = 0
         self.on_frames = on_frames
 
     def fold(self, verdict: SegmentVerdict, view: memoryview) -> None:
@@ -225,6 +234,7 @@ class _Stitcher:
         table, seal_ok = verdict.frames, verdict.seal_ok
         if not len(table):
             return
+        self.whole_end = int(table.end[-1])
         certified = _certify(table.seq, seal_ok, self.last_seq)
         for row in np.flatnonzero(~certified).tolist():
             self.corrupt.append(CorruptRegion(
@@ -241,10 +251,15 @@ class _Stitcher:
                 self.on_frames(run)
 
     def result(self, total_bytes: int) -> ScanResult:
-        """Seal the fold: torn tail after the last certified frame."""
-        certified_end = int(self.runs[-1].frames.end[-1]) \
-            if self.runs else 0
-        torn_start = certified_end if certified_end < total_bytes else None
+        """Seal the fold: torn tail after the last whole frame.
+
+        A tear leaves a prefix of the last write, so a frame whose
+        whole extent is on disk was written in full: one failing its
+        seal after the last certified frame is rot, kept as a corrupt
+        region for condemnation, never dropped as torn.
+        """
+        torn_start = self.whole_end if self.whole_end < total_bytes \
+            else None
         regions = self.corrupt
         if torn_start is not None:
             regions = [r for r in regions if r.start < torn_start]
@@ -323,11 +338,9 @@ def _parallel_scan(log, trusted_bytes: int, workers: int,
             ))
             base += size
             while pending and pending[0][0].done():
-                future, done_view = pending.popleft()
-                stitcher.fold(future.result(), done_view.memoryview())
+                _fold_done(stitcher, *pending.popleft())
         while pending:
-            future, done_view = pending.popleft()
-            stitcher.fold(future.result(), done_view.memoryview())
+            _fold_done(stitcher, *pending.popleft())
     except BrokenProcessPool:
         _discard_pool(workers, pool)
         arena.close()
@@ -336,6 +349,13 @@ def _parallel_scan(log, trusted_bytes: int, workers: int,
         arena.close()
         raise
     arena.unlink()
+
+
+def _fold_done(stitcher: _Stitcher, future, view) -> None:
+    """Fold a finished worker's verdict and metrics into the parent's."""
+    verdict, metrics = future.result()
+    get_registry().merge_from(metrics)
+    stitcher.fold(verdict, view.memoryview())
 
 
 def scan_log(log, trusted_bytes: int = 0,

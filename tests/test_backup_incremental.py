@@ -4,8 +4,8 @@ Covers the PR 4 integration surface: ``BackupEngine.backup_incremental``
 (journal fold, quiet passes, the dirty-extent full-re-sign fallback,
 warm trees), warm :class:`~repro.sync.Replica` state across every
 mutator, map/tree sync with warm endpoints, the SDDS server's O(|delta|)
-stored-signature updates and live bucket map, and the cluster's sealed
-mirror delta frames under corruption.
+stored-signature updates, and the cluster's sealed mirror delta frames
+under corruption.
 """
 
 import numpy as np
@@ -53,8 +53,9 @@ class TestBackupIncremental:
         engine.backup_incremental("vol", bucket.image, journal)
 
         for key in (3, 17, 41):
-            bucket.update(key, bytes(48))
-        bucket.delete(9)
+            bucket.update(key, bytes(48))       # same length: in place
+        bucket.update(22, b"y" * 21)            # size change: free + move
+        bucket.delete(9)                        # free zeroes the extent
         bucket.insert(Record(90, b"x" * 48))
         report = engine.backup_incremental("vol", bucket.image, journal)
         assert report.pages_written < report.pages_total
@@ -214,23 +215,6 @@ class TestServerDeltaUpdates:
         assert server.stats.delta_updates == 0
         assert server._stored_sigs[1] == \
             scheme16.sign(b"a much longer value", strict=False)
-
-    def test_live_map_tracks_the_bucket_image(self, scheme16):
-        server = SDDSServer(0, scheme16, store_signatures=True)
-        server.enable_live_map(page_bytes=128)
-        rng = np.random.default_rng(41)
-        for key in range(30):
-            server.insert(Record(key, rng.integers(
-                0, 256, size=40, dtype=np.uint8).tobytes()))
-        for key in (2, 11, 28):
-            sig = scheme16.sign(server.search(key).value, strict=False)
-            assert server.conditional_update(
-                key, bytes(40), sig) is UpdateOutcome.APPLIED
-        server.delete(15)
-        live = server.live_map()
-        expected = SignatureMap.compute(
-            scheme16, bytes(server.bucket.heap.image), 64)
-        assert live.signatures == expected.signatures
 
 
 class TestClusterDeltaFrames:

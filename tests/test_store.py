@@ -27,7 +27,6 @@ from repro.backup import BackupEngine
 from repro.cluster import Cluster, Crash, FaultPlan, NodeState, RetryPolicy
 from repro.errors import BackupError, StoreError
 from repro.obs import MetricsRegistry, use_registry
-from repro.sdds import Record, SDDSServer
 from repro.sig import SignatureMap, get_batch_signer, make_scheme
 from repro.store import (
     KIND_DELTA,
@@ -705,46 +704,3 @@ class TestDurableCluster:
         client = cluster.client()
         for key in range(12):
             assert client.search(key).status == "found"
-
-
-# ----------------------------------------------------------------------
-# Consumers: durable SDDS server
-# ----------------------------------------------------------------------
-
-class TestDurableServer:
-    def test_mutations_survive_crash_and_certified_recovery(self, tmp_path):
-        store = PageStore(SCHEME, tmp_path / "srv", checkpoint_every=16)
-        server = SDDSServer(0, SCHEME, capacity_records=64)
-        server.enable_durability(store, page_bytes=PAGE_BYTES)
-        for key in range(30):
-            assert server.insert(Record(key, f"payload-{key:04d}".encode()))
-        outcome = server.conditional_update(5, b"updated-0005",
-                                            SCHEME.sign(b"payload-0005"))
-        assert outcome.name == "APPLIED"
-        server.delete(3)
-        expected = {record.key: record.value
-                    for record in server.bucket.records()}
-        store.close()                                  # crash
-
-        recovered, report = PageStore.recover(SCHEME, tmp_path / "srv")
-        assert report.clean and report.used_checkpoint
-        rebuilt = SDDSServer.recover_durable(0, SCHEME, recovered,
-                                             capacity_records=64)
-        assert {record.key: record.value
-                for record in rebuilt.bucket.records()} == expected
-        for name in recovered.volumes():
-            assert_map_matches(recovered, name, recovered.image(name))
-        recovered.close()
-
-    def test_durable_volumes_track_the_live_heap(self, tmp_path):
-        store = PageStore(SCHEME, tmp_path / "srv")
-        server = SDDSServer(0, SCHEME, capacity_records=32)
-        server.enable_durability(store, page_bytes=PAGE_BYTES)
-        for key in range(10):
-            server.insert(Record(key, bytes([key]) * 20))
-        heap_volume = f"{server.name}.heap"
-        assert store.image(heap_volume) == bytes(server.bucket.heap.image)
-        assert_map_matches(store, heap_volume, store.image(heap_volume))
-        with pytest.raises(Exception):
-            server.enable_durability(store)            # double enable
-        store.close()

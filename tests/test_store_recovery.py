@@ -193,6 +193,24 @@ class TestParallelScanExactness:
         # The trusted frame is still structurally parsed and returned.
         assert any(f[0] == inside.start for f in frames)
 
+    def test_whole_frame_failing_its_seal_at_the_tail_is_rot(self, tmp_path):
+        # A tear leaves a prefix of the last write, so a whole frame
+        # with a bad seal after the last certified one was rotted, not
+        # torn: it is reported corrupt (to be condemned), never dropped.
+        for rot_last, directory in ((True, "last"), (False, "before_tear")):
+            log = _multi_segment_log(tmp_path / directory)
+            scan = log.scan()
+            rotted = scan.frames[-1 if rot_last else -2]
+            log.corrupt_bytes(rotted.start + 40, b"\x55")
+            if not rot_last:
+                log.crash_cut(scan.frames[-1].start + 7)
+            frames, corrupt, torn, _total = \
+                assert_parallel_equals_sequential(log)
+            assert torn == (None if rot_last else scan.frames[-1].start)
+            assert len(frames) == (23 if rot_last else 22)
+            assert [r[:3] for r in corrupt] == [
+                (rotted.start, rotted.end, "seal")]
+
     def test_explicit_workers_beyond_segments_still_exact(self, tmp_path):
         log = _multi_segment_log(tmp_path)
         reference = _fingerprint(log.scan(verify_workers=1))
@@ -328,6 +346,26 @@ class TestParallelRecover:
                 store.close()
         assert outcomes[1] == outcomes[3]
         assert outcomes[1][0] == image
+
+    def test_sharded_recover_reports_sequential_signing_counters(
+            self, tmp_path):
+        # Workers sign the seals in their own processes; their counters
+        # must land in the caller's registry, label for label.
+        _churned_store(tmp_path / "store")
+        counters = {}
+        for workers in (1, 2):
+            with use_registry(MetricsRegistry()) as registry:
+                store, _report = PageStore.recover(
+                    SCHEME, tmp_path / "store", segment_bytes=SEGMENT,
+                    verify_workers=workers)
+                store.close()
+                assert registry.total("store.scans", mode="parallel") \
+                    == (workers > 1)
+                snapshot = registry.snapshot()
+            counters[workers] = {name: snapshot[name] for name in (
+                "sig.sign_calls", "sig.bytes_signed")}
+        assert counters[1] == counters[2]
+        assert sum(counters[1]["sig.sign_calls"].values()) > 0
 
     def test_group_flush_store_recovers_with_workers(self, tmp_path):
         image = _churned_store(tmp_path / "store", flush="group")
