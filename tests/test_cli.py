@@ -103,8 +103,10 @@ class TestDemoGoldens:
     Recovery's certification scan and replay may be restructured for
     speed, but the certified state, the condemned pages and every
     counter they emit must not move: these goldens pin the ``store``
-    demo (crash, rot, certified recovery, verified patch) and the
-    ``locate`` demo (group-testing localization).
+    demo (crash, rot, certified recovery, verified patch), the
+    ``locate`` demo (group-testing localization), the ``cluster`` demo
+    (fault-injected nodes, a crash and its recovery) and the ``serve``
+    demo (the serving plane's sweep with live splits).
     """
 
     DATA = pathlib.Path(__file__).parent / "data"
@@ -140,3 +142,13 @@ class TestDemoGoldens:
         assert main(["locate", "--json"]) == 0
         assert capsys.readouterr().out \
             == (self.DATA / "locate_golden.json").read_text()
+
+    def test_cluster_demo_matches_golden(self, capsys):
+        assert main(["cluster", "--json"]) == 0
+        assert capsys.readouterr().out \
+            == (self.DATA / "cluster_demo_golden.json").read_text()
+
+    def test_serve_demo_matches_golden(self, capsys):
+        assert main(["serve", "--json", "--seed", "7"]) == 0
+        assert capsys.readouterr().out \
+            == (self.DATA / "serve_demo_golden.json").read_text()
