@@ -7,8 +7,8 @@ Section 6 applications this reproduction implements beyond the paper:
 * signature-cheap bucket eviction ([LSS02], Section 6.2).
 """
 
-from repro.backup import BackupEngine, EvictionManager, serialize_bucket
-from repro.sdds import Bucket, CachedClient, LHFile, Record
+from repro.backup import BackupEngine, EvictionManager
+from repro.sdds import Bucket, CachedClient, LHFile, Record, serialize_bucket
 from repro.sig import make_scheme
 from repro.sim import SimDisk
 from repro.workloads import make_page, make_records

@@ -8,12 +8,7 @@
 """
 
 from .dirty_bits import DirtyBitTracker
-from .eviction import (
-    EvictionManager,
-    EvictionStats,
-    deserialize_bucket,
-    serialize_bucket,
-)
+from .eviction import EvictionManager, EvictionStats
 from .engine import (
     PAPER_SIG_SECONDS_PER_BYTE,
     BackupEngine,
@@ -32,8 +27,6 @@ __all__ = [
     "PAPER_SIG_SECONDS_PER_BYTE",
     "EvictionManager",
     "EvictionStats",
-    "serialize_bucket",
-    "deserialize_bucket",
     "FileBackupOrchestrator",
     "FileBackupReport",
 ]

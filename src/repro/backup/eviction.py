@@ -6,10 +6,11 @@ all the files simultaneously."
 
 :class:`EvictionManager` keeps a set of buckets under a RAM budget.
 When the budget is exceeded, least-recently-used buckets are *evicted*:
-their canonical serialization goes to disk through the signature-map
-backup engine -- so re-evicting a bucket whose content barely changed
-since its last eviction writes only the changed pages -- and the RAM
-copy is dropped.  Accessing an evicted bucket restores it from disk.
+their canonical slot image (:func:`repro.sdds.image.serialize_bucket`)
+goes to disk through the signature-map backup engine -- so re-evicting
+a bucket whose content barely changed since its last eviction writes
+only the changed pages -- and the RAM copy is dropped.  Accessing an
+evicted bucket restores it from disk.
 """
 
 from __future__ import annotations
@@ -18,42 +19,8 @@ from dataclasses import dataclass, field
 
 from ..errors import BackupError
 from ..sdds.bucket import Bucket
-from ..sdds.record import Record
+from ..sdds.image import serialize_bucket
 from .engine import BackupEngine
-
-
-def serialize_bucket(bucket: Bucket) -> bytes:
-    """Canonical bucket image: records in key order, length-prefixed.
-
-    Deterministic for a given record set, so unchanged buckets serialize
-    to identical bytes and their page signatures match the disk map.
-    """
-    parts = [len(bucket).to_bytes(4, "little")]
-    for record in bucket.records():
-        payload = record.to_bytes()
-        parts.append(len(payload).to_bytes(4, "little"))
-        parts.append(payload)
-    return b"".join(parts)
-
-
-def deserialize_bucket(data: bytes, bucket_id: int,
-                       capacity_records: int = 1 << 30) -> Bucket:
-    """Rebuild a bucket from :func:`serialize_bucket` output."""
-    if len(data) < 4:
-        raise BackupError("truncated bucket image")
-    count = int.from_bytes(data[0:4], "little")
-    bucket = Bucket(bucket_id, capacity_records=capacity_records)
-    offset = 4
-    for _ in range(count):
-        if offset + 4 > len(data):
-            raise BackupError("truncated bucket image record header")
-        length = int.from_bytes(data[offset:offset + 4], "little")
-        offset += 4
-        if offset + length > len(data):
-            raise BackupError("truncated bucket image record body")
-        bucket.insert(Record.from_bytes(data[offset:offset + length]))
-        offset += length
-    return bucket
 
 
 @dataclass
@@ -140,8 +107,8 @@ class EvictionManager:
             self.evict(victim)
 
     def _restore(self, bucket_id: int) -> Bucket:
-        image = self.engine.restore(self._volume(bucket_id))
-        return deserialize_bucket(image, bucket_id)
+        return Bucket.from_image(bucket_id,
+                                 self.engine.restore(self._volume(bucket_id)))
 
     def _volume(self, bucket_id: int) -> str:
         return f"evicted-bucket-{bucket_id}"

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 from ..errors import BackupError
 from ..obs import get_registry
+from ..sdds.bucket import Bucket
 from ..sdds.file import LHFile
+from ..sdds.image import serialize_bucket
 from .engine import BackupEngine, BackupReport
-from .eviction import deserialize_bucket, serialize_bucket
 
 #: Volume name of the metadata blob for a file label.
 _META_SUFFIX = ".meta"
@@ -98,9 +99,8 @@ class FileBackupOrchestrator:
         for server in file.servers:
             image = self.engine.restore(self._bucket_volume(label,
                                                             server.server_id))
-            restored = deserialize_bucket(image, server.server_id,
-                                          capacity_records=capacity_records)
-            server.bucket = restored
+            server.adopt_bucket(Bucket.from_image(
+                server.server_id, image, capacity_records=capacity_records))
             server.bucket.level = bucket_levels[server.server_id]
         file.check_placement()
         return file

@@ -15,7 +15,7 @@ the paper assigns them.
 from .events import EventError, EventLoop, Timer
 from .faults import Crash, FaultPlan, LinkFaults, Partition
 from .network import FaultyNetwork
-from .node import ClusterNode, NodeState, deserialize_bucket, serialize_bucket
+from .node import ClusterNode, NodeState
 from .retry import OpBudget, RetryExhaustedError, RetryPolicy
 from .runtime import Cluster, ClusterClient, ClusterError, ClusterResult
 
@@ -33,8 +33,6 @@ __all__ = [
     "RetryExhaustedError",
     "ClusterNode",
     "NodeState",
-    "serialize_bucket",
-    "deserialize_bucket",
     "Cluster",
     "ClusterClient",
     "ClusterError",

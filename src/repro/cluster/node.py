@@ -3,22 +3,24 @@
 A :class:`ClusterNode` owns three things:
 
 * an :class:`~repro.sdds.server.SDDSServer` bucket holding the records
-  whose keys hash to it -- the primary copy clients talk to;
-* a page-image :class:`~repro.sync.Replica` of that bucket in the *slot
-  layout* (below): each record sits in its own slot, written once and
-  never moved by other records' mutations, so a mutation dirties only
-  the slot it wrote -- the paper's page backup (Section 3) then rewrites
-  only those pages.  Each mutation's slot writes are logged and shipped
-  *best effort* to the next node's hosted mirror as one sealed patch --
-  lost or corrupted mirror updates are exactly the divergence the
-  anti-entropy pass later detects and repairs by signature;
+  whose keys hash to it -- the primary copy clients talk to.  Its heap
+  holds the SDDS slot layout (:mod:`repro.sdds.image`): each record
+  sits in its own slot, written once and never moved by other records'
+  mutations, so a mutation dirties only the slots it wrote -- the
+  paper's page backup (Section 3) then rewrites only those pages;
+* a page-image :class:`~repro.sync.Replica` of that heap up to its
+  high-water mark.  The node passes the heap's write notifications of
+  each mutation to :meth:`ClusterNode.refresh_image`, which applies
+  them to the replica, logs them and ships them *best effort* to the
+  next node's hosted mirror as one sealed patch -- lost or corrupted
+  mirror updates are exactly the divergence the anti-entropy pass
+  later detects and repairs by signature;
 * the **hosted mirror**: the previous node's bucket image, kept so a
   crashed neighbour's state survives somewhere.
 
-The slot layout: an 8-byte nonzero format tag at offset 0, then slots of
-``header(value_len | LIVE, key) || value`` zero-padded to 8 bytes.  Free
-space is all zero and a live header never is, so one scan in offset
-order recovers every record; the image ends at the high-water mark.
+The node holds no allocator or slot table of its own: the bucket
+places the slots, and a recovered image becomes the bucket with
+:meth:`repro.sdds.bucket.Bucket.from_image`.
 
 The node lifecycle is ``UP -> CRASHED -> RECOVERING -> UP``: a crash
 wipes every volatile structure (bucket, image, mirror, reply cache
@@ -35,8 +37,6 @@ its flight-recorder frames.
 
 from __future__ import annotations
 
-import struct
-from bisect import bisect_left
 from contextlib import contextmanager
 from enum import Enum
 
@@ -44,6 +44,8 @@ from pathlib import Path
 
 from ..obs import activate, get_registry, span_if_active
 from ..obs.trace import TraceContext
+from ..sdds.bucket import Bucket
+from ..sdds.image import IMAGE_TAG
 from ..sdds.record import Record
 from ..sdds.server import SDDSServer
 from ..serve.frontend import RequestFrontEnd
@@ -60,14 +62,6 @@ from ..store.pagestore import PageStore
 from ..sync import Replica
 from . import wire
 
-#: Bucket-image format tag at offset 0.  Nonzero, so an image is never
-#: empty, and distinct from any other layout's first word, so an image
-#: in another layout is refused rather than misread.
-IMAGE_TAG = b"SDDSLOT1"
-_SLOT_HEADER = struct.Struct("<II")  # value length | _LIVE, key
-_LIVE = 1 << 31
-_ALIGN = 8
-
 #: Message kinds on the cluster wire (TrafficStats / net.* categories).
 REQUEST_KINDS = {wire.OP_INSERT: "c_insert", wire.OP_SEARCH: "c_search",
                  wire.OP_UPDATE: "c_update", wire.OP_DELETE: "c_delete"}
@@ -83,72 +77,6 @@ class NodeState(Enum):
     RECOVERING = "recovering"
 
 
-def _slot_size(value_len: int) -> int:
-    """Bytes a slot holding a ``value_len``-byte value occupies."""
-    return -(-(_SLOT_HEADER.size + value_len) // _ALIGN) * _ALIGN
-
-
-def _slot_bytes(key: int, value: bytes) -> bytes:
-    """One live slot: header, value, zero padding."""
-    return _SLOT_HEADER.pack(len(value) | _LIVE, key) + value.ljust(
-        _slot_size(len(value)) - _SLOT_HEADER.size, b"\x00")
-
-
-def serialize_bucket(server: SDDSServer) -> bytes:
-    """The canonical slot image: the tag, then slots sorted by key, packed."""
-    bucket = server.bucket
-    return IMAGE_TAG + b"".join(_slot_bytes(key, bucket.get(key).value)
-                                for key in sorted(bucket.keys()))
-
-
-def _scan_slots(image: bytes | bytearray) -> list[tuple[int, Record]]:
-    """Every live slot of a slot image as ``(offset, record)``, in order.
-
-    Raises :class:`~repro.cluster.wire.WireError` on a missing or
-    unknown tag, an unaligned length, a truncated slot, a nonzero free
-    word or padding byte, free space past the last slot, or a key that
-    appears twice.
-    """
-    if bytes(image[:len(IMAGE_TAG)]) != IMAGE_TAG:
-        raise wire.WireError("missing or unknown bucket image tag")
-    end = len(image)
-    if end % _ALIGN:
-        raise wire.WireError(f"bucket image length {end} is not aligned")
-    slots: list[tuple[int, Record]] = []
-    seen: set[int] = set()
-    offset = last_end = len(IMAGE_TAG)
-    while offset < end:
-        word, key = _SLOT_HEADER.unpack_from(image, offset)
-        if not word & _LIVE:
-            if word or key:
-                raise wire.WireError(f"nonzero free word at {offset}")
-            offset += _ALIGN
-            continue
-        value_end = offset + _SLOT_HEADER.size + (word ^ _LIVE)
-        last_end = offset + _slot_size(word ^ _LIVE)
-        if last_end > end:
-            raise wire.WireError(f"truncated slot at {offset}")
-        if any(image[value_end:last_end]):
-            raise wire.WireError(f"nonzero padding in the slot at {offset}")
-        if key in seen:
-            raise wire.WireError(f"key {key} appears twice")
-        seen.add(key)
-        slots.append((offset, Record(key, bytes(
-            image[offset + _SLOT_HEADER.size:value_end]))))
-        offset = last_end
-    if last_end != end:
-        raise wire.WireError("free space past the last slot")
-    return slots
-
-
-def deserialize_bucket(image: bytes | bytearray) -> list[Record]:
-    """The records of a slot image (holes allowed), in offset order.
-
-    Raises :class:`~repro.cluster.wire.WireError` on a malformed image.
-    """
-    return [record for _offset, record in _scan_slots(image)]
-
-
 class ClusterNode(RequestFrontEnd):
     """One server node of the fault-injected cluster."""
 
@@ -162,12 +90,10 @@ class ClusterNode(RequestFrontEnd):
         self.scheme = scheme
         self.page_bytes = page_bytes
         self.state = NodeState.UP
-        self.server = SDDSServer(index, scheme, capacity_records=1 << 20,
-                                 store_signatures=True)
         # Inline service: each request executes at delivery.
         super().__init__(cluster.loop, ServicePolicy(),
                          cluster.faulty_network, cluster.clients)
-        self.adopt_image(serialize_bucket(self.server))
+        self._serve(Bucket(index, capacity_records=1 << 20))
         #: Hosted copy of the previous node's bucket image.
         self.mirror: Replica | None = None
         #: Durable backend: when attached, every image extent is also
@@ -195,32 +121,35 @@ class ClusterNode(RequestFrontEnd):
         """True when the node serves traffic."""
         return self.state is NodeState.UP
 
-    def adopt_image(self, image: bytes) -> list[Record]:
-        """Replace the bucket image wholesale; returns its records.
+    def _serve(self, bucket: Bucket) -> None:
+        """Serve ``bucket``: a fresh server over it, its heap's writes
+        watched, and the image replica copied from its heap."""
+        self.server = SDDSServer(self.index, self.scheme,
+                                 capacity_records=1 << 20,
+                                 store_signatures=True)
+        self.server.adopt_bucket(bucket)
+        #: ``(offset, length)`` of every heap write of the current
+        #: mutation, in order.
+        self._writes: list[tuple[int, int]] = []
+        bucket.heap.add_write_listener(
+            lambda offset, length: self._writes.append((offset, length)))
+        self._copy_image()
 
-        One scan rebuilds the slot table (``key -> (offset, size)``),
-        the coalesced free list and the high-water mark that later
-        mutations allocate from.  A malformed image raises
-        :class:`~repro.cluster.wire.WireError` and leaves the node's
-        current image in place.
-        """
-        slots = _scan_slots(image)
-        table: dict[int, tuple[int, int]] = {}
-        free: list[tuple[int, int]] = []
-        cursor = len(IMAGE_TAG)
-        for offset, record in slots:
-            if offset > cursor:
-                free.append((cursor, offset - cursor))
-            size = _slot_size(len(record.value))
-            table[record.key] = (offset, size)
-            cursor = offset + size
-        self.image = Replica(f"{self.name}.image", self.scheme, image,
+    def _copy_image(self) -> None:
+        """(Re)create the image replica from the bucket heap."""
+        heap = self.server.bucket.heap
+        self.image = Replica(f"{self.name}.image", self.scheme,
+                             bytes(heap.image[:heap.high_water]),
                              self.page_bytes)
-        self._slots = table
-        #: Gaps below the high-water mark, sorted and coalesced.
-        self._free = free
-        self._high_water = cursor
-        return [record for _offset, record in slots]
+
+    def adopt_image(self, image: bytes) -> None:
+        """Serve the bucket ``image`` holds, every slot where it is.
+
+        A malformed image raises :class:`~repro.errors.WireError` and
+        leaves the node's current bucket and image in place.
+        """
+        self._serve(Bucket.from_image(self.index, image,
+                                      capacity_records=1 << 20))
 
     def make_mirror(self, source_name: str, data: bytes = b"") -> Replica:
         """(Re)create the hosted mirror replica, initially ``data``."""
@@ -273,6 +202,7 @@ class ClusterNode(RequestFrontEnd):
 
     def _apply(self, op: int, key: int, value: bytes) -> tuple[int, bytes]:
         """Apply one operation to bucket + parity; returns (status, value)."""
+        self._writes.clear()
         status, reply_value, effect = apply_operation(
             self.server, self.scheme, op, key, value)
         if effect == EFFECT_PSEUDO:
@@ -281,59 +211,12 @@ class ClusterNode(RequestFrontEnd):
             return status, reply_value
         if effect == EFFECT_INSERT:
             self.cluster.parity.insert(key, value)
-            writes = [self._place(key, value)]
         elif effect == EFFECT_DELETE:
             self.cluster.parity.delete(key)
-            writes = [self._release(*self._slots.pop(key))]
         else:
             self.cluster.parity.update(key, value)
-            offset, size = self._slots[key]
-            if _slot_size(len(value)) == size:
-                writes = [(offset, _slot_bytes(key, value))]
-            else:
-                # New slot first, old one zeroed second: a crash between
-                # the two frames leaves the key twice, which decoding
-                # refuses, never a value no client wrote.
-                writes = [self._place(key, value),
-                          self._release(offset, size)]
-        self.refresh_image(writes, self._high_water)
+        self.refresh_image(self._writes, self.server.bucket.heap.high_water)
         return status, reply_value
-
-    def _place(self, key: int, value: bytes) -> tuple[int, bytes]:
-        """Allocate ``key``'s slot first-fit; returns the slot write."""
-        size = _slot_size(len(value))
-        for index, (offset, room) in enumerate(self._free):
-            if room >= size:
-                if room == size:
-                    del self._free[index]
-                else:
-                    self._free[index] = (offset + size, room - size)
-                break
-        else:
-            offset = self._high_water
-            self._high_water += size
-        self._slots[key] = (offset, size)
-        return offset, _slot_bytes(key, value)
-
-    def _release(self, offset: int, size: int) -> tuple[int, bytes]:
-        """Free the slot at ``offset``; returns the write that zeroes it.
-
-        The freed range merges with adjacent gaps; a gap reaching the
-        high-water mark lowers it instead, trimming the image.
-        """
-        free = self._free
-        lo, hi = offset, offset + size
-        index = bisect_left(free, (lo, 0))
-        if index < len(free) and free[index][0] == hi:
-            hi += free.pop(index)[1]
-        if index and sum(free[index - 1]) == lo:
-            index -= 1
-            lo = free.pop(index)[0]
-        if hi == self._high_water:
-            self._high_water = lo
-        else:
-            free.insert(index, (lo, hi - lo))
-        return offset, bytes(size)
 
     # ------------------------------------------------------------------
     # Bucket image and mirror shipping
@@ -343,12 +226,13 @@ class ClusterNode(RequestFrontEnd):
         """The current bucket image bytes."""
         return bytes(self.image.data)
 
-    def refresh_image(self, writes: list[tuple[int, bytes]],
+    def refresh_image(self, writes: list[tuple[int, int]],
                       image_len: int) -> None:
-        """Apply one mutation's slot writes; log and ship them.
+        """Copy one mutation's heap writes into the image; log and ship them.
 
-        ``writes`` are ``(offset, slot bytes)`` in order and
-        ``image_len`` is the image length after them.  The image replica
+        ``writes`` are the bucket heap's ``(offset, length)`` write
+        notifications, in order, and ``image_len`` is the heap's
+        high-water mark after them.  The image replica
         takes them as journaled extent writes -- O(|written bytes|)
         signature work to keep its warm map current.  In durable mode
         they land in the sealed local log as one ``DELTA`` frame per
@@ -359,10 +243,12 @@ class ClusterNode(RequestFrontEnd):
         or a detected corruption leaves the mirror stale until the next
         anti-entropy pass.
         """
+        heap = self.server.bucket.heap
         data = self.image.data
         extents = []
-        for offset, content in writes:
-            extents.append((offset, bytes(data[offset:offset + len(content)]),
+        for offset, length in writes:
+            content = heap.read(offset, length)
+            extents.append((offset, bytes(data[offset:offset + length]),
                             content))
             self.image.write_at(offset, content)
         if image_len < len(data):
@@ -431,10 +317,7 @@ class ClusterNode(RequestFrontEnd):
         that is what the certified-recovery path replays.
         """
         self.state = NodeState.CRASHED
-        self.server = SDDSServer(self.index, self.scheme,
-                                 capacity_records=1 << 20,
-                                 store_signatures=True)
-        self.adopt_image(serialize_bucket(self.server))
+        self._serve(Bucket(self.index, capacity_records=1 << 20))
         self.mirror = None
         self.forget_requests()
         if self.store is not None:
@@ -442,8 +325,8 @@ class ClusterNode(RequestFrontEnd):
             self.store = None
 
     def rebuild_from(self, records: list[Record]) -> None:
-        """Repopulate the bucket (recovery path); adopts its packed image."""
-        for record in records:
+        """Repopulate the bucket (recovery path) in key order, so its
+        image is the canonical packed one."""
+        for record in sorted(records, key=lambda record: record.key):
             self.server.insert(record)
-        self.adopt_image(serialize_bucket(self.server))
-
+        self._copy_image()

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import ReproError
+from ..errors import ReproError, WireError
 from ..obs import (
     FlightRecorder,
     RecorderDump,
@@ -38,6 +38,7 @@ from ..obs import (
     get_registry,
 )
 from ..parity import LHRSStore
+from ..sdds.image import deserialize_bucket
 from ..sdds.record import Record
 from ..serve.session import Session
 from ..sig.engine import get_batch_signer
@@ -49,12 +50,7 @@ from ..sync import sync_by_tree
 from .events import EventLoop
 from .faults import Crash, FaultPlan
 from .network import FaultyNetwork
-from .node import (
-    REQUEST_KINDS,
-    ClusterNode,
-    NodeState,
-    deserialize_bucket,
-)
+from .node import REQUEST_KINDS, ClusterNode, NodeState
 from .retry import RetryExhaustedError, RetryPolicy
 from . import wire
 
@@ -348,12 +344,10 @@ class Cluster:
         try:
             # A torn size-changing update leaves its key twice, which
             # the decoder refuses: never adopt half a mutation.
-            records = node.adopt_image(store.image(volume))
-        except wire.WireError:
+            node.adopt_image(store.image(volume))
+        except WireError:
             store.close()
             return False
-        for record in records:
-            node.server.insert(record)
         node.store = store
         node.store_dir = store.directory
         registry.counter("cluster.durable_recoveries", node=node.name).inc()
@@ -477,7 +471,7 @@ class Cluster:
             try:
                 decoded = {r.key: r.value for r in
                            deserialize_bucket(node.image_bytes())}
-            except wire.WireError as error:
+            except WireError as error:
                 raise ClusterError(
                     f"{node.name} image does not decode: {error}") from error
             stored = {key: node.server.bucket.get(key).value

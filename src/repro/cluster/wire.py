@@ -45,7 +45,7 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from ..errors import ReproError
+from ..errors import WireError
 from ..obs.trace import TraceContext
 from ..sig.scheme import AlgebraicSignatureScheme
 
@@ -80,10 +80,6 @@ _DELTAS = struct.Struct("<QI")
 _REGION = struct.Struct("<QI")
 _TRACED = struct.Struct("<QQ")
 _IAM = struct.Struct("<IIQQ")
-
-
-class WireError(ReproError):
-    """Malformed (but correctly signed) cluster message body."""
 
 
 # ----------------------------------------------------------------------

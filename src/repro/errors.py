@@ -52,6 +52,10 @@ class UpdateConflictError(ReproError):
     """Optimistic concurrency detected an intervening update (rollback)."""
 
 
+class WireError(ReproError):
+    """Malformed (but correctly signed) message body or bucket image."""
+
+
 class BackupError(ReproError):
     """Errors in the backup engine (map mismatch, bad restore)."""
 

@@ -9,6 +9,7 @@ growth primitive, and the signature-based update and scan protocols.
 from .record import KEY_BYTES, Record
 from .btree import BTree
 from .heap import RecordHeap
+from .image import IMAGE_TAG, deserialize_bucket, serialize_bucket
 from .bucket import Bucket
 from .lh import ClientImage, FileState, LHAddressing
 from .server import SDDSServer, ServerStats, UpdateOutcome
@@ -28,6 +29,9 @@ __all__ = [
     "BTree",
     "RecordHeap",
     "Bucket",
+    "IMAGE_TAG",
+    "serialize_bucket",
+    "deserialize_bucket",
     "LHAddressing",
     "ClientImage",
     "FileState",

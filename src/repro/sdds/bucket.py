@@ -2,9 +2,12 @@
 
 A bucket couples a :class:`~repro.sdds.heap.RecordHeap` (the byte image
 the backup engine signs) with a :class:`~repro.sdds.btree.BTree` index
-mapping keys to heap extents.  Buckets know how to split -- the SDDS
-growth primitive: "each split sends about half of a bucket to a newly
-created bucket" (Section 2).
+mapping keys to heap extents.  The heap holds the slot layout of
+:mod:`repro.sdds.image`: the tag at offset 0, then one slot per record,
+written at a first-fit offset and left there until a size-changing
+update or a delete.  A size-changing update allocates its new slot
+before it frees the old one, so a log of the heap's writes never holds
+a state with the key absent.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Callable, Iterator
 from ..errors import DuplicateKeyError, KeyNotFoundError
 from .btree import BTree
 from .heap import RecordHeap
+from .image import IMAGE_TAG, scan_slots, slot_bytes, slot_record, slot_size
 from .record import Record
 
 
@@ -25,10 +29,33 @@ class Bucket:
         self.bucket_id = bucket_id
         self.capacity_records = capacity_records
         self.heap = RecordHeap(initial_heap_bytes)
+        self.heap.write(self.heap.allocate(len(IMAGE_TAG)), IMAGE_TAG)
         self.index = BTree(min_degree=btree_degree)
         #: LH* bucket level: which hash function h_i this bucket was
         #: last (re)hashed with.  Managed by the LH* file.
         self.level = 0
+
+    @classmethod
+    def from_image(cls, bucket_id: int, image: bytes | bytearray,
+                   capacity_records: int = 1 << 30) -> "Bucket":
+        """A bucket whose heap starts as ``image``, every slot and hole
+        where the image has it.
+
+        Raises :class:`~repro.errors.WireError` on a malformed image.
+        """
+        slots = scan_slots(image)
+        bucket = cls(bucket_id, capacity_records=capacity_records)
+        heap = bucket.heap
+        cursor = len(IMAGE_TAG)
+        if len(image) > cursor:
+            heap.write(heap.allocate(len(image) - cursor), image[cursor:])
+        for offset, record in slots:
+            if offset > cursor:
+                heap.free(cursor, offset - cursor)
+            end = offset + slot_size(len(record.value))
+            bucket.index.insert(record.key, (offset, end - offset))
+            cursor = end
+        return bucket
 
     # ------------------------------------------------------------------
     # Record operations
@@ -51,44 +78,52 @@ class Bucket:
             raise DuplicateKeyError(
                 f"key {record.key} already in bucket {self.bucket_id}"
             )
-        payload = record.to_bytes()
-        offset = self.heap.allocate(len(payload))
-        self.heap.write(offset, payload)
-        self.index.insert(record.key, (offset, len(payload)))
+        slot = slot_bytes(record.key, record.value)
+        offset = self.heap.allocate(len(slot))
+        self.heap.write(offset, slot)
+        self.index.insert(record.key, (offset, len(slot)))
 
     def get(self, key: int) -> Record:
         """Fetch the record with ``key``; raises when absent."""
-        offset, length = self.index.search(key)
-        return Record.from_bytes(self.heap.read(offset, length))
+        return slot_record(self.heap.read(*self.index.search(key)))
 
     def update(self, key: int, value: bytes) -> None:
         """Replace the non-key portion of an existing record.
 
-        Same-size updates are written in place (the common database
-        case); size changes reallocate the record's extent.
+        An update that keeps the slot size is written in place (the
+        common database case); a size change writes a new slot first
+        and frees the old one second.
         """
-        offset, length = self.index.search(key)
-        record = Record(key, value)
-        payload = record.to_bytes()
-        if len(payload) == length:
-            self.heap.write(offset, payload)
+        offset, size = self.index.search(key)
+        slot = slot_bytes(key, value)
+        if len(slot) == size:
+            self.heap.write(offset, slot)
             return
-        self.heap.free(offset, length)
-        new_offset = self.heap.allocate(len(payload))
-        self.heap.write(new_offset, payload)
-        self.index.replace(key, (new_offset, len(payload)))
+        new_offset = self.heap.allocate(len(slot))
+        self.heap.write(new_offset, slot)
+        self.heap.free(offset, size)
+        self.index.replace(key, (new_offset, len(slot)))
 
     def delete(self, key: int) -> Record:
         """Remove and return the record with ``key``."""
-        offset, length = self.index.delete(key)
-        record = Record.from_bytes(self.heap.read(offset, length))
-        self.heap.free(offset, length)
+        offset, size = self.index.delete(key)
+        record = slot_record(self.heap.read(offset, size))
+        self.heap.free(offset, size)
         return record
+
+    def slots(self) -> Iterator[bytes]:
+        """Every record's slot bytes in ascending key order."""
+        for _key, (offset, size) in self.index.items():
+            yield self.heap.read(offset, size)
 
     def records(self) -> Iterator[Record]:
         """All records in ascending key order."""
-        for _key, (offset, length) in self.index.items():
-            yield Record.from_bytes(self.heap.read(offset, length))
+        return map(slot_record, self.slots())
+
+    def range_records(self, low: int, high: int) -> list[Record]:
+        """Records with ``low <= key < high``, in key order."""
+        return [slot_record(self.heap.read(offset, size))
+                for _key, (offset, size) in self.index.range_items(low, high)]
 
     def keys(self) -> Iterator[int]:
         """All keys in ascending order."""

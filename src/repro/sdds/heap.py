@@ -43,6 +43,14 @@ class RecordHeap:
         return len(self._arena)
 
     @property
+    def high_water(self) -> int:
+        """End of the last allocated byte: the free extent reaching the
+        arena's end, if any, starts here."""
+        if self._free and sum(self._free[-1]) == len(self._arena):
+            return self._free[-1][0]
+        return len(self._arena)
+
+    @property
     def image(self) -> memoryview:
         """Read-only view of the whole arena (the backup engine's input)."""
         return memoryview(self._arena).toreadonly()

@@ -78,6 +78,18 @@ class SDDSServer:
         """Network node name."""
         return f"server{self.server_id}"
 
+    def adopt_bucket(self, bucket: Bucket) -> None:
+        """Serve ``bucket`` from now on, e.g. one restored from an image.
+
+        Stored signatures are recomputed from its records.
+        """
+        self.bucket = bucket
+        self._stored_sigs = {}
+        if self.store_signatures:
+            for record in bucket.records():
+                self._stored_sigs[record.key] = \
+                    self._compute_signature(record.value)
+
     # ------------------------------------------------------------------
     # Key operations (no signature calculus: Section 2.2 notes that
     # search/insert/delete never pay concurrency-management overhead)
@@ -302,7 +314,4 @@ class SDDSServer:
         query of the order-preserving RP* family.
         """
         self.stats.searches += 1
-        out = []
-        for _key, (offset, length) in self.bucket.index.range_items(low, high):
-            out.append(Record.from_bytes(self.bucket.heap.read(offset, length)))
-        return out
+        return self.bucket.range_records(low, high)

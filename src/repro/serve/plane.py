@@ -27,6 +27,8 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 
 from ..obs import get_registry
+from ..sdds.bucket import Bucket
+from ..sdds.image import serialize_bucket
 from ..sdds.lh import ClientImage, FileState, LHAddressing
 from ..sdds.rp import KEY_SPACE
 from ..sdds.record import Record
@@ -583,27 +585,15 @@ class ServingPlane:
         LH*/RP* placement invariants and that every acknowledged
         mutation survived whatever splits raced it.
         """
-        # Imported here: repro.cluster.node builds on this package.
-        from ..cluster.node import serialize_bucket
-
-        expected: dict[int, SDDSServer] = {}
+        expected = {node.bucket_id: Bucket(node.bucket_id)
+                    for node in self.nodes}
         for key, value in self.oracle.items():
-            owner = self.owner_of(key)
-            scratch = expected.get(owner.bucket_id)
-            if scratch is None:
-                scratch = SDDSServer(owner.bucket_id, self.scheme,
-                                     capacity_records=1 << 20,
-                                     store_signatures=False)
-                expected[owner.bucket_id] = scratch
-            scratch.insert(Record(key, value))
+            expected[self.owner_of(key).bucket_id].insert(Record(key, value))
         buckets_ok = 0
         mismatched: list[int] = []
         for node in self.nodes:
-            image = serialize_bucket(node.server)
-            scratch = expected.get(node.bucket_id)
-            want = serialize_bucket(scratch) if scratch is not None else \
-                serialize_bucket(SDDSServer(node.bucket_id, self.scheme,
-                                            store_signatures=False))
+            image = serialize_bucket(node.server.bucket)
+            want = serialize_bucket(expected[node.bucket_id])
             if (self.scheme.sign(image, strict=False)
                     == self.scheme.sign(want, strict=False)
                     and image == want):

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.backup import (
-    BackupEngine,
-    EvictionManager,
-    deserialize_bucket,
-    serialize_bucket,
-)
-from repro.errors import BackupError
-from repro.sdds import Bucket, Record
+from repro.backup import BackupEngine, EvictionManager
+from repro.errors import BackupError, WireError
+from repro.sdds import Bucket, Record, deserialize_bucket, serialize_bucket
 from repro.sig import make_scheme
 from repro.sim import SimDisk
 from repro.workloads import make_page
@@ -33,7 +28,8 @@ class TestSerialization:
     def test_roundtrip(self):
         bucket = make_bucket(1)
         image = serialize_bucket(bucket)
-        restored = deserialize_bucket(image, 1)
+        assert deserialize_bucket(image) == list(bucket.records())
+        restored = Bucket.from_image(1, image)
         assert list(restored.records()) == list(bucket.records())
 
     def test_deterministic_for_same_content(self):
@@ -54,12 +50,15 @@ class TestSerialization:
 
     def test_truncated_rejected(self):
         image = serialize_bucket(make_bucket(1))
-        with pytest.raises(BackupError):
-            deserialize_bucket(image[:10], 1)
+        with pytest.raises(WireError):
+            deserialize_bucket(image[:10])
+        with pytest.raises(WireError):
+            Bucket.from_image(1, image[:10])
 
     def test_empty_bucket(self):
-        restored = deserialize_bucket(serialize_bucket(Bucket(9)), 9)
-        assert len(restored) == 0
+        image = serialize_bucket(Bucket(9))
+        assert deserialize_bucket(image) == []
+        assert len(Bucket.from_image(9, image)) == 0
 
 
 class TestResidency:

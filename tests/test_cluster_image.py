@@ -1,9 +1,9 @@
 """Slot bucket images and one sealed mirror patch per mutation.
 
-A cluster node keeps its bucket image in the slot layout: an 8-byte
-format tag, then one slot per record (header, value, zero padding)
-written once at a first-fit offset and left there until a size-changing
-update or a delete.  The invariant is "decoding the image gives the
+A cluster node's bucket holds its image in the SDDS slot layout: an
+8-byte format tag, then one slot per record (header, value, zero
+padding) written once at a first-fit offset and left there until a
+size-changing update or a delete.  The invariant is "decoding the image gives the
 bucket's records; records do not move".  Each mutation's slot writes
 travel to the hosted mirror as *one* sealed multi-region delta frame
 (Proposition 3 patches, one seal per mutation) and into the durable log
@@ -27,12 +27,10 @@ from repro.cluster import (
     Crash,
     FaultPlan,
     LinkFaults,
-    deserialize_bucket,
-    serialize_bucket,
     wire,
 )
-from repro.cluster.node import IMAGE_TAG
 from repro.obs import MetricsRegistry, use_registry
+from repro.sdds import IMAGE_TAG, deserialize_bucket, serialize_bucket
 from repro.sig import make_scheme
 
 SCHEMES = {8: make_scheme(f=8, n=2), 16: make_scheme(f=16, n=2)}
@@ -60,6 +58,17 @@ def slot_offsets(image: bytes) -> dict[int, tuple[int, int]]:
         slots[key] = (offset, end)
         offset = end
     return slots
+
+
+def slot_table(node) -> dict[int, tuple[int, int]]:
+    """``key -> (offset, size)`` from the bucket's index."""
+    return dict(node.server.bucket.index.items())
+
+
+def gaps(node) -> list[tuple[int, int]]:
+    """The bucket heap's free extents below its high-water mark."""
+    heap = node.server.bucket.heap
+    return [extent for extent in heap._free if extent[0] < heap.high_water]
 
 
 def bucket_records(node) -> dict[int, bytes]:
@@ -111,7 +120,7 @@ def crash_and_recover(cluster: Cluster, index: int, wipe_log: bool) -> None:
     # The crash wiped the bucket, so the image and its slot table are
     # reset with it; recovery must rebuild both.
     assert node.image_bytes() == IMAGE_TAG
-    assert node._slots == {} and node._free == []
+    assert slot_table(node) == {} and gaps(node) == []
     if wipe_log:
         for segment in store_dir.glob("seg-*.log"):
             segment.write_bytes(bytes(segment.stat().st_size))
@@ -119,7 +128,7 @@ def crash_and_recover(cluster: Cluster, index: int, wipe_log: bool) -> None:
     assert node.is_up
     if wipe_log:
         # Rebuilt from parity: the canonical packed image.
-        assert node.image_bytes() == serialize_bucket(node.server)
+        assert node.image_bytes() == serialize_bucket(node.server.bucket)
     else:
         # Replayed from the log: every record where it was, holes kept.
         assert node.image_bytes() == image
@@ -219,10 +228,10 @@ class TestSlotAllocation:
                 + slot(8, b"\x08" * 24)
             length = len(node.image_bytes())
             assert client.delete(4).ok      # a 112-byte gap at offset 56
-            assert node._free == [(56, 112)]
+            assert gaps(node) == [(56, 112)]
             assert client.insert(10, b"\x0a" * 30).ok   # 40 bytes: fits
             assert slot_offsets(node.image_bytes())[10] == (56, 96)
-            assert node._free == [(96, 72)]
+            assert gaps(node) == [(96, 72)]
             assert len(node.image_bytes()) == length
 
     def test_freed_neighbours_coalesce_and_tail_deletes_trim(self):
@@ -233,12 +242,13 @@ class TestSlotAllocation:
                 assert client.insert(key, bytes(16)).ok     # 24-byte slots
             assert client.delete(4).ok
             assert client.delete(2).ok
-            assert node._free == [(8, 48)]
+            assert gaps(node) == [(8, 48)]
             assert client.delete(8).ok      # the tail slot: image trimmed
             assert len(node.image_bytes()) == 8 + 3 * 24
             assert client.delete(6).ok      # trims through the gap too
             assert node.image_bytes() == IMAGE_TAG
-            assert node._free == [] and node._high_water == 8
+            assert gaps(node) == [] \
+                and node.server.bucket.heap.high_water == 8
 
     def test_size_changing_update_writes_new_slot_before_zeroing_old(self):
         with use_registry(MetricsRegistry()) as registry:
@@ -259,7 +269,7 @@ class TestSlotAllocation:
             assert writes == [[56, 8], [32]]
             assert slot_offsets(node.image_bytes()) == {4: (32, 56),
                                                         2: (56, 120)}
-            assert node._free == [(8, 24)]
+            assert gaps(node) == [(8, 24)]
             cluster.settle()
             cluster.check_replicas()
             # Two slot writes, one sealed mirror patch.
@@ -409,7 +419,7 @@ class TestImageDecoding:
     def test_serialized_bucket_is_tag_then_sorted_packed_slots(self):
         cluster = _settled_cluster()
         server = cluster.nodes[0].server
-        image = serialize_bucket(server)
+        image = serialize_bucket(server.bucket)
         assert image == IMAGE_TAG + b"".join(
             slot(key, server.bucket.get(key).value)
             for key in sorted(server.bucket.keys()))
@@ -475,9 +485,12 @@ class TestImageDecoding:
             with pytest.raises(wire.WireError):
                 node.adopt_image(GOOD + slot(5, b"again"))
             assert node.image_bytes() == image
-            assert node.adopt_image(GOOD) == deserialize_bucket(GOOD)
-            assert node._slots == {5: (8, 16), 3: (40, 24)}
-            assert node._free == [(24, 16)] and node._high_water == 64
+            node.adopt_image(GOOD)
+            assert node.image_bytes() == GOOD
+            assert bucket_records(node) == {5: b"five", 3: b"three!!!!"}
+            assert slot_table(node) == {5: (8, 16), 3: (40, 24)}
+            assert gaps(node) == [(24, 16)] \
+                and node.server.bucket.heap.high_water == 64
 
     def test_check_replicas_rejects_trailing_garbage(self):
         with use_registry(MetricsRegistry()):

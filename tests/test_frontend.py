@@ -13,10 +13,10 @@ again and is answered ``duplicate``.
 
 import pytest
 
-from repro.cluster import (Cluster, Crash, FaultPlan, LinkFaults,
-                           RetryPolicy, deserialize_bucket)
+from repro.cluster import Cluster, Crash, FaultPlan, LinkFaults, RetryPolicy
 from repro.cluster import wire
 from repro.obs import MetricsRegistry, use_registry
+from repro.sdds import deserialize_bucket
 from repro.serve import ServingPlane
 
 KINDS = ["cluster", "serve"]
