@@ -118,6 +118,19 @@ class SDDSServer:
                 self._stored_sigs[record.key] = stored_signature
             return True
 
+    def update(self, key: int, value: bytes,
+               signature: Signature | None = None) -> None:
+        """Overwrite ``key``'s value, keeping its stored signature current.
+
+        ``signature`` is the new value's signature when the caller
+        already holds it; otherwise a stored signature is recomputed.
+        """
+        self.bucket.update(key, value)
+        if self.store_signatures:
+            if signature is None:
+                signature = self._compute_signature(value)
+            self._stored_sigs[key] = signature
+
     def delete(self, key: int) -> Record | None:
         """Delete; returns the removed record or None."""
         self.stats.deletes += 1
@@ -183,13 +196,10 @@ class SDDSServer:
                 if span is not None:
                     span.event("conflict")
                 return UpdateOutcome.CONFLICT
-            before_value = record.value
-            self.bucket.update(key, after_value)
-            if self.store_signatures:
-                if after_signature is None:
-                    after_signature = self._updated_signature(
-                        current, before_value, after_value)
-                self._stored_sigs[key] = after_signature
+            if self.store_signatures and after_signature is None:
+                after_signature = self._updated_signature(
+                    current, record.value, after_value)
+            self.update(key, after_value, after_signature)
             self.stats.updates_applied += 1
             get_registry().counter("sdds.server.updates",
                                    outcome="applied").inc()

@@ -56,12 +56,14 @@ def apply_operation(server: "SDDSServer", scheme: "AlgebraicSignatureScheme",
         # Pseudo-update filtering at the server (Section 2.2's
         # economics): identical signatures mean nothing to write,
         # no parity delta, no mirror traffic.  Signatures ignore
-        # trailing zero symbols, so the lengths must match too.
+        # trailing zero symbols, so the lengths must match too.  The
+        # current signature is the stored one, so only the new value
+        # is signed, and that signature is stored with it.
+        signature = scheme.sign(value, strict=False)
         if len(current.value) == len(value) and \
-                scheme.sign(current.value, strict=False) == \
-                scheme.sign(value, strict=False):
+                server.record_signature(key) == signature:
             return wire.ST_APPLIED, b"", EFFECT_PSEUDO
-        server.bucket.update(key, value)
+        server.update(key, value, signature)
         return wire.ST_APPLIED, b"", EFFECT_UPDATE
     if op == wire.OP_DELETE:
         if server.delete(key) is None:

@@ -110,6 +110,20 @@ class TestSharedFrontEnd:
             rig.runtime.scheme, frame)).request_id
         assert node.replies[request_id >> 32][request_id] == answer
 
+    def test_update_keeps_the_stored_signature_current(self, rig):
+        scheme = rig.runtime.scheme
+        rig.call(wire.OP_INSERT, KEY, b"a" * 16)
+        rig.call(wire.OP_UPDATE, KEY, b"b" * 16)
+        server = rig.owner(KEY).server
+        assert server.record_signature(KEY) == scheme.sign(b"b" * 16,
+                                                           strict=False)
+        # The pseudo-update filter compares the stored signature, so a
+        # stale one would swallow this update back to the old value.
+        rig.call(wire.OP_UPDATE, KEY, b"a" * 16)
+        assert rig.value_of(KEY) == b"a" * 16
+        assert server.record_signature(KEY) == scheme.sign(b"a" * 16,
+                                                           strict=False)
+
     def test_flipped_byte_is_counted_and_never_executes(self, rig):
         frame = bytearray(wire.seal(rig.runtime.scheme, wire.encode_request(
             wire.OP_INSERT, 0, KEY, b"never")))
