@@ -7,12 +7,15 @@ mapping keys to heap extents.  The heap holds the slot layout of
 written at a first-fit offset and left there until a size-changing
 update or a delete.  A size-changing update allocates its new slot
 before it frees the old one, so a log of the heap's writes never holds
-a state with the key absent.
+a state with the key absent.  Splits move records between buckets
+(:meth:`repro.sdds.server.SDDSServer.move_records`), the SDDS growth
+primitive: "each split sends about half of a bucket to a newly created
+bucket" (Section 2).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..errors import DuplicateKeyError, KeyNotFoundError
 from .btree import BTree
@@ -128,22 +131,6 @@ class Bucket:
     def keys(self) -> Iterator[int]:
         """All keys in ascending order."""
         return self.index.keys()
-
-    # ------------------------------------------------------------------
-    # Splitting
-    # ------------------------------------------------------------------
-
-    def split_into(self, target: "Bucket", moves: Callable[[int], bool]) -> int:
-        """Move every record whose key satisfies ``moves`` to ``target``.
-
-        Returns the number of records moved.  LH* passes the rehash
-        predicate ``h_{i+1}(key) == new_bucket``; RP* passes a key-range
-        predicate.
-        """
-        moving = [key for key in self.index.keys() if moves(key)]
-        for key in moving:
-            target.insert(self.delete(key))
-        return len(moving)
 
     def median_key(self) -> int:
         """The middle key (RP* splits the range here)."""

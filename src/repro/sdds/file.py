@@ -131,19 +131,9 @@ class LHFile:
         self.servers.append(target)
         source.bucket.level = new_level
         target.bucket.level = new_level
-        moved_bytes = 0
-        moving = [
-            key for key in source.bucket.keys()
-            if self.addressing.h(new_level, key) == new_id
-        ]
-        for key in moving:
-            record = source.bucket.delete(key)
-            target.bucket.insert(record)
-            if source.store_signatures:
-                sig = source._stored_sigs.pop(key, None)
-                if sig is not None:
-                    target._stored_sigs[key] = sig
-            moved_bytes += record.size
+        moved = source.move_records(
+            target, lambda key: self.addressing.h(new_level, key) == new_id)
+        moved_bytes = sum(record.size for record in moved)
         # "Each split sends about half of a bucket to a newly created
         # bucket" -- account the shipment as one bulk transfer.
         self.network.send(source.name, target.name, messages.SPLIT_TRANSFER,

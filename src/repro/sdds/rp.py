@@ -148,16 +148,8 @@ class RPFile:
         self.servers.append(target)
         source.high = median
         insort(source.split_hints, (median, new_id))
-        moved_bytes = 0
-        moving = [key for key in source.bucket.keys() if key >= median]
-        for key in moving:
-            record = source.bucket.delete(key)
-            target.bucket.insert(record)
-            if source.store_signatures:
-                sig = source._stored_sigs.pop(key, None)
-                if sig is not None:
-                    target._stored_sigs[key] = sig
-            moved_bytes += record.size
+        moved = source.move_records(target, lambda key: key >= median)
+        moved_bytes = sum(record.size for record in moved)
         self.network.send(source.name, target.name, messages.SPLIT_TRANSFER,
                           messages.HEADER_BYTES + moved_bytes)
         self.splits_performed += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from ..errors import DuplicateKeyError, KeyNotFoundError
 from ..obs import get_registry, span_if_active
@@ -141,6 +142,26 @@ class SDDSServer:
                 return None
             self._stored_sigs.pop(key, None)
             return record
+
+    def move_records(self, target: "SDDSServer",
+                     moves: Callable[[int], bool]) -> list[Record]:
+        """Move every record whose key satisfies ``moves`` to ``target``.
+
+        The split primitive: "each split sends about half of a bucket
+        to a newly created bucket" (Section 2).  Each record leaves as
+        a slot release here and arrives as a slot write there, with its
+        stored signature, so nothing is signed again.  LH* passes the
+        rehash predicate, RP* a key-range one.  Returns the moved
+        records in key order; callers account the transfer.
+        """
+        moved = [self.bucket.delete(key)
+                 for key in list(self.bucket.keys()) if moves(key)]
+        for record in moved:
+            target.bucket.insert(record)
+            signature = self._stored_sigs.pop(record.key, None)
+            if signature is not None:
+                target._stored_sigs[record.key] = signature
+        return moved
 
     # ------------------------------------------------------------------
     # Signature protocol (Section 2.2, server side)

@@ -479,13 +479,8 @@ class ServingPlane:
     def _move_records(self, source: BucketNode, target: BucketNode,
                       moves) -> int:
         """Move ``moves``-selected records; returns bytes shipped."""
-        moved = [record for record in list(source.server.bucket.records())
-                 if moves(record.key)]
-        shipped = 0
-        for record in moved:
-            source.server.delete(record.key)
-            target.server.insert(record)
-            shipped += 8 + len(record.value)
+        shipped = sum(8 + len(record.value) for record in
+                      source.server.move_records(target.server, moves))
         if shipped:
             self.network.account(source.name, target.name,
                                  SPLIT_KIND, shipped)

@@ -10,7 +10,14 @@ from repro.errors import (
     KeyNotFoundError,
     SDDSError,
 )
-from repro.sdds import Bucket, Record, RecordHeap
+from repro.sdds import (
+    Bucket,
+    Record,
+    RecordHeap,
+    SDDSServer,
+    deserialize_bucket,
+)
+from repro.sig import make_scheme
 
 
 class TestRecord:
@@ -186,18 +193,6 @@ class TestBucket:
         assert bucket.is_overfull
         assert len(bucket) == 10
 
-    def test_split_into(self):
-        bucket = Bucket(0)
-        for key in range(20):
-            bucket.insert(Record(key, bytes([key])))
-        target = Bucket(1)
-        moved = bucket.split_into(target, moves=lambda key: key % 2 == 1)
-        assert moved == 10
-        assert sorted(bucket.keys()) == list(range(0, 20, 2))
-        assert sorted(target.keys()) == list(range(1, 20, 2))
-        for key in range(1, 20, 2):
-            assert target.get(key).value == bytes([key])
-
     def test_median_key(self):
         bucket = Bucket(0)
         for key in (1, 5, 9, 13, 17):
@@ -227,3 +222,32 @@ class TestBucket:
             bucket.insert(Record(key, b"v"))
         pages = bucket.index_pages(page_bytes=32)
         assert b"".join(pages)[:8] == (0).to_bytes(8, "little")
+
+
+class TestServerMove:
+    def test_move_records(self):
+        scheme = make_scheme(f=8, n=2)
+        source = SDDSServer(0, scheme, store_signatures=True)
+        target = SDDSServer(1, scheme, store_signatures=True)
+        for key in range(20):
+            source.insert(Record(key, bytes([key]) * (key + 1)))
+        signatures = {key: source.record_signature(key) for key in range(20)}
+        signed = source.stats.sig_computations
+        moved = source.move_records(target, moves=lambda key: key % 2 == 1)
+        assert [record.key for record in moved] == list(range(1, 20, 2))
+        assert list(source.bucket.keys()) == list(range(0, 20, 2))
+        assert list(target.bucket.keys()) == list(range(1, 20, 2))
+        for key in range(1, 20, 2):
+            assert target.search(key).value == bytes([key]) * (key + 1)
+            # The stored signature travels with the record: not re-signed.
+            assert target.record_signature(key) is signatures[key]
+        assert source.stats.sig_computations == signed
+        assert target.stats.sig_computations == 0
+        # Slot releases on one side, slot writes on the other: both
+        # heaps still decode to exactly their bucket's records.
+        for server in (source, target):
+            heap = server.bucket.heap
+            assert deserialize_bucket(heap.image[:heap.high_water]) \
+                == sorted(server.bucket.records(),
+                          key=lambda record: server.bucket.index.search(
+                              record.key)[0])
