@@ -244,7 +244,7 @@ class Cluster:
         directory = self.durable_dir / node.name
         directory.mkdir(parents=True, exist_ok=True)
         for leftover in list(directory.glob("seg-*.log")) \
-                + list(directory.glob("*.ckpt")):
+                + list(directory.glob("*.ckpt*")):
             leftover.unlink()
         return PageStore(self.scheme, directory,
                          checkpoint_every=self.durable_checkpoint_every,

@@ -46,6 +46,8 @@ from ..sig.tree import SignatureTree, TreeNode
 MAGIC = b"ASCK"
 VERSION = 1
 FILENAME = "checkpoint.ckpt"
+#: What a checkpoint write that died leaves behind; never loaded.
+TEMPORARY = FILENAME + ".tmp"
 
 _POSITIONS = struct.Struct("<QQ")
 
@@ -180,7 +182,7 @@ def save(directory: str | Path, scheme: AlgebraicSignatureScheme,
     """Atomically write the checkpoint file; returns its path."""
     directory = Path(directory)
     path = directory / FILENAME
-    temporary = directory / (FILENAME + ".tmp")
+    temporary = directory / TEMPORARY
     temporary.write_bytes(encode(scheme, checkpoint))
     os.replace(temporary, path)
     get_registry().counter("store.checkpoints").inc()

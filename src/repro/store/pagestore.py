@@ -658,6 +658,10 @@ class PageStore:
         registry = get_registry()
         directory = Path(directory)
         with span_if_active("store.recover", verify=verify):
+            leftover = directory / ckpt.TEMPORARY
+            if leftover.is_file():
+                leftover.unlink()
+                registry.counter("store.checkpoint_tmp_removed").inc()
             snapshot = ckpt.load(directory, scheme) if use_checkpoint \
                 else None
             log = SegmentedLog(directory, scheme, segment_bytes,

@@ -292,7 +292,7 @@ def test_crash_while_checkpointing(name, where):
 
     Both frames are logged before the checkpoint falls due, so the dying
     write (half a temp file, or a temp file never renamed) loses nothing:
-    recovery ignores the leftover ``checkpoint.ckpt.tmp``, loads the
+    recovery deletes the leftover ``checkpoint.ckpt.tmp``, loads the
     previous checkpoint and ends exactly as the plain sweep does.
     """
     kind, key, value, frames = MUTATIONS[name]
@@ -318,11 +318,15 @@ def test_store_recovers_from_the_previous_checkpoint(tmp_path, where):
     store.close()
     assert (tmp_path / TEMPORARY).is_file()
     assert (tmp_path / ckpt.FILENAME).read_bytes() == previous
-    recovered, report = PageStore.recover(scheme, tmp_path)
+    with use_registry(MetricsRegistry()) as registry:
+        recovered, report = PageStore.recover(scheme, tmp_path)
     try:
         assert report.clean and report.used_checkpoint
         assert report.frames_folded == 6        # the deltas after it
         assert recovered.image("v") == bytes(image)
+        # The dead write's leftover is deleted, and the deletion counted.
+        assert not (tmp_path / TEMPORARY).exists()
+        assert registry.total("store.checkpoint_tmp_removed") == 1
     finally:
         recovered.close()
 
