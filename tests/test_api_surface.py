@@ -4,7 +4,13 @@ Each public helper gets at least one direct behavioural test, so every
 entry in docs/API.md is backed by an assertion somewhere.
 """
 
+import ast
+import pathlib
+
 import pytest
+
+import repro.backup
+import repro.cluster
 
 from repro.analysis import (
     expected_collision_interval_seconds,
@@ -161,3 +167,33 @@ class TestMiscSurface:
 
         file = RPFile(make_scheme(f=16, n=2))
         assert file.server(0).owns(123)
+
+
+class TestLayering:
+    SDDS = pathlib.Path(repro.__file__).parent / "sdds"
+
+    def test_sdds_imports_no_runtime_package(self):
+        """The SDDS substrate owns the bucket image; the cluster, backup
+        and serving layers build on it, never the other way round."""
+        forbidden = ("cluster", "backup", "serve")
+        for path in sorted(self.SDDS.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    parts = (node.module or "").split(".")
+                    if node.level == 0 and parts[0] == "repro":
+                        parts = parts[1:]
+                    elif node.level != 2:
+                        continue
+                    names = [parts[0]] if parts[0] else \
+                        [alias.name for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name.split(".")[1] for alias in node.names
+                             if alias.name.startswith("repro.")]
+                else:
+                    continue
+                assert not set(names) & set(forbidden), (path.name, names)
+
+    def test_one_bucket_codec(self):
+        for package in (repro.cluster, repro.backup):
+            assert "serialize_bucket" not in package.__all__
+            assert "deserialize_bucket" not in package.__all__

@@ -16,6 +16,7 @@ from repro.sdds import (
     RecordHeap,
     SDDSServer,
     deserialize_bucket,
+    serialize_bucket,
 )
 from repro.sig import make_scheme
 
@@ -222,6 +223,61 @@ class TestBucket:
             bucket.insert(Record(key, b"v"))
         pages = bucket.index_pages(page_bytes=32)
         assert b"".join(pages)[:8] == (0).to_bytes(8, "little")
+
+
+bucket_keys = st.integers(0, 15)
+bucket_steps = st.lists(st.one_of(
+    st.tuples(st.just("insert"), bucket_keys, st.binary(max_size=40)),
+    st.tuples(st.just("same_size"), bucket_keys, st.binary(max_size=40)),
+    st.tuples(st.just("resize"), bucket_keys, st.binary(max_size=40)),
+    st.tuples(st.just("delete"), bucket_keys, st.just(b"")),
+), max_size=60)
+
+
+class TestBucketImage:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=bucket_steps)
+    def test_image_decodes_to_the_records_and_rebuilds_exactly(self, steps):
+        bucket = Bucket(0, initial_heap_bytes=64)
+        model: dict[int, bytes] = {}
+        for kind, key, value in steps:
+            if kind == "insert":
+                if key not in model:
+                    bucket.insert(Record(key, value))
+                    model[key] = value
+            elif key not in model:
+                continue
+            elif kind == "delete":
+                assert bucket.delete(key).value == model.pop(key)
+            else:
+                old = model[key]
+                if kind == "same_size":
+                    # Same 8-byte slot size, so the slot is rewritten
+                    # in place; "resize" takes any other length.
+                    value = value[:len(old)].ljust(len(old), b"\x7f")
+                offset, size = bucket.index.search(key)
+                bucket.update(key, value)
+                new_offset, new_size = bucket.index.search(key)
+                if new_size == size:
+                    assert new_offset == offset
+                else:
+                    # The new slot was allocated while the old one was
+                    # still live, so the two never overlap.
+                    assert new_offset >= offset + size \
+                        or new_offset + new_size <= offset
+                model[key] = value
+        bucket.heap.check_invariants()
+        heap = bucket.heap
+        image = bytes(heap.image[:heap.high_water])
+        decoded = deserialize_bucket(image)
+        assert {record.key: record.value for record in decoded} == model
+        assert list(bucket.records()) == [Record(key, model[key])
+                                          for key in sorted(model)]
+        rebuilt = Bucket.from_image(0, image)
+        assert bytes(rebuilt.heap.image[:rebuilt.heap.high_water]) == image
+        assert list(rebuilt.index.items()) == list(bucket.index.items())
+        rebuilt.heap.check_invariants()
+        assert serialize_bucket(rebuilt) == serialize_bucket(bucket)
 
 
 class TestServerMove:
