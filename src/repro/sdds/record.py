@@ -32,20 +32,9 @@ class Record:
 
     @property
     def size(self) -> int:
-        """Serialized size in bytes (key + payload)."""
+        """Size on the wire in bytes (key + payload)."""
         return KEY_BYTES + len(self.value)
 
     def with_value(self, value: bytes) -> "Record":
         """A copy with the non-key portion replaced (an update's after-image)."""
         return Record(self.key, value)
-
-    def to_bytes(self) -> bytes:
-        """Serialize as ``key (4 B, little-endian) || value``."""
-        return self.key.to_bytes(KEY_BYTES, "little") + self.value
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Record":
-        """Inverse of :meth:`to_bytes`."""
-        if len(data) < KEY_BYTES:
-            raise SDDSError("serialized record shorter than its key")
-        return cls(int.from_bytes(data[:KEY_BYTES], "little"), data[KEY_BYTES:])

@@ -120,16 +120,11 @@ class SDDSServer:
             return True
 
     def update(self, key: int, value: bytes,
-               signature: Signature | None = None) -> None:
-        """Overwrite ``key``'s value, keeping its stored signature current.
-
-        ``signature`` is the new value's signature when the caller
-        already holds it; otherwise a stored signature is recomputed.
-        """
+               signature: Signature | None) -> None:
+        """Overwrite ``key``'s value; with stored signatures enabled,
+        ``signature`` (the new value's) is stored with it."""
         self.bucket.update(key, value)
         if self.store_signatures:
-            if signature is None:
-                signature = self._compute_signature(value)
             self._stored_sigs[key] = signature
 
     def delete(self, key: int) -> Record | None:
