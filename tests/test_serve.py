@@ -7,6 +7,9 @@ algebraic-signature verification of the final bucket images, and the
 determinism of the whole report.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -423,6 +426,42 @@ class TestRacingSplits:
         assert verification["acked_lost"] == []
         assert verification["mismatched"] == []
         assert verification["ok"], verification
+
+
+#: Fixed-seed sweeps pinned by ``data/serve_plane_golden.json``: the
+#: RP* family (the ``serve`` demo golden covers LH* only) and a
+#: two-bucket LH* file, both splitting under live traffic.
+PLANE_GOLDEN_RUNS = {
+    "rp": {"family": "rp", "buckets": 1, "seed": 3},
+    "lh": {"family": "lh", "buckets": 2, "seed": 5},
+}
+PLANE_GOLDEN = Path(__file__).parent / "data" / "serve_plane_golden.json"
+
+
+def plane_golden_text():
+    """The golden document: per run, the sweep report, the split log
+    and the metrics snapshot.  Regenerate the file by writing this
+    text to it, and only with an explained diff."""
+    runs = {}
+    for name, config in PLANE_GOLDEN_RUNS.items():
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            plane = ServingPlane(split_threshold=64, **config)
+            generator = LoadGenerator(
+                plane, LoadMix(sessions=200, n_items=900))
+            report = generator.sweep([2000.0, 6000.0, 12000.0], 800)
+            runs[name] = {"report": report, "split_log": plane.split_log,
+                          "metrics": registry.snapshot()}
+    return json.dumps(runs, indent=2, sort_keys=True) + "\n"
+
+
+class TestPlaneGolden:
+    def test_rp_and_lh_sweeps_match_golden(self):
+        document = plane_golden_text()
+        runs = json.loads(document)
+        assert all(run["report"]["verify"]["ok"] for run in runs.values())
+        assert all(run["split_log"] for run in runs.values())
+        assert document == PLANE_GOLDEN.read_text()
 
 
 class TestServeCLI:
