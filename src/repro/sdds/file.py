@@ -15,6 +15,7 @@ from ..sim.network import SimNetwork
 from . import messages
 from .client import BaseSDDSClient
 from .lh import ClientImage, FileState, LHAddressing
+from .record import Record
 from .server import SDDSServer
 
 
@@ -92,13 +93,16 @@ class LHFile:
         """Create a new client with a fresh (minimal) image."""
         return LHClient(name, self)
 
+    def owner(self, key: int) -> int:
+        """The bucket that owns ``key`` under the true file state."""
+        return self.addressing.client_address(
+            key, self.state.level, self.state.pointer)
+
     def check_placement(self) -> None:
         """Assert every record lives in its LH*-correct bucket (tests)."""
         for server in self.servers:
             for key in server.bucket.keys():
-                correct = self.addressing.client_address(
-                    key, self.state.level, self.state.pointer
-                )
+                correct = self.owner(key)
                 if correct != server.server_id:
                     raise SDDSError(
                         f"key {key} in bucket {server.server_id}, belongs in {correct}"
@@ -116,12 +120,23 @@ class LHFile:
         """
         splits = 0
         while self.load_factor > self.split_load_factor:
-            self.split()
+            source = self.servers[self.state.pointer]
+            target, moved = self.split()
+            # "Each split sends about half of a bucket to a newly created
+            # bucket" -- account the shipment as one bulk transfer.
+            self.network.send(source.name, target.name,
+                              messages.SPLIT_TRANSFER,
+                              messages.HEADER_BYTES
+                              + sum(record.size for record in moved))
             splits += 1
         return splits
 
-    def split(self) -> None:
-        """Split the bucket at the split pointer into a new bucket."""
+    def split(self) -> tuple[SDDSServer, list[Record]]:
+        """Split the bucket at the split pointer into a new bucket.
+
+        Returns the new server and the records moved to it; callers
+        account the transfer.
+        """
         source = self.servers[self.state.pointer]
         new_level = source.bucket.level + 1
         new_id = self.state.pointer + (self.addressing.N << self.state.level)
@@ -133,13 +148,9 @@ class LHFile:
         target.bucket.level = new_level
         moved = source.move_records(
             target, lambda key: self.addressing.h(new_level, key) == new_id)
-        moved_bytes = sum(record.size for record in moved)
-        # "Each split sends about half of a bucket to a newly created
-        # bucket" -- account the shipment as one bulk transfer.
-        self.network.send(source.name, target.name, messages.SPLIT_TRANSFER,
-                          messages.HEADER_BYTES + moved_bytes)
         self.state.after_split(self.addressing)
         self.splits_performed += 1
+        return target, moved
 
 
 class LHClient(BaseSDDSClient):

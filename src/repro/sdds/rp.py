@@ -113,6 +113,13 @@ class RPFile:
         """Create a new client with a fresh one-entry image."""
         return RPClient(name, self)
 
+    def owner(self, key: int) -> int:
+        """The bucket whose interval holds ``key``."""
+        for server in self.servers:
+            if server.owns(key):
+                return server.server_id
+        raise SDDSError(f"no bucket owns key {key}")
+
     def check_placement(self) -> None:
         """Assert interval coverage and per-record placement (tests)."""
         intervals = sorted((s.low, s.high) for s in self.servers)
@@ -133,13 +140,21 @@ class RPFile:
     def maybe_split(self, server: RPServer) -> int:
         """Split the given bucket (repeatedly) while it is overfull."""
         splits = 0
-        while len(server.bucket) > self.capacity_records:
-            self.split(server)
+        while server.bucket.is_overfull:
+            target, moved = self.split(server)
+            self.network.send(server.name, target.name,
+                              messages.SPLIT_TRANSFER,
+                              messages.HEADER_BYTES
+                              + sum(record.size for record in moved))
             splits += 1
         return splits
 
-    def split(self, source: RPServer) -> None:
-        """Split ``source`` at its median key into a new bucket."""
+    def split(self, source: RPServer) -> tuple[RPServer, list[Record]]:
+        """Split ``source`` at its median key into a new bucket.
+
+        Returns the new server and the records moved to it; callers
+        account the transfer.
+        """
         median = source.bucket.median_key()
         if not source.low < median < source.high:
             raise SDDSError("degenerate RP* split: median at interval edge")
@@ -149,10 +164,8 @@ class RPFile:
         source.high = median
         insort(source.split_hints, (median, new_id))
         moved = source.move_records(target, lambda key: key >= median)
-        moved_bytes = sum(record.size for record in moved)
-        self.network.send(source.name, target.name, messages.SPLIT_TRANSFER,
-                          messages.HEADER_BYTES + moved_bytes)
         self.splits_performed += 1
+        return target, moved
 
 
 class RPClient(BaseSDDSClient):

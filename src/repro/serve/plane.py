@@ -2,14 +2,18 @@
 
 A :class:`ServingPlane` assembles, on one deterministic event loop:
 
-* N **bucket nodes**, each an :class:`~repro.sdds.server.SDDSServer`
-  behind a queued :class:`~repro.serve.service.RequestService` -- the
-  modelled single-CPU server with admission control;
+* one SDDS **file** -- an :class:`~repro.sdds.file.LHFile` or
+  :class:`~repro.sdds.rp.RPFile` -- that owns the file state, the
+  split algorithm, server forwarding and key placement;
+* N **bucket nodes**, each one of the file's servers behind a queued
+  :class:`~repro.serve.service.RequestService` -- the modelled
+  single-CPU server with admission control;
 * thousands of **sessions** -- the shared non-blocking client of
   :mod:`repro.serve.session`, each learning addressing through LH*/RP*
   Image Adjustment Messages;
-* live **splits**: buckets split by the real LH*/RP* algorithms while
-  requests for the moving keys sit in their queues.
+* live **splits**: the file splits a bucket (``file.split``) while
+  requests for the moving keys sit in their queues; the plane only
+  times the split and accounts its transfer.
 
 Correctness under a racing split rests on two re-checks: a node
 verifies ownership at *delivery* (forwarding misdirected frames, the
@@ -28,9 +32,10 @@ from bisect import bisect_right, insort
 
 from ..obs import get_registry
 from ..sdds.bucket import Bucket
+from ..sdds.file import LHFile
 from ..sdds.image import serialize_bucket
-from ..sdds.lh import ClientImage, FileState, LHAddressing
-from ..sdds.rp import KEY_SPACE
+from ..sdds.lh import ClientImage
+from ..sdds.rp import KEY_SPACE, RPFile
 from ..sdds.record import Record
 from ..sdds.server import SDDSServer
 from ..sig.scheme import AlgebraicSignatureScheme, make_scheme
@@ -73,24 +78,16 @@ class ServeError(ReproError):
 
 
 class BucketNode(RequestFrontEnd):
-    """One serving bucket: SDDS server + request front end + routing."""
+    """One serving bucket: a file's server behind a request front end."""
 
     prefix = "serve"
     reply_kind = REPLY_KIND
 
-    def __init__(self, plane: "ServingPlane", bucket_id: int,
-                 low: int = 0, high: int = KEY_SPACE):
+    def __init__(self, plane: "ServingPlane", server: SDDSServer):
         self.plane = plane
-        self.bucket_id = bucket_id
+        self.server = server
+        self.bucket_id = server.server_id
         self.scheme = plane.scheme
-        self.server = SDDSServer(bucket_id, plane.scheme,
-                                 capacity_records=1 << 20,
-                                 store_signatures=True)
-        #: RP* range [low, high) -- unused (full-space) under LH*.
-        self.low = low
-        self.high = high
-        #: RP* forwarding hints: sorted (median, new_bucket) split history.
-        self.split_hints: list[tuple[int, int]] = []
         super().__init__(plane.loop, plane.policy, plane.faulty_network,
                          plane.sessions)
         self.split_pending = False
@@ -112,18 +109,9 @@ class BucketNode(RequestFrontEnd):
     def forward_target(self, key: int) -> int | None:
         """Bucket to forward ``key`` to, or None when it belongs here."""
         if self.plane.family == "lh":
-            return self.plane.addressing.server_forward(
+            return self.plane.file.addressing.server_forward(
                 key, self.bucket_id, self.level)
-        if self.low <= key < self.high:
-            return None
-        if key >= self.high and self.split_hints:
-            index = bisect_right(self.split_hints, (key, KEY_SPACE)) - 1
-            if index >= 0:
-                return self.split_hints[index][1]
-        raise ServeError(
-            f"{self.name} cannot route key {key} "
-            f"outside [{self.low}, {self.high})"
-        )
+        return self.server.forward_target(key)
 
     # ------------------------------------------------------------------
     # Request path
@@ -142,12 +130,13 @@ class BucketNode(RequestFrontEnd):
                 # level/address; the client image adjustment never
                 # overshoots the true file state.
                 self._send_iam(session, self.bucket_id, self.level,
-                               self.low, self.high)
+                               0, KEY_SPACE)
             plane.forward_frame(self, target, data)
             return False
         if forwarded and plane.family == "rp":
             # RP* IAM: the owning server reports its range.
-            self._send_iam(session, self.bucket_id, 0, self.low, self.high)
+            self._send_iam(session, self.bucket_id, 0,
+                           self.server.low, self.server.high)
         return True
 
     def _execute(self, group: ServeRequest) -> tuple[int, bytes, None] | None:
@@ -196,11 +185,12 @@ class PlaneSession(Session):
         super().__init__(plane, index, f"s{index}")
         self.plane = plane
         #: LH* image snapshot (refined by IAMs).
-        self.image = ClientImage(plane.state.level, plane.state.pointer) \
+        self.image = ClientImage(plane.file.state.level,
+                                 plane.file.state.pointer) \
             if plane.family == "lh" else None
         #: RP* image: sorted range lows and their owning buckets.
         if plane.family == "rp":
-            pairs = sorted((node.low, node.bucket_id)
+            pairs = sorted((node.server.low, node.bucket_id)
                            for node in plane.nodes)
             self._bounds = [low for low, _ in pairs]
             self._owners = [owner for _, owner in pairs]
@@ -219,7 +209,7 @@ class PlaneSession(Session):
         """The bucket this session's image addresses ``key`` to."""
         plane = self.plane
         if plane.family == "lh":
-            address = plane.addressing.client_address(
+            address = plane.file.addressing.client_address(
                 key, self.image.level, self.image.pointer)
             return plane.nodes[address]
         index = bisect_right(self._bounds, key) - 1
@@ -242,7 +232,7 @@ class PlaneSession(Session):
             return
         bucket, level, low, _high = cwire.decode_iam(body)
         if plane.family == "lh":
-            self.image = plane.addressing.adjust_image(
+            self.image = plane.file.addressing.adjust_image(
                 self.image, level, bucket)
             return
         index = bisect_right(self._bounds, low) - 1
@@ -309,7 +299,6 @@ class ServingPlane:
             timeout=10e-3, backoff=2.0, max_timeout=0.08, max_attempts=6,
             jitter=0.1, budget=4, op_deadline=0.25)
         self.plan = plan if plan is not None else FaultPlan()
-        self.split_threshold = split_threshold
         self.split_delay = split_delay
         self.clock = SimClock()
         self.loop = EventLoop(self.clock)
@@ -321,12 +310,17 @@ class ServingPlane:
         # High-volume series must be bounded *before* first touch.
         registry.set_histogram_backend("serve.wait_seconds", "bucketed")
         registry.set_histogram_backend("serve.latency_seconds", "bucketed")
-        self.addressing = LHAddressing(initial_buckets=buckets) \
-            if family == "lh" else LHAddressing()
-        self.state = FileState()
+        if family == "lh":
+            self.file = LHFile(self.scheme, capacity_records=split_threshold,
+                               network=self.network, initial_buckets=buckets,
+                               split_load_factor=_SPLIT_LOAD,
+                               store_signatures=True)
+        else:
+            self.file = RPFile(self.scheme, capacity_records=split_threshold,
+                               network=self.network, store_signatures=True)
         self.sessions: list[PlaneSession] = []
         self.nodes: list[BucketNode] = [
-            BucketNode(self, index) for index in range(buckets)
+            BucketNode(self, server) for server in self.file.servers
         ]
         #: Ground truth applied in execution order (key -> value).
         self.oracle: dict[int, bytes] = {}
@@ -355,14 +349,7 @@ class ServingPlane:
 
     def owner_of(self, key: int) -> BucketNode:
         """The bucket that owns ``key`` under the *true* current state."""
-        if self.family == "lh":
-            address = self.addressing.client_address(
-                key, self.state.level, self.state.pointer)
-            return self.nodes[address]
-        for node in self.nodes:
-            if node.low <= key < node.high:
-                return node
-        raise ServeError(f"no bucket owns key {key}")
+        return self.nodes[self.file.owner(key)]
 
     def forward_frame(self, source: BucketNode, target: int,
                       data: bytes) -> None:
@@ -460,65 +447,37 @@ class ServingPlane:
 
     def _maybe_split(self, node: BucketNode) -> None:
         if self.family == "rp":
-            if (not node.split_pending
-                    and len(node.server.bucket) > self.split_threshold):
+            if not node.split_pending and node.server.bucket.is_overfull:
                 node.split_pending = True
-                self.loop.after(self.split_delay,
-                                lambda: self._split_rp(node))
+                self.loop.after(self.split_delay, lambda: self._split(node))
             return
-        capacity = self.split_threshold * len(self.nodes)
         if (not self._lh_split_pending
-                and len(self.oracle) > _SPLIT_LOAD * capacity):
+                and self.file.load_factor > self.file.split_load_factor):
             self._lh_split_pending = True
-            self.loop.after(self.split_delay, self._split_lh)
+            self.loop.after(self.split_delay, self._split)
 
     # ------------------------------------------------------------------
     # Live splits
     # ------------------------------------------------------------------
 
-    def _move_records(self, source: BucketNode, target: BucketNode,
-                      moves) -> int:
-        """Move ``moves``-selected records; returns bytes shipped."""
-        shipped = sum(8 + len(record.value) for record in
-                      source.server.move_records(target.server, moves))
+    def _split(self, source: BucketNode | None = None) -> None:
+        """Split live: the bucket at the LH* split pointer, or the
+        overfull RP* bucket ``source`` at its median key."""
+        if source is None:
+            self._lh_split_pending = False
+            source = self.nodes[self.file.state.pointer]
+            server, moved = self.file.split()
+        else:
+            source.split_pending = False
+            if not source.server.bucket.is_overfull:
+                return
+            server, moved = self.file.split(source.server)
+        target = BucketNode(self, server)
+        self.nodes.append(target)
+        shipped = sum(8 + len(record.value) for record in moved)
         if shipped:
             self.network.account(source.name, target.name,
                                  SPLIT_KIND, shipped)
-        return shipped
-
-    def _split_lh(self) -> None:
-        """Split the bucket at the LH* split pointer (live)."""
-        self._lh_split_pending = False
-        source = self.nodes[self.state.pointer]
-        new_id = len(self.nodes)
-        new_level = source.level + 1
-        target = BucketNode(self, new_id)
-        self.nodes.append(target)
-        shipped = self._move_records(
-            source, target,
-            lambda key: self.addressing.h(new_level, key) == new_id)
-        source.server.bucket.level = new_level
-        target.server.bucket.level = new_level
-        self.state.after_split(self.addressing)
-        self._note_split(source, target, shipped)
-
-    def _split_rp(self, source: BucketNode) -> None:
-        """Split an overfull RP* bucket at its median key (live)."""
-        source.split_pending = False
-        if len(source.server.bucket) <= self.split_threshold:
-            return
-        median = source.server.bucket.median_key()
-        new_id = len(self.nodes)
-        target = BucketNode(self, new_id, low=median, high=source.high)
-        self.nodes.append(target)
-        shipped = self._move_records(source, target,
-                                     lambda key: key >= median)
-        source.high = median
-        insort(source.split_hints, (median, new_id))
-        self._note_split(source, target, shipped)
-
-    def _note_split(self, source: BucketNode, target: BucketNode,
-                    shipped: int) -> None:
         self.splits += 1
         self.split_log.append((self.clock.now, source.bucket_id,
                                target.bucket_id, shipped))
@@ -548,14 +507,10 @@ class ServingPlane:
             # Split synchronously during preload: the live-split path
             # needs traffic; here we only want the starting topology.
             if self.family == "rp":
-                if len(node.server.bucket) > self.split_threshold:
-                    node.split_pending = True
-                    self._split_rp(node)
-            else:
-                capacity = self.split_threshold * len(self.nodes)
-                if len(self.oracle) > _SPLIT_LOAD * capacity:
-                    self._lh_split_pending = True
-                    self._split_lh()
+                if node.server.bucket.is_overfull:
+                    self._split(node)
+            elif self.file.load_factor > self.file.split_load_factor:
+                self._split()
 
     @staticmethod
     def _value_for(key: int, version: int, value_bytes: int) -> bytes:
