@@ -240,6 +240,25 @@ class TestServingPlane:
         assert plane.splits >= 1
         assert verification["ok"]
 
+    @pytest.mark.parametrize("family, buckets", [("lh", 2), ("rp", 1)])
+    def test_live_splits_run_on_the_sdds_file(self, family, buckets):
+        with use_registry(MetricsRegistry()):
+            plane = small_plane(seed=4, family=family, buckets=buckets,
+                                threshold=48)
+            generator = LoadGenerator(
+                plane, LoadMix(sessions=64, n_items=100,
+                               insert_fraction=0.30, read_fraction=0.50,
+                               update_fraction=0.15))
+            generator.run_step(3000.0, 600)
+            plane.settle()
+        assert any(at > 0 for at, *_ in plane.split_log), \
+            "test must exercise a live split"
+        plane.file.check_placement()
+        assert plane.file.splits_performed == plane.splits
+        assert len(plane.nodes) == plane.file.bucket_count
+        assert all(node.server is plane.file.server(node.bucket_id)
+                   for node in plane.nodes)
+
     def test_thousand_session_smoke(self):
         with use_registry(MetricsRegistry()):
             plane = small_plane(seed=1, threshold=1 << 20)
