@@ -131,9 +131,7 @@ class Replica:
             lo, hi = aligned_span(offset, length, symbol_bytes)
             hi = min(hi, len(self.data))
             if hi % symbol_bytes:
-                # The image ends mid-symbol; its tail cannot be
-                # journaled exactly, so fall back to a cold re-sign.
-                self.invalidate()
+                self._cold_resign()
                 tracked = False
             else:
                 before = bytes(self.data[lo:hi])
@@ -203,6 +201,14 @@ class Replica:
         self._record(new_length, tail, mutate)
         del self.data[new_length:]
 
+    def _cold_resign(self) -> None:
+        """The image ends mid-symbol: its tail cannot be journaled
+        exactly, so drop the warm state (the next request re-signs the
+        whole image) and count the drop."""
+        get_registry().counter("sync.cold_resigns",
+                               reason="partial_symbol").inc()
+        self.invalidate()
+
     def invalidate(self) -> None:
         """Drop warm signature state after an untracked data mutation."""
         self._incremental = None
@@ -219,13 +225,15 @@ class Replica:
         incremental = self._incremental
         if incremental is None:
             return
-        symbol_bytes = self.scheme.scheme_id.symbol_bytes
-        if len(self.data) % symbol_bytes:
-            # A partial trailing symbol cannot be journaled exactly.
-            self.invalidate()
-            return
         journal = incremental.journal
-        if not journal and incremental.total_bytes == len(self.data):
+        symbol_bytes = self.scheme.scheme_id.symbol_bytes
+        # A map signed over a mid-symbol image covers it zero-padded to
+        # whole symbols, so it stays current until something is written.
+        if not journal and incremental.total_bytes \
+                == -(-len(self.data) // symbol_bytes) * symbol_bytes:
+            return
+        if len(self.data) % symbol_bytes:
+            self._cold_resign()
             return
         report = incremental.apply_journal(journal,
                                            total_bytes=len(self.data))

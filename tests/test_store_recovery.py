@@ -435,6 +435,39 @@ class TestMixedWidthSegment:
             store.close()
 
 
+class TestPartialSymbolTail:
+    """A warm map cannot journal an image that ends mid-symbol; the
+    drop of its warm state is counted, never silent."""
+
+    @staticmethod
+    def _recover_truncated(directory, length):
+        image = bytes(range(256)) * 4
+        store = PageStore(SCHEME, directory)
+        store.write_image("a", image, 256)
+        rotted = store.record_extent("a", 800, image[800:840], bytes(40),
+                                     len(image))
+        store.checkpoint()
+        store.truncate("a", length)
+        store.close()
+        store.corrupt_log(rotted + 40, b"\xff\xff")
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            store, report = PageStore.recover(SCHEME, directory)
+        store.close()
+        assert report.condemned == {"a": (3,)}
+        return report, registry.total("sync.cold_resigns",
+                                      reason="partial_symbol")
+
+    def test_mid_symbol_truncate_counts_one_cold_resign(self, tmp_path):
+        _report, drops = self._recover_truncated(tmp_path, 1021)
+        assert drops == 1
+
+    def test_symbol_aligned_truncate_keeps_the_warm_map(self, tmp_path):
+        report, drops = self._recover_truncated(tmp_path, 1020)
+        assert drops == 0
+        assert list(report.expected["a"]) == [3]
+
+
 # ----------------------------------------------------------------------
 # The array seal verdict
 # ----------------------------------------------------------------------
