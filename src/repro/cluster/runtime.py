@@ -278,15 +278,17 @@ class Cluster:
         node.state = NodeState.RECOVERING
         with activate(self.traces), \
                 self.traces.begin("node.recover", node=node.name) as span:
-            durable = node.store_dir is not None and \
-                self._recover_durable(node)
-            if not durable:
-                if node.store_dir is not None:
+            durable = False
+            if node.store_dir is not None:
+                reason = self._recover_durable(node)
+                durable = reason is None
+                if not durable:
                     # The local log could not certify the bucket: fall
                     # back to full LH*RS reconstruction.
                     self.parity.fail_bucket(node.index)
                     registry.counter("cluster.durable_fallbacks",
-                                     node=node.name).inc()
+                                     node=node.name, reason=reason).inc()
+            if not durable:
                 self._recover_parity(node)
                 if node.store_dir is not None:
                     # Re-seed the durable log from the recovered state.
@@ -303,16 +305,18 @@ class Cluster:
             self.clock.now - crashed_at
         )
 
-    def _recover_durable(self, node: ClusterNode) -> bool:
+    def _recover_durable(self, node: ClusterNode) -> str | None:
         """Certified local replay of the node's sealed log.
 
-        Returns True when the bucket was re-certified from local state:
+        Returns None when the bucket was re-certified from local state:
         checkpoint + fold, torn tail truncated, and every condemned
         page patched from the hosted mirror with its replacement
         *verified* against the certified expected signature.  Any
-        uncertainty (unverifiable patch, undecodable image -- including
-        a torn mutation's duplicate key) returns
-        False and the caller falls back to LH*RS reconstruction.
+        uncertainty returns the reason the caller falls back to LH*RS
+        reconstruction: ``recover_failed`` (the log would not replay),
+        ``no_volume`` (no bucket image in it), a reason from
+        :meth:`_patch_condemned`, or ``undecodable`` (the image does not
+        decode -- including a torn mutation's duplicate key).
         """
         registry = get_registry()
         try:
@@ -323,7 +327,7 @@ class Cluster:
                 flush=self.durable_flush,
             )
         except (ReproError, OSError):
-            return False
+            return "recover_failed"
         for volume_name, pages in sorted(report.condemned.items()):
             if pages:
                 node.recorder.record_fault("page_condemned",
@@ -334,58 +338,60 @@ class Cluster:
         volume = node.IMAGE_VOLUME
         if volume not in store.volumes():
             store.close()
-            return False
+            return "no_volume"
         condemned = report.condemned.get(volume, ())
         if condemned:
-            if not self._patch_condemned(node, store, condemned,
-                                         report.expected.get(volume, {})):
+            reason = self._patch_condemned(node, store, condemned,
+                                           report.expected.get(volume, {}))
+            if reason is not None:
                 store.close()
-                return False
+                return reason
         try:
             # A torn size-changing update leaves its key twice, which
             # the decoder refuses: never adopt half a mutation.
             node.adopt_image(store.image(volume))
         except WireError:
             store.close()
-            return False
+            return "undecodable"
         node.store = store
         node.store_dir = store.directory
         registry.counter("cluster.durable_recoveries", node=node.name).inc()
         registry.counter("cluster.durable_frames_folded").inc(
             report.frames_folded
         )
-        return True
+        return None
 
     def _patch_condemned(self, node: ClusterNode, store: PageStore,
                          condemned: tuple[int, ...],
-                         expected: dict) -> bool:
+                         expected: dict) -> str | None:
         """Fetch condemned pages from the hosted mirror, verified.
 
         Each replacement page must re-sign to the *certified* expected
         signature from the recovery report -- a stale or damaged mirror
         page fails the check and the whole durable path is abandoned.
+        Returns None when every page was patched, else why not:
+        ``mirror_down``, ``uncertified`` (no certified signature for
+        the page) or ``patch_mismatch`` (the mirror's page is missing
+        or signs differently).
         """
         registry = get_registry()
         host = self.mirror_host(node.index)
         mirror = host.mirror if host.is_up else None
         if mirror is None:
-            return False
+            return "mirror_down"
         volume = node.IMAGE_VOLUME
         page_bytes = store.page_bytes_of(volume)
         signer = get_batch_signer(self.scheme)
         for page in condemned:
             certified = expected.get(page)
             if certified is None:
-                return False
+                return "uncertified"
             patch = bytes(mirror.data[page * page_bytes:
                                       (page + 1) * page_bytes])
-            if not patch:
-                return False
-            actual = signer.sign_map(patch,
-                                     page_bytes // self.scheme.scheme_id
-                                     .symbol_bytes).signatures[0]
-            if actual != certified:
-                return False
+            if not patch or signer.sign_map(
+                    patch, page_bytes // self.scheme.scheme_id.symbol_bytes
+            ).signatures[0] != certified:
+                return "patch_mismatch"
             self.network.send(host.name, node.name, RECOVERY_SHARD,
                               len(patch))
             store.write_page(volume, page, patch)
@@ -394,7 +400,7 @@ class Cluster:
             registry.counter("cluster.repair_bytes", phase="condemned").inc(
                 len(patch)
             )
-        return True
+        return None
 
     def _recover_parity(self, node: ClusterNode) -> None:
         """LH*RS reconstruction over the recovery channel."""

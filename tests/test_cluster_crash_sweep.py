@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -210,12 +211,14 @@ def _cut_points(offsets: list[int], end: int) -> list[int]:
     return points
 
 
-def sweep(preload, mutation, partitioned=False, **faults) -> dict[str, int]:
+def sweep(preload, mutation, partitioned=False, reasons=None,
+          **faults) -> dict[str, int]:
     """Cut at every point of the mutation's burst; tally the outcomes.
 
     Every run ends in an exact image, before or after the mutation, or
     in an explicit, counted fall-back to LH*RS; with a rotted frame an
-    exact image must also have been patched from the mirror.
+    exact image must also have been patched from the mirror.  A
+    ``reasons`` Counter, when given, tallies each fall-back's reason.
     """
     with tempfile.TemporaryDirectory() as root:
         probe = _run(root, preload, mutation)
@@ -239,6 +242,11 @@ def sweep(preload, mutation, partitioned=False, **faults) -> dict[str, int]:
             # The parity group already holds the mutation.
             assert run.recovered == run.after
             outcomes["fallback"] += 1
+            if reasons is not None:
+                reasons.update(
+                    dict(series.labels)["reason"]
+                    for series in run.registry.series()
+                    if series.name == "cluster.durable_fallbacks")
         else:
             if faults.get("rot") is not None:
                 # Condemned pages were patched, each one verified
@@ -343,21 +351,32 @@ def test_rot_before_the_cut(name, mirror):
     ``partitioned``: the node is cut off from its mirror host while it
     recovers, but the patch is read over the recovery channel, which is
     modelled as reliable, so every run ends exactly as with ``up``.
+
+    The fall-back's ``reason`` label says why: ``mirror_down`` when the
+    host is down; ``uncertified`` on every fall-back from rot in the
+    last preload frame, logged after the checkpoint, which no certified
+    signature covers.
     """
     kind, key, value, frames = MUTATIONS[name]
     mutation = (kind, key, value)
     cuts = 4 * frames + 1
     patched = 0
     for rot in range(len(PRELOAD)):
+        reasons = Counter()
         if mirror == "down":
-            outcomes = sweep(PRELOAD, mutation, rot=rot, mirror_down=True)
+            outcomes = sweep(PRELOAD, mutation, rot=rot, mirror_down=True,
+                             reasons=reasons)
             assert outcomes["fallback"] == cuts
             assert outcomes["patched"] == 0
+            assert reasons == {"mirror_down": cuts}
             continue
-        outcomes = sweep(PRELOAD, mutation, rot=rot)
+        outcomes = sweep(PRELOAD, mutation, rot=rot, reasons=reasons)
         if mirror == "partitioned":
             assert sweep(PRELOAD, mutation, rot=rot,
                          partitioned=True) == outcomes
         patched += outcomes["patched"]
+        if rot == len(PRELOAD) - 1:
+            assert outcomes["fallback"] > 0
+            assert reasons == {"uncertified": outcomes["fallback"]}
     if mirror != "down":
         assert patched > 0
