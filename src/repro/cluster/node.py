@@ -37,12 +37,12 @@ its flight-recorder frames.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import nullcontext
 from enum import Enum
 
 from pathlib import Path
 
-from ..obs import activate, get_registry, span_if_active
+from ..obs import HandleCache, get_registry, span_if_active
 from ..obs.trace import TraceContext
 from ..sdds.bucket import Bucket
 from ..sdds.image import IMAGE_TAG
@@ -67,6 +67,15 @@ REQUEST_KINDS = {wire.OP_INSERT: "c_insert", wire.OP_SEARCH: "c_search",
                  wire.OP_UPDATE: "c_update", wire.OP_DELETE: "c_delete"}
 REPLY_KIND = "c_reply"
 DELTA_KIND = "c_mirror_delta"
+
+#: What :meth:`ClusterNode._traced` returns for an untraced frame.
+_UNTRACED = nullcontext(None)
+#: Unlabelled counters by name.
+_COUNTERS = HandleCache(lambda registry, name: registry.counter(name))
+#: ``cluster.mirror_deltas`` and ``cluster.mirror_delta_bytes`` by source.
+_MIRROR_COUNTERS = HandleCache(lambda registry, source: (
+    registry.counter("cluster.mirror_deltas", source=source),
+    registry.counter("cluster.mirror_delta_bytes", source=source)))
 
 
 class NodeState(Enum):
@@ -162,19 +171,15 @@ class ClusterNode(RequestFrontEnd):
     # RPC handling
     # ------------------------------------------------------------------
 
-    @contextmanager
     def _traced(self, name: str, context: TraceContext | None, **labels):
         # Child span parented on the *frame's* context -- never the
         # ambient stack, which may belong to a different operation when
-        # a duplicated or late frame arrives mid-handling.  Yields None
-        # untraced, so callers work with or without an envelope.
+        # a duplicated or late frame arrives mid-handling.  Enters as
+        # None untraced, so callers work with or without an envelope.
         if context is None:
-            yield None
-            return
-        traces = self.cluster.traces
-        with activate(traces), \
-                traces.child(name, context, node=self.name, **labels) as span:
-            yield span
+            return _UNTRACED
+        return self.cluster.traces.child(name, context, node=self.name,
+                                         **labels).activating()
 
     def _frame_corrupt(self, data: bytes) -> None:
         self.cluster.report_seal_failure(self.recorder, "request", data)
@@ -206,7 +211,7 @@ class ClusterNode(RequestFrontEnd):
         status, reply_value, effect = apply_operation(
             self.server, self.scheme, op, key, value)
         if effect == EFFECT_PSEUDO:
-            get_registry().counter("cluster.pseudo_updates").inc()
+            _COUNTERS["cluster.pseudo_updates"].inc()
         if effect not in MUTATING_EFFECTS:
             return status, reply_value
         if effect == EFFECT_INSERT:
@@ -272,11 +277,9 @@ class ClusterNode(RequestFrontEnd):
                 self.name, host.name, DELTA_KIND, sealed,
                 host.receive_mirror_delta,
             )
-        registry = get_registry()
-        registry.counter("cluster.mirror_deltas",
-                         source=self.name).inc(len(regions))
-        registry.counter("cluster.mirror_delta_bytes", source=self.name).inc(
-            sum(len(delta) for _offset, delta in regions))
+        deltas, delta_bytes = _MIRROR_COUNTERS[self.name]
+        deltas.inc(len(regions))
+        delta_bytes.inc(sum(len(delta) for _offset, delta in regions))
 
     def receive_mirror_delta(self, data: bytes) -> None:
         """XOR one delivered delta patch onto the hosted mirror.

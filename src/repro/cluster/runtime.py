@@ -31,9 +31,9 @@ from pathlib import Path
 from ..errors import ReproError, WireError
 from ..obs import (
     FlightRecorder,
+    HandleCache,
     RecorderDump,
     TraceStore,
-    activate,
     frame_digest,
     get_registry,
 )
@@ -61,6 +61,14 @@ class ClusterError(ReproError):
 
 #: Recovery-channel message kinds.
 RECOVERY_SHARD = "c_recovery_shard"
+
+#: ``cluster.ops{op,status}`` by (op code, status name).
+_OPS = HandleCache(lambda registry, key: registry.counter(
+    "cluster.ops", op=wire.OP_NAMES[key[0]], status=key[1]))
+#: ``cluster.op_seconds{op}`` and ``cluster.op_attempts{op}`` by op code.
+_OP_HISTOGRAMS = HandleCache(lambda registry, op: (
+    registry.histogram("cluster.op_seconds", op=wire.OP_NAMES[op]),
+    registry.histogram("cluster.op_attempts", op=wire.OP_NAMES[op])))
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,8 +284,8 @@ class Cluster:
         """
         registry = get_registry()
         node.state = NodeState.RECOVERING
-        with activate(self.traces), \
-                self.traces.begin("node.recover", node=node.name) as span:
+        with self.traces.begin("node.recover",
+                               node=node.name).activating() as span:
             durable = False
             if node.store_dir is not None:
                 reason = self._recover_durable(node)
@@ -524,10 +532,9 @@ class ClusterClient(Session):
                 f"{self.cluster.max_value_bytes}-byte parity slot"
             )
         op_name = wire.OP_NAMES[op]
-        traces = self.cluster.traces
-        with activate(traces), \
-                traces.begin(f"rpc.{op_name}", node=self.name, key=str(key),
-                             target=self._target(key).name) as root:
+        with self.cluster.traces.begin(
+                f"rpc.{op_name}", node=self.name, key=str(key),
+                target=self._target(key).name).activating() as root:
             pending = self.submit(op, key, value, span=root)
             # Until it resolves the operation always has a live timer,
             # so the hour-long horizon is a safety net, never reached.
@@ -546,18 +553,14 @@ class ClusterClient(Session):
         return self.cluster.node_for(key)
 
     def _resolved(self, pending) -> None:
-        op_name = wire.OP_NAMES[pending.op]
-        registry = get_registry()
-        registry.counter("cluster.ops", op=op_name,
-                         status=wire.ST_NAMES[pending.status]).inc()
-        registry.histogram("cluster.op_seconds", op=op_name).observe(
-            self.loop.clock.now - pending.start)
-        registry.histogram("cluster.op_attempts", op=op_name).observe(
-            pending.budget.spent)
+        op = pending.op
+        _OPS[op, wire.ST_NAMES[pending.status]].inc()
+        seconds, attempts = _OP_HISTOGRAMS[op]
+        seconds.observe(self.loop.clock.now - pending.start)
+        attempts.observe(pending.budget.spent)
 
     def _failed(self, pending, reason: str) -> None:
-        get_registry().counter("cluster.ops", op=wire.OP_NAMES[pending.op],
-                               status="gave_up").inc()
+        _OPS[pending.op, "gave_up"].inc()
 
     def _frame_corrupt(self, data: bytes) -> None:
         self.cluster.report_seal_failure(self.recorder, "reply", data)

@@ -47,6 +47,7 @@ from typing import NamedTuple
 
 from ..errors import WireError
 from ..obs.trace import TraceContext
+from ..sig.engine import BatchSigner, get_batch_signer
 from ..sig.scheme import AlgebraicSignatureScheme
 
 # Operation codes (request ``op`` byte).
@@ -86,6 +87,20 @@ _IAM = struct.Struct("<IIQQ")
 # Sealing: the 4-byte integrity check on every message
 # ----------------------------------------------------------------------
 
+#: ``(scheme, its shared signer)`` of the last frame sealed or checked:
+#: a run speaks one scheme, so the pool lookup leaves the per-frame path.
+_last_signer: tuple = (None, None)
+
+
+def _signer(scheme: AlgebraicSignatureScheme) -> BatchSigner:
+    global _last_signer
+    last_scheme, signer = _last_signer
+    if last_scheme is not scheme:
+        signer = get_batch_signer(scheme)
+        _last_signer = (scheme, signer)
+    return signer
+
+
 def seal(scheme: AlgebraicSignatureScheme,
          body: bytes | memoryview) -> bytes:
     """Append the body's algebraic signature.
@@ -93,9 +108,7 @@ def seal(scheme: AlgebraicSignatureScheme,
     The body is signed as an in-place view (the batch engine's zero-copy
     lane) and lands exactly once, in the sealed output.
     """
-    from ..sig.engine import get_batch_signer
-
-    signature = get_batch_signer(scheme).sign_concat([body], strict=False)
+    signature = _signer(scheme).sign_concat([body], strict=False)
     return b"".join((body, signature.to_bytes()))
 
 
@@ -108,9 +121,7 @@ def seal_many(scheme: AlgebraicSignatureScheme,
     pass over a single symbol-aligned landing -- instead of one
     dispatch per message.  Each result is exactly ``seal(scheme, body)``.
     """
-    from ..sig.engine import get_batch_signer
-
-    signatures = get_batch_signer(scheme).sign_concat_many(
+    signatures = _signer(scheme).sign_concat_many(
         [[body] for body in bodies], strict=False)
     return [b"".join((body, signature.to_bytes()))
             for body, signature in zip(bodies, signatures)]
@@ -124,15 +135,12 @@ def unseal(scheme: AlgebraicSignatureScheme,
     copies.  ``bytes`` in, ``bytes`` out (the historical contract);
     ``memoryview`` in, ``memoryview`` out (fully zero-copy).
     """
-    from ..sig.engine import get_batch_signer
-
     width = scheme.signature_bytes
     if len(data) < width:
         return None
     view = data if isinstance(data, memoryview) else memoryview(data)
     body_view = view[:-width]
-    signature = get_batch_signer(scheme).sign_concat([body_view],
-                                                     strict=False)
+    signature = _signer(scheme).sign_concat([body_view], strict=False)
     if signature.to_bytes() != bytes(view[-width:]):
         return None
     if isinstance(data, memoryview):
@@ -165,7 +173,7 @@ def decode_traced(body: bytes) -> tuple[TraceContext | None, bytes]:
     inner = body[_TRACED.size:]
     if trace_id == 0:
         return None, inner
-    return TraceContext(trace_id, span_id), inner
+    return TraceContext.trusted(trace_id, span_id), inner
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
+from .registry import get_registry
+
 
 def frame_digest(scheme, frame: bytes) -> str:
     """Name a sealed wire frame by its own signature tail.
@@ -35,9 +37,19 @@ def frame_digest(scheme, frame: bytes) -> str:
     (impossible on the real wire, possible after truncating faults)
     digest their whole content.
     """
-    tail = frame[-scheme.signature_bytes:] if len(frame) >= \
-        scheme.signature_bytes else frame
-    return f"{tail.hex()}/{len(frame)}"
+    # A slice from -width is the whole frame when it is shorter.
+    return f"{bytes(frame[-scheme.signature_bytes:]).hex()}/{len(frame)}"
+
+
+def _rendered(entry: dict) -> dict:
+    """A ring entry as a dump shows it: a frame's kept seal tail and
+    length become its :func:`frame_digest`."""
+    if entry["kind"] != "frame":
+        return entry
+    rendered = {key: value for key, value in entry.items()
+                if key not in ("tail", "length")}
+    rendered["digest"] = f"{entry['tail'].hex()}/{entry['length']}"
+    return rendered
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,8 +81,10 @@ class RecorderDump:
 class FlightRecorder:
     """A bounded ring of recent telemetry for one cluster node.
 
-    Records three kinds of entries -- finished trace spans, wire-frame
-    digests, fault events -- into a ``deque(maxlen=capacity)``.  On
+    Records three kinds of entries -- finished trace spans, wire frames,
+    fault events -- into a ``deque(maxlen=capacity)``.  A frame entry
+    keeps the frame's seal tail and length; its hex digest is rendered
+    only when a dump reads the ring.  On
     :meth:`dump` the ring is serialized (sorted-key JSON, simulated
     timestamps only, so same-seed runs dump byte-identical evidence),
     sealed with the node's signature scheme, counted in
@@ -84,6 +98,7 @@ class FlightRecorder:
         self.scheme = scheme
         self.clock = clock
         self.capacity = capacity
+        self._seal_bytes = scheme.signature_bytes
         self.entries: deque[dict] = deque(maxlen=capacity)
         self.dumps: list[RecorderDump] = []
         #: External consumers of dumps (the cluster registers one that
@@ -110,14 +125,15 @@ class FlightRecorder:
 
     def record_frame(self, direction: str, kind: str, peer: str,
                      frame: bytes) -> None:
-        """Ring a wire frame's digest (``direction`` is recv/send)."""
+        """Ring a wire frame (``direction`` is recv/send)."""
         self.entries.append({
             "at": self._now(),
-            "digest": frame_digest(self.scheme, frame),
             "direction": direction,
             "frame_kind": kind,
             "kind": "frame",
+            "length": len(frame),
             "peer": peer,
+            "tail": bytes(frame[-self._seal_bytes:]),
         })
 
     def record_fault(self, fault: str, **detail) -> None:
@@ -139,13 +155,11 @@ class FlightRecorder:
         The ring is *not* cleared: a burst of failures produces
         overlapping bundles, each a complete picture at its instant.
         """
-        from .registry import get_registry
-
         document = {
             "at": self._now(),
             "capacity": self.capacity,
             "detail": dict(sorted(detail.items())),
-            "entries": list(self.entries),
+            "entries": [_rendered(entry) for entry in self.entries],
             "node": self.node,
             "reason": reason,
         }

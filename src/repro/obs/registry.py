@@ -422,13 +422,18 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._series: dict[tuple[str, LabelItems], Counter | Gauge | HistogramBase] = {}
         self._histogram_backends: dict[str, str] = {}
+        #: ``(name, *labels as passed)`` -> series: a repeat lookup skips
+        #: the label sort and validation (kwargs order is part of the
+        #: key, so one series may sit under several memo keys).
+        self._memo: dict[tuple, Counter | Gauge | HistogramBase] = {}
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        """Pickle the series without the lock (a worker process ships
-        its registry back for :meth:`merge_from`)."""
+        """Pickle the series without the lock or the lookup memo (a
+        worker process ships its registry back for :meth:`merge_from`)."""
         state = self.__dict__.copy()
         del state["_lock"]
+        state["_memo"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -440,6 +445,24 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
 
     def _get(self, cls, name: str, labels: dict):
+        try:
+            memo_key = (name, *labels.items())
+            series = self._memo.get(memo_key)
+        except TypeError:       # an unhashable label value
+            memo_key = series = None
+        if series is None:
+            series = self._resolve(name, labels, cls)
+            if memo_key is not None:
+                self._memo[memo_key] = series
+        if not isinstance(series, cls):
+            raise MetricError(
+                f"metric {name} already registered as "
+                f"{type(series).__name__}, not {cls.__name__}"
+            )
+        return series
+
+    def _resolve(self, name: str, labels: dict, cls):
+        """Find or create the series: a lookup's first touch."""
         key = (name, _canonical_labels(labels))
         series = self._series.get(key)
         if series is None:
@@ -447,11 +470,6 @@ class MetricsRegistry:
                 raise MetricError(f"invalid metric name {name!r}")
             with self._lock:
                 series = self._series.setdefault(key, cls(name, key[1]))
-        if not isinstance(series, cls):
-            raise MetricError(
-                f"metric {name} already registered as "
-                f"{type(series).__name__}, not {cls.__name__}"
-            )
         return series
 
     def counter(self, name: str, **labels) -> Counter:
@@ -579,9 +597,16 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
-        """Drop every series (fresh accounting for a new experiment)."""
+        """Drop every series (fresh accounting for a new experiment).
+
+        Bumps :data:`epoch`, so no :class:`HandleCache` keeps feeding a
+        dropped series.
+        """
+        global epoch
         with self._lock:
             self._series.clear()
+            self._memo.clear()
+        epoch += 1
 
 
 # ----------------------------------------------------------------------
@@ -592,8 +617,9 @@ _default_registry = MetricsRegistry()
 _active_registry = _default_registry
 
 #: Bumped by every :func:`set_registry` (hence every :func:`use_registry`
-#: enter/exit).  Hot paths cache resolved metric handles against this
-#: epoch and refresh only when it moves, so per-event metrics cost one
+#: enter/exit) and :meth:`MetricsRegistry.reset`.  Hot paths cache
+#: resolved metric handles against this epoch (:class:`HandleCache`) and
+#: refresh only when it moves, so per-event metrics cost one
 #: module-attribute load + integer compare instead of a registry lookup.
 epoch = 0
 
@@ -618,26 +644,47 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
 
 
 class HandleCache:
-    """Per-owner cache of resolved metric handles, epoch-invalidated.
+    """Per-owner table of resolved metric handles, epoch-invalidated.
 
-    Hoists :func:`get_registry` out of per-call hot paths: the owner
-    supplies a factory mapping a registry to a tuple of series handles;
-    :meth:`get` re-runs it only when :func:`set_registry` has installed
-    a different registry since the last call (the ``use_registry`` hook).
+    Hoists the registry lookup out of per-call hot paths.  A keyed
+    table is built with ``factory(registry, key)`` mapping the active
+    registry and whatever varies per call (an op code, a status, a span
+    name) to a series handle or a tuple of them; ``cache[key]`` returns
+    the bound handles, resolving a key only on its first use.  The
+    unkeyed form, :meth:`get`, takes the factory at the call site.
+    Either way the whole table is dropped when :data:`epoch` moves --
+    on :func:`set_registry` (the ``use_registry`` hook) and on
+    :meth:`MetricsRegistry.reset` -- so a handle never outlives the
+    registry state it was bound to.
     """
 
-    __slots__ = ("_epoch", "_handles")
+    __slots__ = ("_epoch", "_table", "_factory")
 
-    def __init__(self) -> None:
+    def __init__(self, factory=None) -> None:
         self._epoch = -1
-        self._handles = None
+        self._table: dict = {}
+        self._factory = factory
+
+    def __getitem__(self, key):
+        """The handles bound for ``key`` in the active registry."""
+        if self._epoch != epoch:
+            self._table = {}
+            self._epoch = epoch
+        handles = self._table.get(key)
+        if handles is None:
+            handles = self._table[key] = self._factory(_active_registry, key)
+        return handles
 
     def get(self, factory):
-        """The cached handles, refreshed iff the registry switched."""
+        """The handles ``factory(registry)`` made, refreshed iff the
+        registry switched."""
         if self._epoch != epoch:
-            self._handles = factory(_active_registry)
+            self._table = {}
             self._epoch = epoch
-        return self._handles
+        handles = self._table.get(None)
+        if handles is None:
+            handles = self._table[None] = factory(_active_registry)
+        return handles
 
 
 @contextmanager

@@ -36,39 +36,57 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from ..errors import ReproError
+from .registry import HandleCache
 
 #: Version tag of the trace-export JSON layout; bump on shape changes.
 TRACE_SCHEMA = "repro.obs/trace-export/v1"
+
+#: Default bound on the finished spans a :class:`TraceStore` keeps.
+DEFAULT_MAX_SPANS = 4096
+
+_ID_LIMIT = 1 << 64
 
 
 class TraceError(ReproError):
     """Invalid trace operation (empty name, unbalanced finish, ...)."""
 
 
-@dataclass(frozen=True, slots=True)
-class TraceContext:
+class _TraceIds(NamedTuple):
+    trace_id: int
+    span_id: int
+
+
+class TraceContext(_TraceIds):
     """The wire-portable identity of one span: what child spans cite.
 
     ``trace_id`` names the whole per-operation tree; ``span_id`` the
     emitting span.  Both are 64-bit values drawn from the run-seeded
     stream, so they fit the fixed little-endian wire layouts of
     :mod:`repro.cluster.wire` (no pickling on the SDDS wire, ever).
+    An immutable pair: the constructor checks the range, and
+    :meth:`trusted` skips the check for ids that cannot be out of it.
     """
 
-    trace_id: int
-    span_id: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("trace_id", "span_id"):
-            value = getattr(self, name)
-            if not 0 <= value < 1 << 64:
-                raise TraceError(f"{name} {value} outside the 64-bit range")
+    def __new__(cls, trace_id: int, span_id: int) -> "TraceContext":
+        if not 0 <= trace_id < _ID_LIMIT:
+            raise TraceError(f"trace_id {trace_id} outside the 64-bit range")
+        if not 0 <= span_id < _ID_LIMIT:
+            raise TraceError(f"span_id {span_id} outside the 64-bit range")
+        return tuple.__new__(cls, (trace_id, span_id))
+
+    @classmethod
+    def trusted(cls, trace_id: int, span_id: int) -> "TraceContext":
+        """A context of two ids already known to fit 64 bits (drawn by
+        ``getrandbits(64)`` or unpacked from a ``<QQ`` envelope)."""
+        return tuple.__new__(cls, (trace_id, span_id))
 
 
 class TraceSpan:
@@ -77,16 +95,18 @@ class TraceSpan:
     ``start``/``end`` are simulated-clock seconds; ``wall_start``/
     ``wall_end`` are ``perf_counter`` readings, and ``wall_offsets[i]``
     is the wall seconds from the span's open to ``events[i]``.
+    ``context`` is the span's wire-portable identity, built once.
     """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "node",
                  "labels", "start", "end", "status", "events",
-                 "wall_start", "wall_end", "wall_offsets")
+                 "wall_start", "wall_end", "wall_offsets", "context")
 
     def __init__(self, trace_id: int, span_id: int, parent_id: int | None,
                  name: str, node: str, labels: dict, start: float):
         self.trace_id = trace_id
         self.span_id = span_id
+        self.context = TraceContext.trusted(trace_id, span_id)
         self.parent_id = parent_id
         self.name = name
         self.node = node
@@ -98,11 +118,6 @@ class TraceSpan:
         self.wall_start = perf_counter()
         self.wall_end: float | None = None
         self.wall_offsets: list[float] = []
-
-    @property
-    def context(self) -> TraceContext:
-        """This span's wire-portable identity."""
-        return TraceContext(self.trace_id, self.span_id)
 
     @property
     def sim_seconds(self) -> float:
@@ -135,20 +150,32 @@ class TraceSpan:
                 f" span={self.span_id:x})")
 
 
+#: Marks a handle whose entering does not touch the active store.
+_NOT_ACTIVATING = object()
+
+
 class SpanHandle:
     """Context-manager handle on one open span.
 
     Entering pushes the span's context onto the owning store's context
     stack (so :func:`span_if_active` instrumentation deeper in the call
     stack attaches its spans here); exiting finishes the span and pops.
+    A handle marked by :meth:`activating` also makes its store the
+    active one for the ``with`` block, as :func:`activate` would.
     """
 
-    __slots__ = ("store", "span", "_entered")
+    __slots__ = ("store", "span", "_entered", "_previous")
 
     def __init__(self, store: "TraceStore", span: TraceSpan):
         self.store = store
         self.span = span
         self._entered = False
+        self._previous = _NOT_ACTIVATING
+
+    def activating(self) -> "SpanHandle":
+        """Make entering also activate the store; returns the handle."""
+        self._previous = None
+        return self
 
     @property
     def context(self) -> TraceContext:
@@ -161,26 +188,38 @@ class SpanHandle:
         span.wall_offsets.append(perf_counter() - span.wall_start)
         span.events.append({
             "at": self.store.now(),
-            "fields": dict(sorted(fields.items())),
+            "fields": _sorted(fields),
             "name": name,
         })
 
     def finish(self, status: str = "ok") -> None:
         """Close the span (idempotent) with the given status."""
-        if self.span.end is None:
-            self.span.status = status
-            self.store._finish(self.span)
+        span = self.span
+        if span.end is None:
+            span.status = status
+            self.store._finish(span)
 
     def __enter__(self) -> "SpanHandle":
-        self.store._push(self.span.context)
+        global _active
+        self.store._stack.append(self.span.context)
         self._entered = True
+        if self._previous is not _NOT_ACTIVATING:
+            self._previous = _active
+            _active = self.store
         return self
 
     def __exit__(self, exc_type, _exc, _tb) -> None:
+        global _active
         if self._entered:
-            self.store._pop()
+            stack = self.store._stack
+            if not stack:
+                raise TraceError("context stack underflow (unbalanced exit)")
+            stack.pop()
             self._entered = False
-        self.finish("error" if exc_type is not None else "ok")
+        self.finish("ok" if exc_type is None else "error")
+        if self._previous is not _NOT_ACTIVATING:
+            _active = self._previous
+            self._previous = None
 
 
 class TraceStore:
@@ -192,18 +231,31 @@ class TraceStore:
     without one every sim timestamp reads 0.0 and only wall time is
     measured), so the default exports are a deterministic function of
     the scenario -- the property the same-seed acceptance tests pin.
+
+    ``finished`` is a ring of the last ``max_spans`` finished spans
+    (None keeps every span): a long run's span memory stays bounded,
+    and each span pushed out is counted in ``obs.spans_dropped``, a
+    series that exists only once a span was dropped.
     """
 
-    def __init__(self, seed: int = 0, clock=None):
+    def __init__(self, seed: int = 0, clock=None,
+                 max_spans: int | None = DEFAULT_MAX_SPANS):
+        if max_spans is not None and max_spans < 1:
+            raise TraceError("max_spans must be positive (or None)")
         self.seed = seed
         self.clock = clock
-        self.finished: list[TraceSpan] = []
+        self.max_spans = max_spans
+        self.finished: deque[TraceSpan] = deque(maxlen=max_spans)
         self.open_spans = 0
         #: Called with each finished span (the cluster routes these into
         #: per-node flight recorders).
         self.on_finish: Callable[[TraceSpan], None] | None = None
         self._rng = random.Random(f"{seed}|trace")
         self._stack: list[TraceContext] = []
+        self._span_counts = HandleCache(
+            lambda registry, name: registry.counter("obs.trace_spans",
+                                                    span=name))
+        self._drops = HandleCache()
 
     # ------------------------------------------------------------------
     # Clock and identifiers
@@ -224,8 +276,10 @@ class TraceStore:
               parent_id: int | None, labels: dict) -> SpanHandle:
         if not name:
             raise TraceError("span name cannot be empty")
-        span = TraceSpan(trace_id, self._new_id(), parent_id, name, node,
-                         dict(sorted(labels.items())), self.now())
+        clock = self.clock
+        span = TraceSpan(trace_id, self._rng.getrandbits(64), parent_id,
+                         name, node, _sorted(labels),
+                         0.0 if clock is None else clock.now)
         self.open_spans += 1
         return SpanHandle(self, span)
 
@@ -242,17 +296,22 @@ class TraceStore:
     def span(self, name: str, node: str = "", **labels) -> SpanHandle:
         """Open a span under the *current* context (root if none)."""
         if self._stack:
-            return self.child(name, self._stack[-1], node=node, **labels)
-        return self.begin(name, node=node, **labels)
+            parent = self._stack[-1]
+            return self._make(name, node, parent.trace_id, parent.span_id,
+                              labels)
+        return self._make(name, node, self._new_id(), None, labels)
 
     def _finish(self, span: TraceSpan) -> None:
         span.wall_end = perf_counter()
-        span.end = self.now()
+        clock = self.clock
+        span.end = 0.0 if clock is None else clock.now
         self.open_spans -= 1
-        self.finished.append(span)
-        from .registry import get_registry
-
-        get_registry().counter("obs.trace_spans", span=span.name).inc()
+        finished = self.finished
+        if len(finished) == self.max_spans:
+            self._drops.get(
+                lambda registry: registry.counter("obs.spans_dropped")).inc()
+        finished.append(span)
+        self._span_counts[span.name].inc()
         if self.on_finish is not None:
             self.on_finish(span)
 
@@ -264,14 +323,6 @@ class TraceStore:
     def current(self) -> TraceContext | None:
         """The innermost active context, or None outside any span."""
         return self._stack[-1] if self._stack else None
-
-    def _push(self, context: TraceContext) -> None:
-        self._stack.append(context)
-
-    def _pop(self) -> None:
-        if not self._stack:
-            raise TraceError("context stack underflow (unbalanced exit)")
-        self._stack.pop()
 
     # ------------------------------------------------------------------
     # Assembly and export
@@ -368,11 +419,19 @@ class TraceStore:
         self.finished.clear()
 
 
+def _sorted(fields: dict) -> dict:
+    """``fields`` with sorted keys; a fresh kwargs dict of at most one
+    key is already in order and is kept as is."""
+    return fields if len(fields) < 2 else dict(sorted(fields.items()))
+
+
 # ----------------------------------------------------------------------
 # The module-active store: how deep subsystems join a trace
 # ----------------------------------------------------------------------
 
 _active: TraceStore | None = None
+#: What :func:`span_if_active` returns outside a traced operation.
+_UNTRACED = nullcontext(None)
 
 
 def active_store() -> TraceStore | None:
@@ -402,5 +461,6 @@ def span_if_active(name: str, node: str = "", **labels):
     """
     store = _active
     if store is None or not store._stack:
-        return nullcontext(None)
-    return store.span(name, node=node, **labels)
+        return _UNTRACED
+    parent = store._stack[-1]
+    return store._make(name, node, parent.trace_id, parent.span_id, labels)

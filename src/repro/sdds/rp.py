@@ -84,6 +84,10 @@ class RPFile:
         self.btree_degree = btree_degree
         self.splits_performed = 0
         self.servers: list[RPServer] = [self._new_server(0, 0, KEY_SPACE)]
+        #: Sorted interval lows, and the bucket each one starts: what
+        #: :meth:`owner` bisects.  :meth:`split` keeps both current.
+        self._lows: list[int] = [0]
+        self._owners: list[int] = [0]
 
     def _new_server(self, server_id: int, low: int, high: int) -> RPServer:
         return RPServer(
@@ -114,11 +118,10 @@ class RPFile:
         return RPClient(name, self)
 
     def owner(self, key: int) -> int:
-        """The bucket whose interval holds ``key``."""
-        for server in self.servers:
-            if server.owns(key):
-                return server.server_id
-        raise SDDSError(f"no bucket owns key {key}")
+        """The bucket whose interval holds ``key`` (O(log buckets))."""
+        if not 0 <= key < KEY_SPACE:
+            raise SDDSError(f"no bucket owns key {key}")
+        return self._owners[bisect_right(self._lows, key) - 1]
 
     def check_placement(self) -> None:
         """Assert interval coverage and per-record placement (tests)."""
@@ -163,6 +166,9 @@ class RPFile:
         self.servers.append(target)
         source.high = median
         insort(source.split_hints, (median, new_id))
+        index = bisect_right(self._lows, median)
+        self._lows.insert(index, median)
+        self._owners.insert(index, new_id)
         moved = source.move_records(target, lambda key: key >= median)
         self.splits_performed += 1
         return target, moved

@@ -33,10 +33,18 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import ReproError
-from ..obs import get_registry
+from ..obs import HandleCache, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - the loop is duck-typed at runtime
     from ..cluster.events import EventLoop
+
+#: ``serve.queue_depth{node}`` gauges by node name.
+_QUEUE_DEPTH = HandleCache(
+    lambda registry, node: registry.gauge("serve.queue_depth", node=node))
+#: ``serve.wait_seconds{node}`` histograms by node name.
+_WAIT_SECONDS = HandleCache(
+    lambda registry, node: registry.histogram("serve.wait_seconds",
+                                              node=node))
 
 
 class ServiceError(ReproError):
@@ -167,7 +175,7 @@ class RequestService:
         depth = self.depth
         if depth > self.max_depth:
             self.max_depth = depth
-        get_registry().gauge("serve.queue_depth", node=self.name).set(depth)
+        _QUEUE_DEPTH[self.name].set(depth)
         if not self._busy:
             self._drain()
         return True
@@ -194,9 +202,8 @@ class RequestService:
     def _complete(self, request: ServeRequest) -> None:
         self._busy = False
         self.served += 1 + len(request.riders)
-        registry = get_registry()
-        wait = self.loop.clock.now - request.accepted_at
-        registry.histogram("serve.wait_seconds", node=self.name).observe(wait)
-        registry.gauge("serve.queue_depth", node=self.name).set(self.depth)
+        _WAIT_SECONDS[self.name].observe(
+            self.loop.clock.now - request.accepted_at)
+        _QUEUE_DEPTH[self.name].set(self.depth)
         self._execute(request)
         self._drain()

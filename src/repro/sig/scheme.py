@@ -63,30 +63,21 @@ class AlgebraicSignatureScheme:
         )
         self._ladders = ladder_matrix(field, self.base.betas, 0)
         self._obs_labels = {"field": f"gf{field.f}", "variant": variant}
-        self._obs_epoch = -1
-        self._obs_handles: dict = {}
+        self._obs = _obs.HandleCache(lambda registry, algo: (
+            registry.counter("sig.sign_calls", algo=algo, **self._obs_labels),
+            registry.counter("sig.bytes_signed", algo=algo,
+                             **self._obs_labels),
+        ))
 
     def _count_signed(self, symbols: int, algo: str, calls: int = 1) -> None:
         """Emit ``sig.sign_calls`` / ``sig.bytes_signed`` for signings.
 
-        The registry is resolved once per signer and refreshed only when
-        ``use_registry``/``set_registry`` switches it (epoch compare), so
-        the hot path pays one attribute load and a dict probe per call --
-        and batch callers amortize even that over ``calls`` pages.
+        The handles are bound once per ``algo`` and rebound only when
+        ``use_registry``/``set_registry`` switches the registry, so the
+        hot path pays one table lookup per call -- and batch callers
+        amortize even that over ``calls`` pages.
         """
-        if self._obs_epoch != _obs.epoch:
-            self._obs_epoch = _obs.epoch
-            self._obs_handles = {}
-        handles = self._obs_handles.get(algo)
-        if handles is None:
-            registry = _obs.get_registry()
-            handles = (
-                registry.counter("sig.sign_calls", algo=algo,
-                                 **self._obs_labels),
-                registry.counter("sig.bytes_signed", algo=algo,
-                                 **self._obs_labels),
-            )
-            self._obs_handles[algo] = handles
+        handles = self._obs[algo]
         handles[0].inc(calls)
         handles[1].inc(symbols * self.scheme_id.symbol_bytes)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import BackupError
-from ..obs import MetricsRegistry, get_registry
+from ..obs import HandleCache, MetricsRegistry
 from .clock import SimClock
 from .stats import DiskStats
 
@@ -56,8 +56,7 @@ class SimDisk:
         self.stats = DiskStats()
         #: Pinned metrics registry; None follows the process-wide one.
         self.registry = registry
-        self._obs_registry: MetricsRegistry | None = None
-        self._obs_handles: tuple = ()
+        self._obs_handles = HandleCache()
         self._pages: dict[tuple[str, int], bytes] = {}
         self._page_sizes: dict[str, int] = {}
         self.backing_dir = Path(backing_dir) if backing_dir is not None else None
@@ -103,16 +102,14 @@ class SimDisk:
 
     def _obs(self) -> tuple:
         """Cached ``disk.*`` counter handles on the active registry."""
-        registry = self.registry if self.registry is not None else get_registry()
-        if registry is not self._obs_registry:
-            self._obs_registry = registry
-            self._obs_handles = (
-                registry.counter("disk.writes"),
+        return self._obs_handles.get(self._bind)
+
+    def _bind(self, active: MetricsRegistry) -> tuple:
+        registry = self.registry if self.registry is not None else active
+        return (registry.counter("disk.writes"),
                 registry.counter("disk.bytes_written"),
                 registry.counter("disk.reads"),
-                registry.counter("disk.bytes_read"),
-            )
-        return self._obs_handles
+                registry.counter("disk.bytes_read"))
 
     def has_page(self, volume: str, index: int) -> bool:
         """True if the page exists on disk."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs import MetricsRegistry, get_registry
+from ..obs import HandleCache, MetricsRegistry
 from .clock import SimClock
 from .stats import TrafficStats
 
@@ -58,20 +58,16 @@ class SimNetwork:
         self.per_node: dict[str, TrafficStats] = {}
         #: Pinned metrics registry; None follows the process-wide one.
         self.registry = registry
-        self._obs_registry: MetricsRegistry | None = None
-        self._obs_by_kind: dict = {}
+        self._obs = HandleCache(self._bind)
+
+    def _bind(self, active: MetricsRegistry, kind: str) -> tuple:
+        registry = self.registry if self.registry is not None else active
+        return (registry.counter("net.messages", kind=kind),
+                registry.counter("net.bytes", kind=kind))
 
     def _emit(self, kind: str, payload_bytes: int) -> None:
-        """Emit ``net.*`` series; per-kind handles are cached for speed."""
-        registry = self.registry if self.registry is not None else get_registry()
-        if registry is not self._obs_registry:
-            self._obs_registry = registry
-            self._obs_by_kind = {}
-        handles = self._obs_by_kind.get(kind)
-        if handles is None:
-            handles = (registry.counter("net.messages", kind=kind),
-                       registry.counter("net.bytes", kind=kind))
-            self._obs_by_kind[kind] = handles
+        """Emit ``net.*`` series through per-kind bound handles."""
+        handles = self._obs[kind]
         handles[0].inc()
         handles[1].inc(payload_bytes)
 
@@ -88,12 +84,12 @@ class SimNetwork:
         wire = self.model.wire_bytes(payload_bytes)
         self.stats.record(kind, wire)
         self._emit(kind, wire)
-        self.per_node.setdefault(source, TrafficStats()).record(
-            f"out:{kind}", wire
-        )
-        self.per_node.setdefault(destination, TrafficStats()).record(
-            f"in:{kind}", wire
-        )
+        per_node = self.per_node
+        for node, direction in ((source, "out"), (destination, "in")):
+            stats = per_node.get(node)
+            if stats is None:
+                stats = per_node[node] = TrafficStats()
+            stats.record(f"{direction}:{kind}", wire)
         return self.model.transfer_time(payload_bytes)
 
     def send(self, source: str, destination: str, kind: str, payload_bytes: int) -> float:

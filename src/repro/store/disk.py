@@ -22,7 +22,7 @@ exactly the rotted page against its certified signature
 from __future__ import annotations
 
 from ..errors import BackupError, StoreError
-from ..obs import MetricsRegistry, get_registry
+from ..obs import HandleCache, MetricsRegistry
 from ..sim.clock import SimClock
 from ..sim.disk import DiskModel
 from ..sim.stats import DiskStats
@@ -41,22 +41,17 @@ class DurableDisk:
         self.stats = DiskStats()
         #: Pinned metrics registry; None follows the process-wide one.
         self.registry = registry
-        self._obs_registry: MetricsRegistry | None = None
-        self._obs_handles: tuple = ()
+        self._obs_handles = HandleCache()
 
     def _obs(self) -> tuple:
         """Cached ``disk.*`` counter handles on the active registry."""
-        registry = self.registry if self.registry is not None \
-            else get_registry()
-        if registry is not self._obs_registry:
-            self._obs_registry = registry
-            self._obs_handles = (
-                registry.counter("disk.writes", backend="durable"),
-                registry.counter("disk.bytes_written", backend="durable"),
-                registry.counter("disk.reads", backend="durable"),
-                registry.counter("disk.bytes_read", backend="durable"),
-            )
-        return self._obs_handles
+        return self._obs_handles.get(self._bind)
+
+    def _bind(self, active: MetricsRegistry) -> tuple:
+        registry = self.registry if self.registry is not None else active
+        return tuple(registry.counter(name, backend="durable")
+                     for name in ("disk.writes", "disk.bytes_written",
+                                  "disk.reads", "disk.bytes_read"))
 
     # ------------------------------------------------------------------
     # SimDisk interface

@@ -30,13 +30,12 @@ monotonicity check.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from pathlib import Path
 
 from ..errors import StoreError
-from ..obs import get_registry
+from ..obs import HandleCache
 from ..sig.scheme import AlgebraicSignatureScheme
 from . import frames as fr
 
@@ -48,6 +47,12 @@ SEGMENT_BYTES = 1 << 20
 GROUP_BYTES = 256 * 1024
 #: ... or when the oldest pending byte is older than this.
 GROUP_LATENCY_S = 0.010
+
+#: Unlabelled counters by name.
+_COUNTERS = HandleCache(lambda registry, name: registry.counter(name))
+#: ``store.frames_sealed{kind}`` by frame kind code.
+_FRAMES_SEALED = HandleCache(lambda registry, kind: registry.counter(
+    "store.frames_sealed", kind=fr.KIND_NAMES[kind]))
 
 
 def _segment_name(index: int) -> str:
@@ -312,13 +317,11 @@ class SegmentedLog:
                 offsets.append(total)   # frame starts at the log end
                 total += step
                 position += 1
-        registry = get_registry()
         if flushes:
-            registry.counter("store.log.fsyncs").inc(flushes)
-        registry.counter("store.bytes_appended").inc(sum(sizes))
-        for kind, kind_count in Counter(kinds).items():
-            registry.counter("store.frames_sealed",
-                             kind=fr.KIND_NAMES[kind]).inc(kind_count)
+            _COUNTERS["store.log.fsyncs"].inc(flushes)
+        _COUNTERS["store.bytes_appended"].inc(sum(sizes))
+        for kind in kinds:
+            _FRAMES_SEALED[kind].inc()
         if grouped and self._pending and (
                 time.perf_counter() - self._pending_since
                 >= self.group_latency_s):
@@ -342,10 +345,9 @@ class SegmentedLog:
         handle.flush()
         self._pending = bytearray()
         self._pending_since = None
-        registry = get_registry()
-        registry.counter("store.log.group_commits").inc()
-        registry.counter("store.log.fsyncs").inc()
-        registry.counter("store.log.group_bytes").inc(flushed)
+        _COUNTERS["store.log.group_commits"].inc()
+        _COUNTERS["store.log.fsyncs"].inc()
+        _COUNTERS["store.log.group_bytes"].inc(flushed)
         return flushed
 
     def close(self) -> None:
