@@ -8,8 +8,10 @@ import pathlib
 import pytest
 
 from repro.obs import (
+    BucketedHistogram,
     Counter,
     Gauge,
+    HandleCache,
     Histogram,
     MetricError,
     MetricsRegistry,
@@ -156,6 +158,96 @@ class TestRegistryInjection:
             scheme.sign(b"abcdefgh")
         assert first.total("sig.bytes_signed") == 4
         assert second.total("sig.bytes_signed") == 8
+
+
+class TestHandleCache:
+    """The epoch-invalidated table of bound handles hot paths keep."""
+
+    @staticmethod
+    def by_op():
+        return HandleCache(lambda registry, op: registry.counter(
+            "cluster.ops", op=op, status="found"))
+
+    def test_a_handle_bound_under_one_registry_feeds_only_that_one(self):
+        table = self.by_op()
+        first, second = MetricsRegistry(), MetricsRegistry()
+        with use_registry(first):
+            bound = table["search"]
+            table["search"].inc()
+        with use_registry(second):
+            assert table["search"] is not bound
+            table["search"].inc(2)
+        assert first.total("cluster.ops") == 1
+        assert second.total("cluster.ops") == 2
+
+    def test_keys_resolve_once_per_registry(self):
+        made = []
+
+        def factory(registry, key):
+            made.append(key)
+            return registry.counter("net.bytes", kind=key)
+
+        table = HandleCache(factory)
+        with use_registry(MetricsRegistry()) as registry:
+            for kind in ("insert", "search", "insert", "insert"):
+                table[kind].inc()
+            assert made == ["insert", "search"]
+            assert registry.total("net.bytes", kind="insert") == 3
+
+    def test_unkeyed_form_shares_the_epoch(self):
+        table = HandleCache()
+        first, second = MetricsRegistry(), MetricsRegistry()
+        with use_registry(first):
+            table.get(lambda registry: registry.counter("disk.writes")).inc()
+        with use_registry(second):
+            table.get(lambda registry: registry.counter("disk.writes")).inc()
+        assert first.total("disk.writes") == second.total("disk.writes") == 1
+
+    def test_kwargs_in_either_order_reach_one_series(self):
+        registry = MetricsRegistry()
+        a = registry.counter("cluster.ops", op="insert", status="inserted")
+        b = registry.counter("cluster.ops", status="inserted", op="insert")
+        a.inc()
+        b.inc()
+        assert a is b and len(registry) == 1
+        assert registry.counter("cluster.ops", status="inserted",
+                                op="insert").value == 2
+
+    def test_invalid_name_or_label_still_raises_on_first_touch(self):
+        with use_registry(MetricsRegistry()):
+            with pytest.raises(MetricError):
+                HandleCache(lambda registry, _key: registry.counter(
+                    "Bad-Name"))["x"]
+            with pytest.raises(MetricError):
+                HandleCache(lambda registry, _key: registry.counter(
+                    "net.bytes", **{"Kind": "x"}))["x"]
+            registry = get_registry()
+            registry.counter("net.bytes", kind="x")
+            for _ in range(2):  # the memo does not hide a type conflict
+                with pytest.raises(MetricError):
+                    registry.gauge("net.bytes", kind="x")
+
+    def test_reset_leaves_no_stale_handle(self):
+        table = self.by_op()
+        with use_registry(MetricsRegistry()) as registry:
+            table["insert"].inc(5)
+            registry.reset()
+            table["insert"].inc()
+            assert registry.total("cluster.ops") == 1
+            assert registry.counter("cluster.ops", op="insert",
+                                    status="found").value == 1
+
+    def test_histogram_backend_is_honoured(self):
+        table = HandleCache(lambda registry, op: registry.histogram(
+            "cluster.op_seconds", op=op))
+        with use_registry(MetricsRegistry()) as registry:
+            registry.set_histogram_backend("cluster.op_seconds", "bucketed")
+            table["insert"].observe(0.5)
+            assert isinstance(table["insert"], BucketedHistogram)
+            assert registry.histogram("cluster.op_seconds",
+                                      op="insert") is table["insert"]
+            with pytest.raises(MetricError):
+                registry.set_histogram_backend("cluster.op_seconds", "exact")
 
 
 class TestSnapshotable:

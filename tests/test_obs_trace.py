@@ -195,6 +195,90 @@ class TestSpanIfActive:
             assert active_store() is outer
         assert active_store() is None
 
+    def test_activating_handle_activates_for_its_block(self):
+        outer, store = TraceStore(seed=1), TraceStore(seed=2)
+        with activate(outer):
+            with store.begin("rpc.op").activating() as root:
+                assert active_store() is store
+                with span_if_active("sdds.search") as span:
+                    assert span.span.parent_id == root.span.span_id
+            assert active_store() is outer
+        assert [s.name for s in store.finished] == ["sdds.search", "rpc.op"]
+        assert not outer.finished
+
+    def test_activating_handle_restores_on_error(self):
+        store = TraceStore(seed=1)
+        with pytest.raises(RuntimeError):
+            with store.begin("rpc.op").activating():
+                raise RuntimeError("boom")
+        assert active_store() is None
+        assert store.finished[0].status == "error"
+
+    def test_plain_handle_leaves_the_active_store_alone(self):
+        store = TraceStore(seed=1)
+        with store.begin("rpc.op"):
+            assert active_store() is None
+            with span_if_active("sdds.search") as span:
+                assert span is None
+
+
+class TestTraceStoreRing:
+    def test_oldest_spans_drop_and_are_counted(self):
+        with use_registry(MetricsRegistry()) as registry:
+            store = TraceStore(seed=1, max_spans=3)
+            for index in range(3):
+                with store.begin(f"rpc.op{index}"):
+                    pass
+            assert "obs.spans_dropped" not in registry.snapshot()
+            for index in range(3, 8):
+                with store.begin(f"rpc.op{index}"):
+                    pass
+        assert [span.name for span in store.finished] == \
+            ["rpc.op5", "rpc.op6", "rpc.op7"]
+        assert registry.total("obs.spans_dropped") == 5
+        assert registry.total("obs.trace_spans") == 8
+        assert store.to_dict()["trace_count"] == 3
+
+    def test_unbounded_and_invalid_bounds(self):
+        store = TraceStore(seed=1, max_spans=None)
+        for _ in range(50):
+            with store.begin("rpc.op"):
+                pass
+        assert len(store.finished) == 50
+        for bad in (0, -1):
+            with pytest.raises(TraceError):
+                TraceStore(max_spans=bad)
+
+    def test_a_kv_durable_sized_run_keeps_a_bounded_ring(self, tmp_path):
+        # The benchmark's cluster shape and op count: 200 preloaded keys,
+        # then 1200 operations, about 5 spans each.
+        with use_registry(MetricsRegistry()) as registry:
+            cluster = Cluster(servers=4, seed=3, durable_dir=tmp_path,
+                              durable_flush="frame",
+                              durable_checkpoint_every=64,
+                              recovery_workers=1)
+            client = cluster.client()
+            for key in range(200):
+                client.insert(key, b"v" * 100)
+            for key in range(1200):
+                if key % 2:
+                    client.update(key % 200, key.to_bytes(4, "little") * 25)
+                else:
+                    client.search(key % 200)
+            for node in cluster.nodes:
+                node.store.close()
+        finished = len(cluster.traces.finished)
+        spans = registry.total("obs.trace_spans")
+        assert finished == cluster.traces.max_spans < spans
+        assert registry.total("obs.spans_dropped") == spans - finished
+
+    def test_default_bound_holds_the_demo_runs(self):
+        cluster, registry, _ = _traced_cluster(seed=11)
+        assert cluster.traces.max_spans == 4096
+        assert len(cluster.traces.finished) == \
+            registry.total("obs.trace_spans") < 4096
+        assert "obs.spans_dropped" not in registry.snapshot()
+
 
 class TestTracerZeroStart:
     def test_zero_sim_start_is_a_real_clock(self):
@@ -489,6 +573,59 @@ class TestClusterRecorderIntegration:
         crash = next(dump for dump in cluster.dumps
                      if dump.reason == "crash")
         assert crash.node == "node1"
+
+    def test_entries_stay_dicts(self):
+        cluster, _, _ = _traced_cluster(seed=11)
+        entries = [entry for recorder in cluster.recorders.values()
+                   for entry in recorder.entries]
+        assert entries and all(isinstance(entry, dict) for entry in entries)
+        frames = [entry for entry in entries if entry["kind"] == "frame"]
+        assert frames and all(
+            isinstance(entry["tail"], bytes) and entry["length"] > 0
+            for entry in frames)
+
+    def test_lazy_digests_dump_what_eager_ones_did(self, monkeypatch):
+        """Each dump's payload equals the document rendered from the same
+        ring with every frame digested eagerly by ``frame_digest``."""
+        frames = {}   # id(entry) -> (entry, frame)
+        pairs = []    # (dumped payload, eagerly rendered payload)
+        record_frame, dump = FlightRecorder.record_frame, FlightRecorder.dump
+
+        def keeping(self, direction, kind, peer, frame):
+            record_frame(self, direction, kind, peer, frame)
+            entry = self.entries[-1]
+            frames[id(entry)] = (entry, bytes(frame))
+
+        def eager(self, entry):
+            if entry["kind"] != "frame":
+                return entry
+            kept, frame = frames[id(entry)]
+            assert kept is entry
+            return {"at": entry["at"],
+                    "digest": frame_digest(self.scheme, frame),
+                    "direction": entry["direction"],
+                    "frame_kind": entry["frame_kind"],
+                    "kind": "frame", "peer": entry["peer"]}
+
+        def checking(self, reason, **detail):
+            entries = [eager(self, entry) for entry in self.entries]
+            made = dump(self, reason, **detail)
+            document = {"at": made.at, "capacity": self.capacity,
+                        "detail": dict(sorted(detail.items())),
+                        "entries": entries, "node": self.node,
+                        "reason": reason}
+            pairs.append((made.payload, json.dumps(
+                document, sort_keys=True,
+                separators=(",", ":")).encode("utf-8")))
+            return made
+
+        monkeypatch.setattr(FlightRecorder, "record_frame", keeping)
+        monkeypatch.setattr(FlightRecorder, "dump", checking)
+        cluster, _, _ = _traced_cluster(seed=11)
+        assert any(dump.frames() for dump in cluster.dumps)
+        assert len(pairs) == len(cluster.dumps) > 0
+        for payload, rendered in pairs:
+            assert payload == rendered
 
     def test_link_faults_ring_into_recorders(self):
         cluster, _, _ = _traced_cluster(seed=11)

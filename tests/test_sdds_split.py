@@ -8,9 +8,11 @@ be exactly what changed buckets, stored signatures included.
 ``owner`` must agree with ``check_placement`` for every stored key.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SDDSError
 from repro.sdds import LHFile, Record, RPFile
 from repro.sig import make_scheme
 
@@ -74,3 +76,36 @@ def test_split_moves_exactly_the_returned_records(family, initial_buckets,
     for server in file.servers:
         for key in server.bucket.keys():
             assert file.owner(key) == server.server_id
+
+
+def scanned_owner(file, key):
+    """The RP* bucket whose interval holds ``key``, by a linear scan."""
+    owners = [server.server_id for server in file.servers if server.owns(key)]
+    assert len(owners) == 1, (key, owners)
+    return owners[0]
+
+
+@given(keys=st.lists(st.integers(0, 2**32 - 1), unique=True,
+                     min_size=2, max_size=150),
+       probes=st.lists(st.integers(0, 2**32 - 1), max_size=40),
+       split_every=st.integers(2, 20))
+@settings(max_examples=60, deadline=None)
+def test_rp_owner_bisect_agrees_with_the_intervals(keys, probes, split_every):
+    """``RPFile.owner`` bisects the interval lows that ``split`` keeps:
+    after any sequence of splits it names the one bucket whose interval
+    holds the key -- stored keys, probe keys and every interval edge."""
+    file = make_file("rp", 1)
+    for position, key in enumerate(keys, start=1):
+        assert file.server(file.owner(key)).insert(
+            Record(key, key.to_bytes(4, "little")))
+        source = split_source(file, "rp")
+        if position % split_every == 0 and source is not None:
+            file.split(source)
+    file.check_placement()
+    edges = [edge for server in file.servers
+             for edge in (server.low, server.high - 1)]
+    for key in [*keys, *probes, *edges]:
+        assert file.owner(key) == scanned_owner(file, key)
+    for outside in (-1, 2**32):
+        with pytest.raises(SDDSError):
+            file.owner(outside)
