@@ -46,9 +46,9 @@ def _rendered(entry: dict) -> dict:
     length become its :func:`frame_digest`."""
     if entry["kind"] != "frame":
         return entry
-    rendered = {key: value for key, value in entry.items()
-                if key not in ("tail", "length")}
-    rendered["digest"] = f"{entry['tail'].hex()}/{entry['length']}"
+    rendered = entry.copy()
+    rendered["digest"] = f"{rendered.pop('tail').hex()}/" \
+        f"{rendered.pop('length')}"
     return rendered
 
 

@@ -150,10 +150,6 @@ class TraceSpan:
                 f" span={self.span_id:x})")
 
 
-#: Marks a handle whose entering does not touch the active store.
-_NOT_ACTIVATING = object()
-
-
 class SpanHandle:
     """Context-manager handle on one open span.
 
@@ -164,17 +160,19 @@ class SpanHandle:
     active one for the ``with`` block, as :func:`activate` would.
     """
 
-    __slots__ = ("store", "span", "_entered", "_previous")
+    __slots__ = ("store", "span", "_entered", "_activates", "_previous")
 
     def __init__(self, store: "TraceStore", span: TraceSpan):
         self.store = store
         self.span = span
         self._entered = False
-        self._previous = _NOT_ACTIVATING
+        self._activates = False
+        #: The store that was active before this handle was entered.
+        self._previous: TraceStore | None = None
 
     def activating(self) -> "SpanHandle":
         """Make entering also activate the store; returns the handle."""
-        self._previous = None
+        self._activates = True
         return self
 
     @property
@@ -203,7 +201,7 @@ class SpanHandle:
         global _active
         self.store._stack.append(self.span.context)
         self._entered = True
-        if self._previous is not _NOT_ACTIVATING:
+        if self._activates:
             self._previous = _active
             _active = self.store
         return self
@@ -217,7 +215,7 @@ class SpanHandle:
             stack.pop()
             self._entered = False
         self.finish("ok" if exc_type is None else "error")
-        if self._previous is not _NOT_ACTIVATING:
+        if self._activates:
             _active = self._previous
             self._previous = None
 
