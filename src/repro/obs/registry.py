@@ -655,7 +655,9 @@ class HandleCache:
     Either way the whole table is dropped when :data:`epoch` moves --
     on :func:`set_registry` (the ``use_registry`` hook) and on
     :meth:`MetricsRegistry.reset` -- so a handle never outlives the
-    registry state it was bound to.
+    registry state it was bound to.  What a table holds is a function
+    of the active registry and the key alone, so one module-level table
+    can serve every instance of its module (every client, every node).
     """
 
     __slots__ = ("_epoch", "_table", "_factory")

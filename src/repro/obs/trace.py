@@ -230,16 +230,16 @@ class TraceStore:
     measured), so the default exports are a deterministic function of
     the scenario -- the property the same-seed acceptance tests pin.
 
-    ``finished`` is a ring of the last ``max_spans`` finished spans
-    (None keeps every span): a long run's span memory stays bounded,
-    and each span pushed out is counted in ``obs.spans_dropped``, a
-    series that exists only once a span was dropped.
+    ``finished`` is a ring of the last ``max_spans`` finished spans: a
+    long run's span memory stays bounded, and each span pushed out is
+    counted in ``obs.spans_dropped``, a series that exists only once a
+    span was dropped.
     """
 
     def __init__(self, seed: int = 0, clock=None,
-                 max_spans: int | None = DEFAULT_MAX_SPANS):
-        if max_spans is not None and max_spans < 1:
-            raise TraceError("max_spans must be positive (or None)")
+                 max_spans: int = DEFAULT_MAX_SPANS):
+        if max_spans < 1:
+            raise TraceError("max_spans must be positive")
         self.seed = seed
         self.clock = clock
         self.max_spans = max_spans
