@@ -37,13 +37,12 @@ its flight-recorder frames.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from enum import Enum
 
 from pathlib import Path
 
-from ..obs import HandleCache, get_registry, span_if_active
-from ..obs.trace import TraceContext
+from ..obs import COUNTERS, HandleCache, get_registry, span_if_active
+from ..obs.trace import _UNTRACED, TraceContext
 from ..sdds.bucket import Bucket
 from ..sdds.image import IMAGE_TAG
 from ..sdds.record import Record
@@ -68,10 +67,6 @@ REQUEST_KINDS = {wire.OP_INSERT: "c_insert", wire.OP_SEARCH: "c_search",
 REPLY_KIND = "c_reply"
 DELTA_KIND = "c_mirror_delta"
 
-#: What :meth:`ClusterNode._traced` returns for an untraced frame.
-_UNTRACED = nullcontext(None)
-#: Unlabelled counters by name.
-_COUNTERS = HandleCache(lambda registry, name: registry.counter(name))
 #: ``cluster.mirror_deltas`` and ``cluster.mirror_delta_bytes`` by source.
 _MIRROR_COUNTERS = HandleCache(lambda registry, source: (
     registry.counter("cluster.mirror_deltas", source=source),
@@ -211,7 +206,7 @@ class ClusterNode(RequestFrontEnd):
         status, reply_value, effect = apply_operation(
             self.server, self.scheme, op, key, value)
         if effect == EFFECT_PSEUDO:
-            _COUNTERS["cluster.pseudo_updates"].inc()
+            COUNTERS["cluster.pseudo_updates"].inc()
         if effect not in MUTATING_EFFECTS:
             return status, reply_value
         if effect == EFFECT_INSERT:

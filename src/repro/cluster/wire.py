@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from ..errors import WireError
 from ..obs.trace import TraceContext
-from ..sig.engine import BatchSigner, get_batch_signer
+from ..sig.engine import get_batch_signer
 from ..sig.scheme import AlgebraicSignatureScheme
 
 # Operation codes (request ``op`` byte).
@@ -87,20 +87,6 @@ _IAM = struct.Struct("<IIQQ")
 # Sealing: the 4-byte integrity check on every message
 # ----------------------------------------------------------------------
 
-#: ``(scheme, its shared signer)`` of the last frame sealed or checked:
-#: a run speaks one scheme, so the pool lookup leaves the per-frame path.
-_last_signer: tuple = (None, None)
-
-
-def _signer(scheme: AlgebraicSignatureScheme) -> BatchSigner:
-    global _last_signer
-    last_scheme, signer = _last_signer
-    if last_scheme is not scheme:
-        signer = get_batch_signer(scheme)
-        _last_signer = (scheme, signer)
-    return signer
-
-
 def seal(scheme: AlgebraicSignatureScheme,
          body: bytes | memoryview) -> bytes:
     """Append the body's algebraic signature.
@@ -108,7 +94,7 @@ def seal(scheme: AlgebraicSignatureScheme,
     The body is signed as an in-place view (the batch engine's zero-copy
     lane) and lands exactly once, in the sealed output.
     """
-    signature = _signer(scheme).sign_concat([body], strict=False)
+    signature = get_batch_signer(scheme).sign_concat([body], strict=False)
     return b"".join((body, signature.to_bytes()))
 
 
@@ -121,7 +107,7 @@ def seal_many(scheme: AlgebraicSignatureScheme,
     pass over a single symbol-aligned landing -- instead of one
     dispatch per message.  Each result is exactly ``seal(scheme, body)``.
     """
-    signatures = _signer(scheme).sign_concat_many(
+    signatures = get_batch_signer(scheme).sign_concat_many(
         [[body] for body in bodies], strict=False)
     return [b"".join((body, signature.to_bytes()))
             for body, signature in zip(bodies, signatures)]
@@ -140,7 +126,8 @@ def unseal(scheme: AlgebraicSignatureScheme,
         return None
     view = data if isinstance(data, memoryview) else memoryview(data)
     body_view = view[:-width]
-    signature = _signer(scheme).sign_concat([body_view], strict=False)
+    signature = get_batch_signer(scheme).sign_concat([body_view],
+                                                     strict=False)
     if signature.to_bytes() != bytes(view[-width:]):
         return None
     if isinstance(data, memoryview):

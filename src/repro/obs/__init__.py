@@ -19,6 +19,7 @@ Quick tour::
 """
 
 from .registry import (
+    COUNTERS,
     BucketedHistogram,
     Counter,
     Gauge,
@@ -51,6 +52,7 @@ from .prometheus import to_prometheus
 
 __all__ = [
     "BucketedHistogram",
+    "COUNTERS",
     "Counter",
     "Gauge",
     "HandleCache",

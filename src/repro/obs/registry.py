@@ -422,18 +422,13 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._series: dict[tuple[str, LabelItems], Counter | Gauge | HistogramBase] = {}
         self._histogram_backends: dict[str, str] = {}
-        #: ``(name, *labels as passed)`` -> series: a repeat lookup skips
-        #: the label sort and validation (kwargs order is part of the
-        #: key, so one series may sit under several memo keys).
-        self._memo: dict[tuple, Counter | Gauge | HistogramBase] = {}
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        """Pickle the series without the lock or the lookup memo (a
-        worker process ships its registry back for :meth:`merge_from`)."""
+        """Pickle the series without the lock (a worker process ships
+        its registry back for :meth:`merge_from`)."""
         state = self.__dict__.copy()
         del state["_lock"]
-        state["_memo"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -445,24 +440,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
 
     def _get(self, cls, name: str, labels: dict):
-        try:
-            memo_key = (name, *labels.items())
-            series = self._memo.get(memo_key)
-        except TypeError:       # an unhashable label value
-            memo_key = series = None
-        if series is None:
-            series = self._resolve(name, labels, cls)
-            if memo_key is not None:
-                self._memo[memo_key] = series
-        if not isinstance(series, cls):
-            raise MetricError(
-                f"metric {name} already registered as "
-                f"{type(series).__name__}, not {cls.__name__}"
-            )
-        return series
-
-    def _resolve(self, name: str, labels: dict, cls):
-        """Find or create the series: a lookup's first touch."""
         key = (name, _canonical_labels(labels))
         series = self._series.get(key)
         if series is None:
@@ -470,6 +447,11 @@ class MetricsRegistry:
                 raise MetricError(f"invalid metric name {name!r}")
             with self._lock:
                 series = self._series.setdefault(key, cls(name, key[1]))
+        if not isinstance(series, cls):
+            raise MetricError(
+                f"metric {name} already registered as "
+                f"{type(series).__name__}, not {cls.__name__}"
+            )
         return series
 
     def counter(self, name: str, **labels) -> Counter:
@@ -605,7 +587,6 @@ class MetricsRegistry:
         global epoch
         with self._lock:
             self._series.clear()
-            self._memo.clear()
         epoch += 1
 
 
@@ -687,6 +668,11 @@ class HandleCache:
         if handles is None:
             handles = self._table[None] = factory(_active_registry)
         return handles
+
+
+#: Unlabelled counters by name, shared by every module that bumps one on
+#: a per-operation path (``COUNTERS["store.log.fsyncs"].inc()``).
+COUNTERS = HandleCache(lambda registry, name: registry.counter(name))
 
 
 @contextmanager

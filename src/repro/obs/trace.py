@@ -42,13 +42,13 @@ from time import perf_counter
 from typing import Callable, Iterator, NamedTuple
 
 from ..errors import ReproError
-from .registry import HandleCache
+from .registry import COUNTERS, HandleCache
 
 #: Version tag of the trace-export JSON layout; bump on shape changes.
 TRACE_SCHEMA = "repro.obs/trace-export/v1"
 
-#: Default bound on the finished spans a :class:`TraceStore` keeps.
-DEFAULT_MAX_SPANS = 4096
+#: How many finished spans a :class:`TraceStore` keeps.
+MAX_SPANS = 4096
 
 _ID_LIMIT = 1 << 64
 
@@ -199,7 +199,7 @@ class SpanHandle:
 
     def __enter__(self) -> "SpanHandle":
         global _active
-        self.store._stack.append(self.span.context)
+        self.store._push(self.span.context)
         self._entered = True
         if self._activates:
             self._previous = _active
@@ -208,16 +208,15 @@ class SpanHandle:
 
     def __exit__(self, exc_type, _exc, _tb) -> None:
         global _active
-        if self._entered:
-            stack = self.store._stack
-            if not stack:
-                raise TraceError("context stack underflow (unbalanced exit)")
-            stack.pop()
-            self._entered = False
-        self.finish("ok" if exc_type is None else "error")
-        if self._activates:
-            _active = self._previous
-            self._previous = None
+        try:
+            if self._entered:
+                self.store._pop()
+                self._entered = False
+            self.finish("ok" if exc_type is None else "error")
+        finally:
+            if self._activates:
+                _active = self._previous
+                self._previous = None
 
 
 class TraceStore:
@@ -230,20 +229,16 @@ class TraceStore:
     measured), so the default exports are a deterministic function of
     the scenario -- the property the same-seed acceptance tests pin.
 
-    ``finished`` is a ring of the last ``max_spans`` finished spans: a
-    long run's span memory stays bounded, and each span pushed out is
-    counted in ``obs.spans_dropped``, a series that exists only once a
-    span was dropped.
+    ``finished`` is a ring of the last :data:`MAX_SPANS` finished
+    spans: a long run's span memory stays bounded, and each span pushed
+    out is counted in ``obs.spans_dropped``, a series that exists only
+    once a span was dropped.
     """
 
-    def __init__(self, seed: int = 0, clock=None,
-                 max_spans: int = DEFAULT_MAX_SPANS):
-        if max_spans < 1:
-            raise TraceError("max_spans must be positive")
+    def __init__(self, seed: int = 0, clock=None):
         self.seed = seed
         self.clock = clock
-        self.max_spans = max_spans
-        self.finished: deque[TraceSpan] = deque(maxlen=max_spans)
+        self.finished: deque[TraceSpan] = deque(maxlen=MAX_SPANS)
         self.open_spans = 0
         #: Called with each finished span (the cluster routes these into
         #: per-node flight recorders).
@@ -253,7 +248,6 @@ class TraceStore:
         self._span_counts = HandleCache(
             lambda registry, name: registry.counter("obs.trace_spans",
                                                     span=name))
-        self._drops = HandleCache()
 
     # ------------------------------------------------------------------
     # Clock and identifiers
@@ -274,10 +268,8 @@ class TraceStore:
               parent_id: int | None, labels: dict) -> SpanHandle:
         if not name:
             raise TraceError("span name cannot be empty")
-        clock = self.clock
-        span = TraceSpan(trace_id, self._rng.getrandbits(64), parent_id,
-                         name, node, _sorted(labels),
-                         0.0 if clock is None else clock.now)
+        span = TraceSpan(trace_id, self._new_id(), parent_id, name, node,
+                         _sorted(labels), self.now())
         self.open_spans += 1
         return SpanHandle(self, span)
 
@@ -294,20 +286,16 @@ class TraceStore:
     def span(self, name: str, node: str = "", **labels) -> SpanHandle:
         """Open a span under the *current* context (root if none)."""
         if self._stack:
-            parent = self._stack[-1]
-            return self._make(name, node, parent.trace_id, parent.span_id,
-                              labels)
-        return self._make(name, node, self._new_id(), None, labels)
+            return self.child(name, self._stack[-1], node=node, **labels)
+        return self.begin(name, node=node, **labels)
 
     def _finish(self, span: TraceSpan) -> None:
         span.wall_end = perf_counter()
-        clock = self.clock
-        span.end = 0.0 if clock is None else clock.now
+        span.end = self.now()
         self.open_spans -= 1
         finished = self.finished
-        if len(finished) == self.max_spans:
-            self._drops.get(
-                lambda registry: registry.counter("obs.spans_dropped")).inc()
+        if len(finished) == finished.maxlen:
+            COUNTERS["obs.spans_dropped"].inc()
         finished.append(span)
         self._span_counts[span.name].inc()
         if self.on_finish is not None:
@@ -321,6 +309,14 @@ class TraceStore:
     def current(self) -> TraceContext | None:
         """The innermost active context, or None outside any span."""
         return self._stack[-1] if self._stack else None
+
+    def _push(self, context: TraceContext) -> None:
+        self._stack.append(context)
+
+    def _pop(self) -> None:
+        if not self._stack:
+            raise TraceError("context stack underflow (unbalanced exit)")
+        self._stack.pop()
 
     # ------------------------------------------------------------------
     # Assembly and export
@@ -428,7 +424,8 @@ def _sorted(fields: dict) -> dict:
 # ----------------------------------------------------------------------
 
 _active: TraceStore | None = None
-#: What :func:`span_if_active` returns outside a traced operation.
+#: What :func:`span_if_active` (and a cluster node handling an untraced
+#: frame) returns outside a traced operation.
 _UNTRACED = nullcontext(None)
 
 
@@ -460,5 +457,4 @@ def span_if_active(name: str, node: str = "", **labels):
     store = _active
     if store is None or not store._stack:
         return _UNTRACED
-    parent = store._stack[-1]
-    return store._make(name, node, parent.trace_id, parent.span_id, labels)
+    return store.child(name, store._stack[-1], node=node, **labels)

@@ -35,13 +35,10 @@ import numpy as np
 
 from ..errors import KeyNotFoundError, ParityError
 from ..gf.vectorized import as_symbol_array, symbols_to_bytes
-from ..obs import HandleCache, get_registry, span_if_active
+from ..obs import COUNTERS, get_registry, span_if_active
 from ..sig.scheme import AlgebraicSignatureScheme
 from .consistency import parity_consistent
 from .reed_solomon import ReedSolomonCode
-
-#: Unlabelled counters by name.
-_COUNTERS = HandleCache(lambda registry, name: registry.counter(name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,8 +144,8 @@ class LHRSStore:
                 self._parity[parity_index][rank]
                 ^ self.code.parity_delta(parity_index, bucket, delta)
             )
-        _COUNTERS["parity.delta_updates"].inc(self.k)
-        _COUNTERS["parity.delta_symbols"].inc(self.k * int(delta.size))
+        COUNTERS["parity.delta_updates"].inc(self.k)
+        COUNTERS["parity.delta_symbols"].inc(self.k * int(delta.size))
 
     def _check_available(self, bucket: int) -> None:
         if bucket in self._failed:

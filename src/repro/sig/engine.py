@@ -509,13 +509,17 @@ def get_batch_signer(scheme: AlgebraicSignatureScheme) -> BatchSigner:
 
     Signature maps, replicas, backup engines and wire codecs all route
     through here, so one signer (and its resolved metric handles) serves
-    the whole process per scheme.
+    the whole process per scheme.  A hit on the scheme's own signer
+    (the per-frame case) returns without the lock or the recency bump,
+    so the pool evicts signers in the order they were made.
     """
     key = scheme.scheme_id
+    signer = _SIGNERS.get(key)
+    if signer is not None and signer.scheme is scheme:
+        return signer
     with _SIGNER_LOCK:
         signer = _SIGNERS.get(key)
         if signer is not None and signer.scheme is scheme:
-            _SIGNERS.move_to_end(key)
             return signer
         signer = BatchSigner(scheme)
         _SIGNERS[key] = signer

@@ -35,7 +35,7 @@ from itertools import accumulate, islice
 from pathlib import Path
 
 from ..errors import StoreError
-from ..obs import HandleCache
+from ..obs import COUNTERS, HandleCache
 from ..sig.scheme import AlgebraicSignatureScheme
 from . import frames as fr
 
@@ -48,8 +48,6 @@ GROUP_BYTES = 256 * 1024
 #: ... or when the oldest pending byte is older than this.
 GROUP_LATENCY_S = 0.010
 
-#: Unlabelled counters by name.
-_COUNTERS = HandleCache(lambda registry, name: registry.counter(name))
 #: ``store.frames_sealed{kind}`` by frame kind code.
 _FRAMES_SEALED = HandleCache(lambda registry, kind: registry.counter(
     "store.frames_sealed", kind=fr.KIND_NAMES[kind]))
@@ -318,8 +316,8 @@ class SegmentedLog:
                 total += step
                 position += 1
         if flushes:
-            _COUNTERS["store.log.fsyncs"].inc(flushes)
-        _COUNTERS["store.bytes_appended"].inc(sum(sizes))
+            COUNTERS["store.log.fsyncs"].inc(flushes)
+        COUNTERS["store.bytes_appended"].inc(sum(sizes))
         for kind in kinds:
             _FRAMES_SEALED[kind].inc()
         if grouped and self._pending and (
@@ -345,9 +343,9 @@ class SegmentedLog:
         handle.flush()
         self._pending = bytearray()
         self._pending_since = None
-        _COUNTERS["store.log.group_commits"].inc()
-        _COUNTERS["store.log.fsyncs"].inc()
-        _COUNTERS["store.log.group_bytes"].inc(flushed)
+        COUNTERS["store.log.group_commits"].inc()
+        COUNTERS["store.log.fsyncs"].inc()
+        COUNTERS["store.log.group_bytes"].inc(flushed)
         return flushed
 
     def close(self) -> None:

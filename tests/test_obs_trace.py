@@ -214,6 +214,20 @@ class TestSpanIfActive:
         assert active_store() is None
         assert store.finished[0].status == "error"
 
+    def test_activating_handle_restores_when_finishing_raises(self):
+        outer, store = TraceStore(seed=1), TraceStore(seed=2)
+
+        def fail(_span):
+            raise RuntimeError("recorder down")
+
+        store.on_finish = fail
+        with activate(outer):
+            with pytest.raises(RuntimeError):
+                with store.begin("rpc.op").activating():
+                    pass
+            assert active_store() is outer
+        assert active_store() is None
+
     def test_plain_handle_leaves_the_active_store_alone(self):
         store = TraceStore(seed=1)
         with store.begin("rpc.op"):
@@ -223,9 +237,10 @@ class TestSpanIfActive:
 
 
 class TestTraceStoreRing:
-    def test_oldest_spans_drop_and_are_counted(self):
+    def test_oldest_spans_drop_and_are_counted(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_SPANS", 3)
         with use_registry(MetricsRegistry()) as registry:
-            store = TraceStore(seed=1, max_spans=3)
+            store = TraceStore(seed=1)
             for index in range(3):
                 with store.begin(f"rpc.op{index}"):
                     pass
@@ -238,11 +253,6 @@ class TestTraceStoreRing:
         assert registry.total("obs.spans_dropped") == 5
         assert registry.total("obs.trace_spans") == 8
         assert store.to_dict()["trace_count"] == 3
-
-    def test_invalid_bounds_rejected(self):
-        for bad in (0, -1):
-            with pytest.raises(TraceError):
-                TraceStore(max_spans=bad)
 
     def test_a_kv_durable_sized_run_keeps_a_bounded_ring(self, tmp_path):
         # The benchmark's cluster shape and op count: 200 preloaded keys,
@@ -264,12 +274,12 @@ class TestTraceStoreRing:
                 node.store.close()
         finished = len(cluster.traces.finished)
         spans = registry.total("obs.trace_spans")
-        assert finished == cluster.traces.max_spans < spans
+        assert finished == trace_module.MAX_SPANS < spans
         assert registry.total("obs.spans_dropped") == spans - finished
 
     def test_default_bound_holds_the_demo_runs(self):
         cluster, registry, _ = _traced_cluster(seed=11)
-        assert cluster.traces.max_spans == 4096
+        assert cluster.traces.finished.maxlen == trace_module.MAX_SPANS == 4096
         assert len(cluster.traces.finished) == \
             registry.total("obs.trace_spans") < 4096
         assert "obs.spans_dropped" not in registry.snapshot()
