@@ -8,13 +8,14 @@ A :class:`ClusterNode` owns three things:
   sits in its own slot, written once and never moved by other records'
   mutations, so a mutation dirties only the slots it wrote -- the
   paper's page backup (Section 3) then rewrites only those pages;
-* a page-image :class:`~repro.sync.Replica` of that heap up to its
-  high-water mark.  The node passes the heap's write notifications of
-  each mutation to :meth:`ClusterNode.refresh_image`, which applies
-  them to the replica, logs them and ships them *best effort* to the
-  next node's hosted mirror as one sealed patch -- lost or corrupted
-  mirror updates are exactly the divergence the anti-entropy pass
-  later detects and repairs by signature;
+* one page-image :class:`~repro.sync.Replica` of that heap up to its
+  high-water mark (a durable node's is its page store's image volume).
+  The heap's captured slot writes of each mutation go to
+  :meth:`ClusterNode.refresh_image`, which applies them to the image
+  and ships them *best effort* to the next node's hosted mirror as one
+  sealed patch -- lost or corrupted mirror updates are exactly the
+  divergence the anti-entropy pass later detects and repairs by
+  signature;
 * the **hosted mirror**: the previous node's bucket image, kept so a
   crashed neighbour's state survives somewhere.
 
@@ -97,23 +98,24 @@ class ClusterNode(RequestFrontEnd):
         # Inline service: each request executes at delivery.
         super().__init__(cluster.loop, ServicePolicy(),
                          cluster.faulty_network, cluster.clients)
+        #: Durable backend: its sealed log is the image's only writer.
+        self.store: PageStore | None = None
+        self.store_dir: Path | None = None
         self._serve(Bucket(index, capacity_records=1 << 20))
         #: Hosted copy of the previous node's bucket image.
         self.mirror: Replica | None = None
-        #: Durable backend: when attached, every image extent is also
-        #: appended to a sealed local log that survives crashes.
-        self.store: PageStore | None = None
-        self.store_dir: Path | None = None
 
     #: Store volume name holding the node's bucket image.
     IMAGE_VOLUME = "image"
 
     def attach_store(self, store: PageStore) -> None:
-        """Adopt a durable page store; seeds it with the current image."""
-        self.store = store
-        self.store_dir = store.directory
+        """Seed a durable page store with the image, then use its
+        volume replica as the image."""
         store.write_image(self.IMAGE_VOLUME, self.image_bytes(),
                           self.page_bytes)
+        self.store = store
+        self.store_dir = store.directory
+        self._bind_image()
 
     @property
     def name(self) -> str:
@@ -127,30 +129,34 @@ class ClusterNode(RequestFrontEnd):
 
     def _serve(self, bucket: Bucket) -> None:
         """Serve ``bucket``: a fresh server over it, its heap's writes
-        watched, and the image replica copied from its heap."""
+        captured, and the image bound."""
         self.server = SDDSServer(self.index, self.scheme,
                                  capacity_records=1 << 20,
                                  store_signatures=True)
         self.server.adopt_bucket(bucket)
-        #: ``(offset, length)`` of every heap write of the current
-        #: mutation, in order.
-        self._writes: list[tuple[int, int]] = []
-        bucket.heap.add_write_listener(
-            lambda offset, length: self._writes.append((offset, length)))
-        self._copy_image()
+        #: ``(offset, before, after)`` of every heap write of the
+        #: current mutation, in order.
+        self._extents: list[tuple[int, bytes, bytes]] = []
+        bucket.heap.add_capture_listener(
+            lambda *extent: self._extents.append(extent))
+        self._bind_image()
 
-    def _copy_image(self) -> None:
-        """(Re)create the image replica from the bucket heap."""
+    def _bind_image(self) -> None:
+        """Bind the image: the store's volume replica when durable, else
+        a fresh copy of the bucket heap up to its high-water mark."""
         heap = self.server.bucket.heap
-        self.image = Replica(f"{self.name}.image", self.scheme,
-                             bytes(heap.image[:heap.high_water]),
-                             self.page_bytes)
+        self.image = self.store.replica(self.IMAGE_VOLUME) \
+            if self.store is not None else Replica(
+                f"{self.name}.image", self.scheme,
+                bytes(heap.image[:heap.high_water]), self.page_bytes)
 
     def adopt_image(self, image: bytes) -> None:
         """Serve the bucket ``image`` holds, every slot where it is.
 
-        A malformed image raises :class:`~repro.errors.WireError` and
-        leaves the node's current bucket and image in place.
+        A durable node's image stays its store's volume replica (which
+        must hold ``image``).  A malformed image raises
+        :class:`~repro.errors.WireError` and leaves the node's current
+        bucket and image in place.
         """
         self._serve(Bucket.from_image(self.index, image,
                                       capacity_records=1 << 20))
@@ -202,7 +208,7 @@ class ClusterNode(RequestFrontEnd):
 
     def _apply(self, op: int, key: int, value: bytes) -> tuple[int, bytes]:
         """Apply one operation to bucket + parity; returns (status, value)."""
-        self._writes.clear()
+        self._extents.clear()
         status, reply_value, effect = apply_operation(
             self.server, self.scheme, op, key, value)
         if effect == EFFECT_PSEUDO:
@@ -215,7 +221,7 @@ class ClusterNode(RequestFrontEnd):
             self.cluster.parity.delete(key)
         else:
             self.cluster.parity.update(key, value)
-        self.refresh_image(self._writes, self.server.bucket.heap.high_water)
+        self.refresh_image(self._extents, self.server.bucket.heap.high_water)
         return status, reply_value
 
     # ------------------------------------------------------------------
@@ -226,35 +232,30 @@ class ClusterNode(RequestFrontEnd):
         """The current bucket image bytes."""
         return bytes(self.image.data)
 
-    def refresh_image(self, writes: list[tuple[int, int]],
+    def refresh_image(self, extents: list[tuple[int, bytes, bytes]],
                       image_len: int) -> None:
-        """Copy one mutation's heap writes into the image; log and ship them.
+        """Apply one mutation's heap writes to the image; ship them.
 
-        ``writes`` are the bucket heap's ``(offset, length)`` write
-        notifications, in order, and ``image_len`` is the heap's
-        high-water mark after them.  The image replica
-        takes them as journaled extent writes -- O(|written bytes|)
-        signature work to keep its warm map current.  In durable mode
-        they land in the sealed local log as one ``DELTA`` frame per
-        slot write (before XOR after), one sealed burst per mutation,
-        so a crash replays to exactly this image.  The mirror update
-        ships as one sealed patch carrying the same regions, *best
-        effort*: it rides the faulty network with no retry, so a drop
-        or a detected corruption leaves the mirror stale until the next
+        ``extents`` are the bucket heap's ``(offset, before, after)``
+        captures of the mutation, in order, and ``image_len`` is its
+        high-water mark after them.  A durable node logs one ``DELTA``
+        frame per slot write (before XOR after) in one sealed burst,
+        which its store applies to the image, so a crash replays to
+        exactly this image; any other node writes them to its image.
+        The image journals them while warm: O(|written bytes|)
+        signature work at the next fold.  The mirror update ships as
+        one sealed patch carrying the same regions, *best effort*: it
+        rides the faulty network with no retry, so a drop or a
+        detected corruption leaves the mirror stale until the next
         anti-entropy pass.
         """
-        heap = self.server.bucket.heap
-        data = self.image.data
-        extents = []
-        for offset, length in writes:
-            content = heap.read(offset, length)
-            extents.append((offset, bytes(data[offset:offset + length]),
-                            content))
-            self.image.write_at(offset, content)
-        if image_len < len(data):
-            self.image.truncate(image_len)
         if self.store is not None:
             self.store.record_extents(self.IMAGE_VOLUME, extents, image_len)
+        else:
+            for offset, _before, after in extents:
+                self.image.write_at(offset, after)
+            if image_len < len(self.image.data):
+                self.image.truncate(image_len)
         host = self.cluster.mirror_host(self.index)
         # The patch inherits the trace context of the operation that
         # dirtied the image (the ambient span during RPC handling), so
@@ -315,16 +316,17 @@ class ClusterNode(RequestFrontEnd):
         that is what the certified-recovery path replays.
         """
         self.state = NodeState.CRASHED
-        self._serve(Bucket(self.index, capacity_records=1 << 20))
-        self.mirror = None
-        self.forget_requests()
         if self.store is not None:
             self.store.close()
             self.store = None
+        self._serve(Bucket(self.index, capacity_records=1 << 20))
+        self.mirror = None
+        self.forget_requests()
 
     def rebuild_from(self, records: list[Record]) -> None:
         """Repopulate the bucket (recovery path) in key order, so its
         image is the canonical packed one."""
         for record in sorted(records, key=lambda record: record.key):
             self.server.insert(record)
-        self._copy_image()
+        self._extents.clear()
+        self._bind_image()

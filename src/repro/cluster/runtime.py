@@ -354,15 +354,17 @@ class Cluster:
             if reason is not None:
                 store.close()
                 return reason
+        # Set first, so the adopted bucket's image is the recovered
+        # volume replica rather than a copy of it.
+        node.store = store
         try:
             # A torn size-changing update leaves its key twice, which
             # the decoder refuses: never adopt half a mutation.
             node.adopt_image(store.image(volume))
         except WireError:
+            node.store = None
             store.close()
             return "undecodable"
-        node.store = store
-        node.store_dir = store.directory
         registry.counter("cluster.durable_recoveries", node=node.name).inc()
         registry.counter("cluster.durable_frames_folded").inc(
             report.frames_folded

@@ -36,25 +36,17 @@ Sub-modules:
 
 from .arena import LEDGER, CopyLedger, PageArena, PageView
 
-from .base import PRIMITIVE, STANDARD, SignatureBase, make_base
+from .base import PRIMITIVE, STANDARD, make_base
 from .scheme import AlgebraicSignatureScheme, make_scheme
 from .signature import SchemeId, Signature
-from .algebra import (
-    apply_delta,
-    apply_update,
-    concat,
-    concat_all,
-    delta_signature,
-    shift,
-)
-from .compound import PageSlice, SignatureMap, slice_pages
-from .tree import SignatureTree, TreeDiff, TreeNode
+from .algebra import apply_update, concat, concat_all, delta_signature, shift
+from .compound import SignatureMap, slice_pages
+from .tree import SignatureTree, TreeNode
 from .rolling import RollingWindow, find_signature_matches, search
 from .twisted import TwistedScheme, log_interpretation_scheme, sign_log_interpreted_fast
 from .engine import BatchSigner, get_batch_signer
 from .parallel import resolve_workers, scheme_from_spec, scheme_spec
 from .incremental import (
-    FoldReport,
     IncrementalSignatureMap,
     JournalEntry,
     WriteJournal,
@@ -65,7 +57,6 @@ from .locate import (
     DEFAULT_D,
     LOCATED,
     OVERFLOW,
-    CondemnedSet,
     LocateDesign,
     LocatorMap,
     decode,
@@ -78,21 +69,17 @@ __all__ = [
     "make_scheme",
     "Signature",
     "SchemeId",
-    "SignatureBase",
     "make_base",
     "STANDARD",
     "PRIMITIVE",
-    "apply_delta",
     "apply_update",
     "concat",
     "concat_all",
     "delta_signature",
     "shift",
-    "PageSlice",
     "SignatureMap",
     "slice_pages",
     "SignatureTree",
-    "TreeDiff",
     "TreeNode",
     "RollingWindow",
     "find_signature_matches",
@@ -109,7 +96,6 @@ __all__ = [
     "resolve_workers",
     "scheme_spec",
     "scheme_from_spec",
-    "FoldReport",
     "IncrementalSignatureMap",
     "JournalEntry",
     "WriteJournal",
@@ -118,7 +104,6 @@ __all__ = [
     "DEFAULT_D",
     "LOCATED",
     "OVERFLOW",
-    "CondemnedSet",
     "LocateDesign",
     "LocatorMap",
     "decode",

@@ -112,11 +112,10 @@ class DurableDisk:
         certified signatures now disagree with the bytes, which is what
         a :meth:`~repro.store.pagestore.PageStore.scrub` detects.
         """
-        state = self.store._require(volume)
-        at = index * state.page_bytes + position
-        if not 0 <= index < state.replica.page_count \
-                or at >= len(state.replica.data):
+        replica = self.store.replica(volume)
+        at = index * replica.page_bytes + position
+        if not 0 <= index < replica.page_count or at >= len(replica.data):
             raise BackupError(
                 f"page {index} of volume {volume!r} was never written"
             )
-        state.replica.data[at] ^= xor
+        replica.data[at] ^= xor

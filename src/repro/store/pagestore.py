@@ -67,14 +67,6 @@ from .log import (GROUP_BYTES, GROUP_LATENCY_S, SEGMENT_BYTES, CertifiedRun,
 DEFAULT_PAGE_BYTES = 4096
 
 
-@dataclass(slots=True)
-class _Volume:
-    """One materialized volume: its replica and fixed page size."""
-
-    replica: Replica
-    page_bytes: int
-
-
 @dataclass(frozen=True, slots=True)
 class ScrubReport:
     """Outcome of one Proposition-5 scrub of a volume."""
@@ -147,7 +139,7 @@ class PageStore:
         self.locate_d = locate_d
         self.locate_seed = locate_seed
         self._worker_signer: BatchSigner | None = None
-        self._volumes: dict[str, _Volume] = {}
+        self._volumes: dict[str, Replica] = {}
         self._warm_from_checkpoint: set[str] = set()
         self._next_seq = 0
         self._frames_since_checkpoint = 0
@@ -178,54 +170,56 @@ class PageStore:
 
     def page_bytes_of(self, volume: str) -> int:
         """The fixed page size of a volume."""
-        return self._require(volume).page_bytes
+        return self.replica(volume).page_bytes
+
+    def replica(self, volume: str) -> Replica:
+        """The volume's in-RAM replica: its bytes and warm signature
+        state.  Read and sign it freely; write only through the log."""
+        replica = self._volumes.get(volume)
+        if replica is None:
+            raise StoreError(f"no volume named {volume!r}")
+        return replica
 
     def image(self, volume: str) -> bytes:
         """The volume's current byte image."""
-        return bytes(self._require(volume).replica.data)
+        return bytes(self.replica(volume).data)
 
     def image_len(self, volume: str) -> int:
         """The volume's current length in bytes."""
-        return len(self._require(volume).replica.data)
+        return len(self.replica(volume).data)
 
     def read_page(self, volume: str, index: int) -> bytes:
         """One page's bytes (the final page may be short)."""
-        state = self._require(volume)
-        if not 0 <= index < state.replica.page_count:
+        replica = self.replica(volume)
+        if not 0 <= index < replica.page_count:
             raise StoreError(
                 f"page {index} of volume {volume!r} was never written"
             )
-        return state.replica.page(index)
+        return replica.page(index)
 
     def has_page(self, volume: str, index: int) -> bool:
         """True when the volume covers page ``index``."""
-        state = self._volumes.get(volume)
-        return (state is not None and len(state.replica.data) > 0
-                and 0 <= index < state.replica.page_count)
+        replica = self._volumes.get(volume)
+        return (replica is not None and len(replica.data) > 0
+                and 0 <= index < replica.page_count)
 
     def volume_pages(self, volume: str) -> list[int]:
         """Page indices present for a volume (contiguous from 0)."""
-        state = self._volumes.get(volume)
-        if state is None or not len(state.replica.data):
+        replica = self._volumes.get(volume)
+        if replica is None or not len(replica.data):
             return []
-        return list(range(state.replica.page_count))
+        return list(range(replica.page_count))
 
     def signature_map(self, volume: str) -> SignatureMap:
         """The volume's warm signature map (journal folded on demand)."""
-        return self._require(volume).replica.signature_map()
+        return self.replica(volume).signature_map()
 
     def signature_tree(self, volume: str,
                        fanout: int | None = None) -> SignatureTree:
         """The volume's warm signature tree."""
-        return self._require(volume).replica.signature_tree(
+        return self.replica(volume).signature_tree(
             fanout if fanout is not None else self.fanout
         )
-
-    def _require(self, volume: str) -> _Volume:
-        state = self._volumes.get(volume)
-        if state is None:
-            raise StoreError(f"no volume named {volume!r}")
-        return state
 
     # ------------------------------------------------------------------
     # Writing
@@ -269,11 +263,11 @@ class PageStore:
     def ensure_volume(self, volume: str,
                       page_bytes: int = DEFAULT_PAGE_BYTES) -> None:
         """Declare a volume (logging its page size) if it is new."""
-        state = self._volumes.get(volume)
-        if state is not None:
-            if state.page_bytes != page_bytes:
+        replica = self._volumes.get(volume)
+        if replica is not None:
+            if replica.page_bytes != page_bytes:
                 raise StoreError(
-                    f"volume {volume!r} uses {state.page_bytes}-byte pages, "
+                    f"volume {volume!r} uses {replica.page_bytes}-byte pages, "
                     f"not {page_bytes}"
                 )
             return
@@ -292,9 +286,9 @@ class PageStore:
         """
         if index < 0:
             raise StoreError("page index must be non-negative")
-        state = self._volumes.get(volume)
+        replica = self._volumes.get(volume)
         if page_size is None:
-            page_size = state.page_bytes if state is not None \
+            page_size = replica.page_bytes if replica is not None \
                 else DEFAULT_PAGE_BYTES
         if len(data) > page_size:
             raise StoreError(
@@ -312,9 +306,9 @@ class PageStore:
 
         All page frames are sealed in one batched signing pass.
         """
-        state = self._volumes.get(volume)
+        replica = self._volumes.get(volume)
         if page_bytes is None:
-            page_bytes = state.page_bytes if state is not None \
+            page_bytes = replica.page_bytes if replica is not None \
                 else DEFAULT_PAGE_BYTES
         self.ensure_volume(volume, page_bytes)
         frame_list = [
@@ -369,7 +363,7 @@ class PageStore:
         ]
         if not payloads:
             return []
-        self._require(volume)
+        self.replica(volume)
         offsets: list[int] = []
         with span_if_active("store.record_extents", volume=volume):
             while payloads:
@@ -385,9 +379,9 @@ class PageStore:
 
     def truncate(self, volume: str, image_len: int) -> int:
         """Durably set a volume's length; returns the frame's offset."""
-        state = self._require(volume)
         frame = fr.Frame(fr.KIND_TRUNCATE, self._take_seq(), volume,
-                         fr.encode_truncate(image_len, state.page_bytes))
+                         fr.encode_truncate(image_len,
+                                            self.page_bytes_of(volume)))
         return self._append([frame])[0]
 
     def commit(self) -> int:
@@ -402,17 +396,15 @@ class PageStore:
     # Frame application (single source of truth for replay semantics)
     # ------------------------------------------------------------------
 
-    def _materialize(self, volume: str, page_bytes: int) -> _Volume:
-        """Get-or-create a volume's in-RAM state (no logging)."""
-        state = self._volumes.get(volume)
-        if state is None:
-            state = _Volume(
-                Replica(f"store:{volume}", self.scheme, b"",
-                        self._validated_page_bytes(page_bytes)),
-                page_bytes,
-            )
-            self._volumes[volume] = state
-        return state
+    def _materialize(self, volume: str, page_bytes: int) -> Replica:
+        """Get-or-create a volume's in-RAM state (no logging); the
+        replica is named ``<directory name>:<volume>``."""
+        replica = self._volumes.get(volume)
+        if replica is None:
+            replica = self._volumes[volume] = Replica(
+                f"{self.directory.name}:{volume}", self.scheme, b"",
+                self._validated_page_bytes(page_bytes))
+        return replica
 
     @staticmethod
     def _set_length(replica: Replica, image_len: int) -> None:
@@ -433,12 +425,11 @@ class PageStore:
         """
         if kind == fr.KIND_PAGE:
             index, page_size, data = fr.decode_page(payload)
-            state = self._materialize(volume, page_size)
-            offset = index * state.page_bytes
-            replica = state.replica
+            replica = self._materialize(volume, page_size)
+            offset = index * replica.page_bytes
             replica.write_at(offset, data)
             end = offset + len(data)
-            if (offset + state.page_bytes >= len(replica.data)
+            if (offset + replica.page_bytes >= len(replica.data)
                     and len(replica.data) > end):
                 # A short write to the final page sets the length
                 # (sim-disk semantics).
@@ -446,13 +437,17 @@ class PageStore:
             return index
         if kind == fr.KIND_DELTA:
             image_len, offset, delta = fr.decode_delta(payload)
-            state = self._materialize(volume, DEFAULT_PAGE_BYTES)
-            state.replica.apply_xor(offset, delta)
-            self._set_length(state.replica, image_len)
+            replica = self._materialize(volume, DEFAULT_PAGE_BYTES)
+            if offset + len(delta) > image_len:
+                # Bytes past the final length would be dropped again
+                # at once (a zeroed tail slot): never write them.
+                delta = delta[:max(0, image_len - offset)]
+            if delta:
+                replica.apply_xor(offset, delta)
+            self._set_length(replica, image_len)
         elif kind == fr.KIND_TRUNCATE:
             image_len, page_size = fr.decode_truncate(payload)
-            state = self._materialize(volume, page_size)
-            self._set_length(state.replica, image_len)
+            self._set_length(self._materialize(volume, page_size), image_len)
         else:
             raise fr.FrameError(f"unknown frame kind {kind}")
         return None
@@ -466,11 +461,11 @@ class PageStore:
         with span_if_active("store.checkpoint",
                             volumes=str(len(self._volumes))):
             volumes = {}
-            for name, state in self._volumes.items():
+            for name, replica in self._volumes.items():
                 volumes[name] = ckpt.VolumeCheckpoint(
-                    state.page_bytes, len(state.replica.data),
-                    state.replica.signature_map(),
-                    state.replica.signature_tree(self.fanout),
+                    replica.page_bytes, len(replica.data),
+                    replica.signature_map(),
+                    replica.signature_tree(self.fanout),
                 )
                 self._warm_from_checkpoint.add(name)
             snapshot = ckpt.Checkpoint(self._log.total_bytes, self._next_seq,
@@ -528,8 +523,7 @@ class PageStore:
         silently wrong page set.
         """
         with span_if_active("store.scrub", volume=volume) as span:
-            state = self._require(volume)
-            replica = state.replica
+            replica = self.replica(volume)
             expected_map = replica.signature_map()
             fanout = replica._tree.fanout if replica._tree is not None \
                 else self.fanout
@@ -769,7 +763,7 @@ class PageStore:
             if frame is None or frame.volume not in self._volumes:
                 blind = True
                 continue
-            page_bytes = self._volumes[frame.volume].page_bytes
+            page_bytes = self.page_bytes_of(frame.volume)
             pages: set[int] = set()
             try:
                 if frame.kind == fr.KIND_PAGE:
@@ -809,7 +803,7 @@ class PageStore:
         # targeted-only remainder (scrub counted its own findings).
         result: dict[str, tuple[int, ...]] = {}
         for volume, pages in condemned.items():
-            page_count = self._require(volume).replica.page_count \
+            page_count = self.replica(volume).page_count \
                 if self.image_len(volume) else 0
             kept = tuple(sorted(p for p in pages if p < page_count))
             if kept:
@@ -898,10 +892,9 @@ class _StreamingReplay:
         """Seed the certified warm state over the replayed images."""
         store, snapshot = self.store, self.snapshot
         for name, volume_ckpt in snapshot.volumes.items():
-            state = store._materialize(name, volume_ckpt.page_bytes)
-            state.replica = Replica.from_warm(
-                f"store:{name}", store.scheme,
-                state.replica.data, volume_ckpt.page_bytes,
+            cold = store._materialize(name, volume_ckpt.page_bytes)
+            store._volumes[name] = Replica.from_warm(
+                cold.name, store.scheme, cold.data, volume_ckpt.page_bytes,
                 volume_ckpt.map, volume_ckpt.tree,
             )
             store._warm_from_checkpoint.add(name)

@@ -5,12 +5,14 @@ entry in docs/API.md is backed by an assertion somewhere.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
 import repro.backup
 import repro.cluster
+import repro.sig
 
 from repro.analysis import (
     expected_collision_interval_seconds,
@@ -197,3 +199,14 @@ class TestLayering:
         for package in (repro.cluster, repro.backup):
             assert "serialize_bucket" not in package.__all__
             assert "deserialize_bucket" not in package.__all__
+
+    def test_sig_exports_only_what_outside_code_uses(self):
+        """Names only ``repro.sig`` itself uses stay in their submodules."""
+        moved = {"base": "SignatureBase", "algebra": "apply_delta",
+                 "compound": "PageSlice", "tree": "TreeDiff",
+                 "incremental": "FoldReport", "locate": "CondemnedSet"}
+        for module, name in moved.items():
+            assert name not in repro.sig.__all__
+            assert not hasattr(repro.sig, name)
+            submodule = importlib.import_module(f"repro.sig.{module}")
+            assert hasattr(submodule, name)

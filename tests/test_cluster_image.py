@@ -14,6 +14,7 @@ wire codec, and the image decoder's refusal of every malformed image.
 
 from __future__ import annotations
 
+import random
 import struct
 import tempfile
 
@@ -89,11 +90,14 @@ def assert_images_exact(cluster: Cluster,
         if not node.is_up:
             continue
         image = node.image_bytes()
+        heap = node.server.bucket.heap
+        assert image == bytes(heap.image[:heap.high_water])
         assert {record.key: record.value
                 for record in deserialize_bucket(image)} == \
             bucket_records(node)
         if node.store is not None:
-            assert node.store.image(node.IMAGE_VOLUME) == image
+            # One image per durable node: the store's volume replica.
+            assert node.image is node.store.replica(node.IMAGE_VOLUME)
         slots = slot_offsets(image)
         # The image ends at the high-water mark: no trailing free space.
         assert len(image) == max((end for _start, end in slots.values()),
@@ -206,6 +210,37 @@ class TestInPlaceImage:
             assert registry.total("cluster.durable_fallbacks") == 1
 
 
+class TestOneImagePerDurableNode:
+    def test_image_journal_bounded_by_checkpoint_interval(self):
+        """A durable node's image is its store's volume replica, so each
+        checkpoint folds the journal the anti-entropy sweep left warm."""
+        every = 16
+        with tempfile.TemporaryDirectory() as root, \
+                use_registry(MetricsRegistry()):
+            cluster = Cluster(servers=3, seed=4, durable_dir=root,
+                              durable_checkpoint_every=every)
+            client = cluster.client()
+            rng = random.Random(4)
+            for key in range(60):
+                assert client.insert(key, rng.randbytes(24)).ok
+            cluster.settle()
+            longest = 0
+            for _step in range(400):
+                assert client.update(rng.randrange(60), rng.randbytes(
+                    rng.randrange(8, 48))).ok
+                for node in cluster.nodes:
+                    warm = node.image._incremental
+                    assert warm is not None
+                    longest = max(longest, len(warm.journal))
+            assert 0 < longest <= every
+            for node in cluster.nodes:
+                assert node.image is node.store.replica(node.IMAGE_VOLUME)
+                # Sync traffic is accounted to the node's own endpoint.
+                assert node.image.name == f"{node.name}:image"
+            cluster.settle()
+            cluster.check_replicas()
+
+
 # ----------------------------------------------------------------------
 # The slot allocator
 # ----------------------------------------------------------------------
@@ -259,9 +294,10 @@ class TestSlotAllocation:
             writes = []
             real = node.refresh_image
 
-            def spy(slot_writes, image_len):
-                writes.append([offset for offset, _ in slot_writes])
-                real(slot_writes, image_len)
+            def spy(extents, image_len):
+                writes.append([offset for offset, _before, _after
+                               in extents])
+                real(extents, image_len)
 
             node.refresh_image = spy
             assert client.update(2, b"\x22" * 50).ok    # grow: append

@@ -328,7 +328,7 @@ def _store(tmp_path, pages: int = 32, **kwargs) -> PageStore:
 class TestStoreScrubLocate:
     def test_locate_condemns_exactly(self, tmp_path):
         store = _store(tmp_path, locate_d=4)
-        replica = store._require("v").replica
+        replica = store.replica("v")
         store.signature_map("v")           # warm the certified state
         for page in (3, 17, 29):           # silent rot, unjournaled
             replica.data[page * STORE_PAGE_BYTES + 5] ^= 0x20
@@ -345,7 +345,7 @@ class TestStoreScrubLocate:
 
     def test_over_budget_falls_back_to_tree(self, tmp_path):
         store = _store(tmp_path, locate_d=2)
-        replica = store._require("v").replica
+        replica = store.replica("v")
         store.signature_map("v")
         damaged = list(range(0, 32, 2))    # 16 pages >> d=2
         for page in damaged:
@@ -362,7 +362,7 @@ class TestStoreScrubLocate:
         the certified map must appear in ``uncovered`` (their expected
         signatures cannot be certified), not vanish from the report."""
         store = _store(tmp_path, pages=8)
-        replica = store._require("v").replica
+        replica = store.replica("v")
         full = replica.signature_map()
         # A stale checkpoint: the page list was truncated but the
         # recorded length still covers the whole image, so the fold

@@ -266,6 +266,23 @@ class TestPageStoreWrites:
         assert_map_matches(store, "v", bytes(image))
         assert store.record_extent("v", 0, b"", b"", len(image)) is None
 
+    def test_delta_past_the_final_length_writes_nothing(self, tmp_path):
+        """Zeroing a tail slot and cutting it off in one frame journals
+        the cut only, and replays to the same bytes."""
+        store = PageStore(SCHEME, tmp_path / "s")
+        image = bytes(range(256)) * 4
+        store.write_image("v", image, PAGE_BYTES)
+        replica = store.replica("v")
+        store.signature_map("v")                 # warm: writes journal
+        store.record_extent("v", 900, image[900:960], bytes(60), 900)
+        assert store.image("v") == image[:900]
+        assert len(replica._incremental.journal) == 1    # the cut
+        assert_map_matches(store, "v", image[:900])
+        store.close()
+        recovered, _report = PageStore.recover(SCHEME, tmp_path / "s")
+        assert recovered.image("v") == image[:900]
+        recovered.close()
+
     def test_truncate_and_regrow(self, tmp_path):
         store = PageStore(SCHEME, tmp_path / "s")
         store.write_image("v", b"\x77" * 1024, PAGE_BYTES)
@@ -465,8 +482,7 @@ class TestScrub:
         image = bytes(range(256)) * 4
         store.write_image("v", image, PAGE_BYTES)
         store.signature_map("v")        # certify (warm) the clean state
-        state = store._require("v")
-        state.replica.data[2 * PAGE_BYTES + 5] ^= 0xFF    # silent bit rot
+        store.replica("v").data[2 * PAGE_BYTES + 5] ^= 0xFF  # silent bit rot
         report = store.scrub("v")
         assert report.condemned == (2,)
         assert report.expected[2] == compute_map(image).signatures[2]
