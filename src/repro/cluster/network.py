@@ -31,7 +31,7 @@ from typing import Callable
 from ..obs import get_registry
 from ..sim.network import SimNetwork
 from .events import EventLoop
-from .faults import FaultPlan, LinkFaults
+from .faults import FaultPlan
 
 
 class FaultyNetwork:
@@ -117,7 +117,3 @@ class FaultyNetwork:
                 body = bytes(corrupted)
                 self._fault("corrupt", source, destination)
             self.loop.after(delay, lambda body=body: deliver(body))
-
-    def link_faults(self, source: str, destination: str) -> LinkFaults:
-        """The policy currently governing one directed link."""
-        return self.plan.link(source, destination)

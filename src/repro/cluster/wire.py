@@ -1,7 +1,8 @@
 """Signature-sealed wire format of both node runtimes' RPCs.
 
 Every message travels as ``body || sig(body)`` where the seal is
-the scheme's algebraic signature -- 4 bytes under the paper's production
+the scheme's algebraic signature in the one format of
+:mod:`repro.sig.seal` -- 4 bytes under the paper's production
 GF(2^16), n = 2 scheme.  This is Proposition 2's economics applied to
 the transport itself: a one-byte corruption changes at most one symbol,
 well inside the n-symbol certain-detection bound, so a receiver
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 from ..errors import WireError
 from ..obs.trace import TraceContext
-from ..sig.engine import get_batch_signer
+from ..sig import seal as sig_seal
 from ..sig.scheme import AlgebraicSignatureScheme
 
 # Operation codes (request ``op`` byte).
@@ -89,50 +90,25 @@ _IAM = struct.Struct("<IIQQ")
 
 def seal(scheme: AlgebraicSignatureScheme,
          body: bytes | memoryview) -> bytes:
-    """Append the body's algebraic signature.
-
-    The body is signed as an in-place view (the batch engine's zero-copy
-    lane) and lands exactly once, in the sealed output.
-    """
-    signature = get_batch_signer(scheme).sign_concat([body], strict=False)
-    return b"".join((body, signature.to_bytes()))
+    """Append the body's seal (:func:`repro.sig.seal.seal`); the body
+    is signed in place and lands once, in the sealed output."""
+    return b"".join((body, sig_seal.seal(scheme, [body])))
 
 
 def seal_many(scheme: AlgebraicSignatureScheme,
               bodies: list[bytes]) -> list[bytes]:
-    """Seal many message bodies in one batched signing pass.
-
-    Burst senders (mirror page shipping, anti-entropy rounds) sign all
-    their outgoing payloads through the batch engine -- one 2-D kernel
-    pass over a single symbol-aligned landing -- instead of one
-    dispatch per message.  Each result is exactly ``seal(scheme, body)``.
-    """
-    signatures = get_batch_signer(scheme).sign_concat_many(
-        [[body] for body in bodies], strict=False)
-    return [b"".join((body, signature.to_bytes()))
-            for body, signature in zip(bodies, signatures)]
+    """Seal a burst of bodies (mirror page shipping, anti-entropy
+    rounds) in one batched signing pass; each result is exactly
+    ``seal(scheme, body)``."""
+    return [b"".join((body, tail)) for body, tail in zip(
+        bodies, sig_seal.seals(scheme, [[body] for body in bodies]))]
 
 
 def unseal(scheme: AlgebraicSignatureScheme,
            data: bytes | memoryview) -> bytes | memoryview | None:
-    """Verify and strip the seal; ``None`` flags a corrupted transfer.
-
-    Verification happens over views -- no intermediate body/tail slice
-    copies.  ``bytes`` in, ``bytes`` out (the historical contract);
-    ``memoryview`` in, ``memoryview`` out (fully zero-copy).
-    """
-    width = scheme.signature_bytes
-    if len(data) < width:
-        return None
-    view = data if isinstance(data, memoryview) else memoryview(data)
-    body_view = view[:-width]
-    signature = get_batch_signer(scheme).sign_concat([body_view],
-                                                     strict=False)
-    if signature.to_bytes() != bytes(view[-width:]):
-        return None
-    if isinstance(data, memoryview):
-        return body_view
-    return data[:-width]
+    """Verify and strip the seal; ``None`` flags a corrupted transfer
+    (:func:`repro.sig.seal.opened`)."""
+    return sig_seal.opened(scheme, data)
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +276,3 @@ def decode_deltas(body: bytes | memoryview) -> tuple[
         raise WireError("delta body longer than its regions")
     return image_len, regions
 
-
-def encode_delta(image_len: int, offset: int,
-                 delta: bytes | memoryview) -> bytes:
-    """A one-region :func:`encode_deltas` patch."""
-    return encode_deltas(image_len, [(offset, delta)])

@@ -155,6 +155,8 @@ class FlightRecorder:
         The ring is *not* cleared: a burst of failures produces
         overlapping bundles, each a complete picture at its instant.
         """
+        from ..sig.seal import seal     # repro.sig imports repro.obs
+
         document = {
             "at": self._now(),
             "capacity": self.capacity,
@@ -165,7 +167,7 @@ class FlightRecorder:
         }
         payload = json.dumps(document, sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
-        sealed = payload + self.scheme.sign(payload, strict=False).to_bytes()
+        sealed = payload + seal(self.scheme, [payload])
         dump = RecorderDump(node=self.node, reason=reason, at=self._now(),
                             payload=payload, sealed=sealed)
         self.dumps.append(dump)

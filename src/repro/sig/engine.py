@@ -149,10 +149,8 @@ class BatchSigner:
     def sign_concat(self, parts, strict: bool = True) -> Signature:
         """Signature of the concatenation of ``parts``, joined lazily.
 
-        Byte-identical to ``scheme.sign(b"".join(parts))`` but the parts
-        land exactly once, in one join (frame encoders sign ``[header,
-        payload]`` without building the body twice).  A single
-        symbol-aligned part is signed with no copy at all.
+        Byte-identical to ``scheme.sign(b"".join(parts))``; the parts
+        land once, in one join, and a lone aligned part is signed in place.
         """
         return self.sign_concat_many([parts], strict=strict)[0]
 
@@ -171,8 +169,8 @@ class BatchSigner:
         join (the single copy), each body starting on a symbol
         boundary; odd-length GF(2^16) bodies get the same trailing zero
         byte ``scheme.sign`` pads with.  A lone single-part
-        symbol-aligned body is signed in place.  Callers that only
-        compare signatures (a seal check) use the matrix directly.
+        symbol-aligned body is signed in place.  :mod:`repro.sig.seal`
+        serializes the rows as seals.
         """
         field = self.scheme.field
         symbol_bytes = field.f // 8

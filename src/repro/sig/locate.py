@@ -323,13 +323,6 @@ class LocatorMap:
         """In-RAM/wire size of the aggregate payload (signature bytes)."""
         return self.group_count * self.scheme.scheme_id.signature_bytes
 
-    def group_signature(self, group: int) -> Signature:
-        """One group's aggregate as a :class:`Signature` value."""
-        if not 0 <= group < self.group_count:
-            raise SignatureError(f"group {group} out of range")
-        return Signature(tuple(int(c) for c in self.components[group]),
-                         self.scheme.scheme_id)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocatorMap):
             return NotImplemented

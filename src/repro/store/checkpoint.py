@@ -20,7 +20,7 @@ Layout (little-endian throughout)::
     |   map_len(4) | signature map
     |   fanout(2) | level_count(2)
     |   per level: node_count(4); per node: signature | symbols(8)
-    | seal                                 (signature of all the above)
+    | seal                 (:mod:`repro.sig.seal` of all the above)
 
 The file is written atomically (temp file + rename) and verified on
 load: wrong magic, a foreign scheme identity, any truncation, or a
@@ -40,6 +40,7 @@ from pathlib import Path
 from ..obs import get_registry
 from ..sig.compound import SignatureMap
 from ..sig.scheme import AlgebraicSignatureScheme
+from ..sig.seal import opened, seal
 from ..sig.signature import Signature
 from ..sig.tree import SignatureTree, TreeNode
 
@@ -136,17 +137,14 @@ def encode(scheme: AlgebraicSignatureScheme, checkpoint: Checkpoint) -> bytes:
                   len(map_bytes).to_bytes(4, "little"), map_bytes,
                   _encode_tree(state.tree)]
     body = b"".join(parts)
-    return body + scheme.sign(body, strict=False).to_bytes()
+    return body + seal(scheme, [body])
 
 
 def decode(data: bytes,
            scheme: AlgebraicSignatureScheme) -> Checkpoint | None:
     """Verify and deserialize; ``None`` on any damage or mismatch."""
-    seal_bytes = scheme.scheme_id.signature_bytes
-    if len(data) < len(MAGIC) + 1 + seal_bytes:
-        return None
-    body, seal = data[:-seal_bytes], data[-seal_bytes:]
-    if scheme.sign(body, strict=False).to_bytes() != seal:
+    body = opened(scheme, data)
+    if body is None:
         return None
     try:
         reader = _Reader(body)

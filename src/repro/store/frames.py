@@ -7,14 +7,15 @@ appended to the log as one *frame*::
     | volume | payload | seal
 
 where ``seal`` is the scheme's n-symbol algebraic signature of
-everything before it.  By Proposition 1 bit rot touching at most ``n``
-symbols of a frame's body, or only its seal, is detected *with
-certainty* -- 4 bytes of seal per frame under the paper's production
-GF(2^16), n = 2 scheme, which also catches any two damaged symbols
-split between body and seal.  (For n = 4 such a split can cancel: two
-body symbols ``85`` apart in GF(2^8) change only two signature
-components, which two damaged seal symbols then match.)  Three frame
-kinds cover the write paths:
+everything before it, in the one format of :mod:`repro.sig.seal`.  By
+Proposition 1 bit rot touching at most ``n`` symbols of a frame's
+body, or only its seal, is detected *with certainty* -- 4 bytes of
+seal per frame under the paper's production GF(2^16), n = 2 scheme,
+which also catches any two damaged symbols split between body and
+seal.  (For n = 4 such a split can cancel: two body symbols ``85``
+apart in GF(2^8) change only two signature components, which two
+damaged seal symbols then match.)  Three frame kinds cover the write
+paths:
 
 * ``PAGE`` (payload ``page_index(4) | page_size(4) | data``) -- a full
   page write, the backup engine's granule.  A short write to the final
@@ -47,6 +48,7 @@ import numpy as np
 
 from ..errors import StoreError
 from ..sig.scheme import AlgebraicSignatureScheme
+from ..sig.seal import seals
 
 #: Frame preamble; a resync scan looks for this after corruption.
 MAGIC = b"\xa5\x5a"
@@ -95,48 +97,17 @@ class Frame:
                               len(self.payload))
         return header + volume
 
-    def body(self) -> bytes:
-        """Everything the seal covers: header plus volume plus payload."""
-        return self.header_volume() + bytes(self.payload)
-
-
-def encode(scheme: AlgebraicSignatureScheme, frame: Frame) -> bytes:
-    """Seal one frame: ``body || sig(body)``.
-
-    The payload is signed as a view and lands exactly once -- in the
-    final output join -- instead of once for the body and once more for
-    the sealed result.
-    """
-    from ..sig.engine import get_batch_signer
-
-    header_volume = frame.header_volume()
-    seal = get_batch_signer(scheme).sign_concat(
-        [header_volume, frame.payload], strict=False)
-    return b"".join((header_volume, frame.payload, seal.to_bytes()))
-
 
 def encode_many(scheme: AlgebraicSignatureScheme,
                 frames: list[Frame]) -> list[bytes]:
-    """Seal a burst of frames in one batched signing pass.
-
-    Bulk writers (whole-image loads, journal flushes) seal every frame
-    through the shared batch engine -- one 2-D kernel pass over a
-    single symbol-aligned landing of all bodies -- instead of one
-    signing dispatch (and one body join) per frame.  Each result equals
-    ``encode(scheme, frame)``.
-    """
-    from ..sig.engine import get_batch_signer
-
+    """Seal frames, ``body || sig(body)``, in one batched signing pass
+    (one frame or a bulk writer's burst); each payload is signed as a
+    view and lands once, in its frame's output join."""
     prefixes = [frame.header_volume() for frame in frames]
-    seals = get_batch_signer(scheme).sign_concat_many(
-        [[prefix, frame.payload]
-         for prefix, frame in zip(prefixes, frames)],
-        strict=False,
-    )
-    return [
-        b"".join((prefix, frame.payload, seal.to_bytes()))
-        for prefix, frame, seal in zip(prefixes, frames, seals)
-    ]
+    tails = seals(scheme, [[prefix, frame.payload]
+                           for prefix, frame in zip(prefixes, frames)])
+    return [b"".join((prefix, frame.payload, tail))
+            for prefix, frame, tail in zip(prefixes, frames, tails)]
 
 
 def _header_at(buffer, offset: int, seal_bytes: int):

@@ -13,11 +13,10 @@ shards the pass by segment:
   structurally walk their segment (:func:`repro.store.frames.
   scan_buffer` -- the same walk the sequential lane runs) into a
   column :class:`~repro.store.frames.FrameTable`, and check the
-  untrusted seals with one array comparison: the engine's
-  ``concat_components`` matrix against the stored seal symbols.  No
-  copy of page content and no per-frame object crosses the process
-  boundary: a worker returns a :class:`SegmentVerdict` of a few small
-  arrays;
+  untrusted seals with one array comparison
+  (:func:`repro.sig.seal.seals_hold`).  No copy of page content and no
+  per-frame object crosses the process boundary: a worker returns a
+  :class:`SegmentVerdict` of a few small arrays;
 * the parent *stitches* verdicts in segment order.  Validity is a
   left-to-right property -- a frame is certified iff its seal held and
   its ``seq`` exceeds every certified frame before it -- so the global
@@ -61,9 +60,9 @@ import numpy as np
 from ..errors import StoreError
 from ..obs import MetricsRegistry, get_registry, span_if_active, use_registry
 from ..sig.arena import PageArena
-from ..sig.engine import get_batch_signer
 from ..sig.parallel import (_cached_scheme, _discard_pool, get_pool,
                             resolve_workers, scheme_spec)
+from ..sig.seal import seals_hold
 from . import frames as fr
 from .log import CertifiedRun, CorruptRegion, ScanResult
 
@@ -130,44 +129,24 @@ def scan_segment(scheme, buffer, index: int, base: int,
                  trusted_bytes: int) -> SegmentVerdict:
     """Structurally walk and seal-verify one segment's bytes.
 
-    The untrusted frames' bodies are signed in one
-    ``concat_components`` batch and the component matrix is compared
-    with the stored seals, gathered from the buffer and read as
-    ``<u{symbol_bytes}`` symbols, in one array comparison: no
-    :class:`~repro.sig.signature.Signature` is built.  Every body is
-    signed in its own matrix row, so a frame's verdict is independent
-    of which batch verified it: per-segment batches here agree with
-    any other partition of the log.
+    The untrusted frames' seals are checked by
+    :func:`repro.sig.seal.seals_hold` in one batch: every body is signed
+    in its own matrix row, so a frame's verdict is independent of which
+    batch verified it and per-segment batches here agree with any other
+    partition of the log.
     """
-    seal_bytes = scheme.scheme_id.signature_bytes
-    table, garbage = fr.scan_buffer(buffer, seal_bytes)
+    table, garbage = fr.scan_buffer(buffer, scheme.signature_bytes)
     seal_ok = np.ones(len(table), dtype=bool)
     # The trusted prefix is a byte prefix: the frames ending inside it
     # lead the table and everything after them is verified.
     first = int(np.searchsorted(table.end, trusted_bytes - base,
                                 side="right"))
     if first < len(table):
-        seal_ok[first:] = _seals_hold(scheme, buffer, table.rows(
-            slice(first, None)))
+        seal_ok[first:] = seals_hold(scheme, buffer, table.start[first:],
+                                     table.body_end[first:])
     return SegmentVerdict(index, base, len(buffer), table.shifted(base),
                           seal_ok,
                           tuple((base + s, base + e) for s, e in garbage))
-
-
-def _seals_hold(scheme, buffer, table: fr.FrameTable) -> np.ndarray:
-    """Per row of ``table``: does the stored seal equal the signature
-    of the body (Proposition 1's check, one array comparison)?"""
-    scheme_id = scheme.scheme_id
-    view = buffer if isinstance(buffer, memoryview) else memoryview(buffer)
-    components = get_batch_signer(scheme).concat_components(
-        [(view[start:body_end],) for start, body_end in zip(
-            table.start.tolist(), table.body_end.tolist())],
-        strict=False)
-    raw = np.frombuffer(buffer, dtype=np.uint8)
-    seals = raw[table.body_end[:, None]
-                + np.arange(scheme_id.signature_bytes)]
-    stored = seals.view(f"<u{scheme_id.symbol_bytes}")
-    return (stored == components).all(axis=1)
 
 
 # ----------------------------------------------------------------------

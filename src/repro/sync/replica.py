@@ -48,6 +48,11 @@ LOCATOR_EXCHANGE = "sync_locator"
 PAGE_REQUEST = "sync_page_request"
 PAGE_DATA = "sync_page_data"
 
+#: A warm replica folds its write journal once it holds this many
+#: entries, so a replica written between signature requests (a hosted
+#: mirror or image between anti-entropy sweeps) keeps bounded state.
+JOURNAL_FOLD_ENTRIES = 128
+
 
 class Replica:
     """One node's copy of a replicated byte image.
@@ -123,8 +128,12 @@ class Replica:
 
         The region is expanded to symbol boundaries and its before/after
         content snapshotted around the mutation, so warm signature state
-        stays exact (including for twisted schemes).
+        stays exact (including for twisted schemes).  A journal at
+        :data:`JOURNAL_FOLD_ENTRIES` is folded first.
         """
+        if self._incremental is not None \
+                and len(self._incremental.journal) >= JOURNAL_FOLD_ENTRIES:
+            self._refresh()
         tracked = self._incremental is not None and length > 0
         if tracked:
             symbol_bytes = self.scheme.scheme_id.symbol_bytes

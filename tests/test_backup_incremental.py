@@ -232,8 +232,8 @@ class TestClusterDeltaFrames:
             host = cluster.mirror_host(0)
             assert host.mirror is not None
             before = bytes(host.mirror.data)
-            body = wire.encode_traced(
-                None, wire.encode_delta(len(before), 0, b"\xff\x00\xff\x00"))
+            body = wire.encode_traced(None, wire.encode_deltas(
+                len(before), [(0, b"\xff\x00\xff\x00")]))
             sealed = bytearray(wire.seal(cluster.scheme, body))
             sealed[4] ^= 0x40
             host.receive_mirror_delta(bytes(sealed))
@@ -248,7 +248,7 @@ class TestClusterDeltaFrames:
             before = bytes(host.mirror.data)
             delta = b"\xff\x00\xff\x00"
             body = wire.encode_traced(
-                None, wire.encode_delta(len(before), 8, delta))
+                None, wire.encode_deltas(len(before), [(8, delta)]))
             host.receive_mirror_delta(wire.seal(cluster.scheme, body))
             patched = bytes(host.mirror.data)
             assert patched[8:12] == bytes(

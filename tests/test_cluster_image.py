@@ -33,6 +33,7 @@ from repro.cluster import (
 from repro.obs import MetricsRegistry, use_registry
 from repro.sdds import IMAGE_TAG, deserialize_bucket, serialize_bucket
 from repro.sig import make_scheme
+from repro.sync.replica import JOURNAL_FOLD_ENTRIES
 
 SCHEMES = {8: make_scheme(f=8, n=2), 16: make_scheme(f=16, n=2)}
 
@@ -241,6 +242,39 @@ class TestOneImagePerDurableNode:
             cluster.check_replicas()
 
 
+class TestWarmJournalsBounded:
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_journals_stay_bounded_between_sweeps(self, durable):
+        """After the first anti-entropy sweep every hosted mirror (and a
+        non-durable node's own image) is warm and journals each write
+        until the next sweep; the journal folds at the fixed bound
+        instead of growing (the mirrors reached 360/307/412 entries
+        here when nothing folded them)."""
+        with tempfile.TemporaryDirectory() as root, \
+                use_registry(MetricsRegistry()):
+            cluster = Cluster(servers=3, seed=4,
+                              durable_dir=root if durable else None,
+                              durable_checkpoint_every=16)
+            client = cluster.client()
+            rng = random.Random(4)
+            for key in range(60):
+                assert client.insert(key, rng.randbytes(24)).ok
+            cluster.settle()
+            longest = 0
+            for _step in range(600):
+                assert client.update(rng.randrange(60), rng.randbytes(
+                    rng.randrange(8, 48))).ok
+                for node in cluster.nodes:
+                    for replica in (node.mirror, node.image):
+                        warm = replica._incremental
+                        assert warm is not None
+                        longest = max(longest, len(warm.journal))
+            assert JOURNAL_FOLD_ENTRIES // 2 < longest \
+                <= JOURNAL_FOLD_ENTRIES
+            cluster.settle()
+            cluster.check_replicas()
+
+
 # ----------------------------------------------------------------------
 # The slot allocator
 # ----------------------------------------------------------------------
@@ -332,10 +366,6 @@ class TestDeltaCodec:
 
     def test_empty_patch_roundtrip(self):
         assert wire.decode_deltas(wire.encode_deltas(7, [])) == (7, [])
-
-    def test_single_region_is_a_one_region_patch(self):
-        assert wire.encode_delta(99, 17, b"\xab\xcd") == \
-            wire.encode_deltas(99, [(17, b"\xab\xcd")])
 
     def test_truncated_bodies_rejected(self):
         body = wire.encode_deltas(500, REGIONS)

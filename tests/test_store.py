@@ -72,7 +72,7 @@ class TestFrames:
                 (KIND_DELTA, fr.encode_delta(4096, 128, b"\x01\x02")),
                 (KIND_TRUNCATE, fr.encode_truncate(2048, 64))):
             frame = Frame(kind, 7, "vol", payload)
-            encoded = fr.encode(SCHEME, frame)
+            encoded = fr.encode_many(SCHEME, [frame])[0]
             parsed, end, body_end = fr.parse_at(encoded, 0, seal)
             assert parsed == frame
             assert end == len(encoded) and body_end == end - seal
@@ -84,7 +84,7 @@ class TestFrames:
                         fr.encode_page(seq, 32, bytes([seq]) * 32))
                   for seq in range(5)]
         assert fr.encode_many(SCHEME, frames) == \
-            [fr.encode(SCHEME, frame) for frame in frames]
+            [fr.encode_many(SCHEME, [frame])[0] for frame in frames]
 
     def test_payload_codecs_roundtrip(self):
         assert fr.decode_page(fr.encode_page(9, 128, b"abc")) == \
@@ -99,9 +99,8 @@ class TestFrames:
                 decoder(b"\x01")
 
     def test_parse_rejects_bad_magic_and_short_buffers(self):
-        encoded = bytearray(fr.encode(
-            SCHEME, Frame(KIND_PAGE, 0, "v", fr.encode_page(0, 32, b"y" * 32))
-        ))
+        frame = Frame(KIND_PAGE, 0, "v", fr.encode_page(0, 32, b"y" * 32))
+        encoded = bytearray(fr.encode_many(SCHEME, [frame])[0])
         seal = SCHEME.scheme_id.signature_bytes
         assert fr.parse_at(encoded[:-1], 0, seal) is None   # torn mid-frame
         encoded[0] ^= 0xFF

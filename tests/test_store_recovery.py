@@ -17,6 +17,7 @@ The load-bearing properties of PR 9:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -487,16 +488,26 @@ def _symbol_xor(data, real_bytes: int) -> bytes:
     return value.to_bytes(real_bytes, "little")
 
 
+def _seal_holds(scheme, buffer, body_end: int) -> bool:
+    """``seals_hold``'s verdict on one frame filling ``buffer``."""
+    from repro.sig.seal import seals_hold
+
+    return bool(seals_hold(scheme, bytes(buffer), np.array([0]),
+                           np.array([body_end]))[0])
+
+
 class TestArraySealVerdict:
-    """``scan_segment``'s one array comparison (component matrix vs the
-    gathered seal symbols) equals the per-frame ``Signature`` verdict,
-    and still rejects every damage Proposition 1 covers."""
+    """``repro.sig.seal.seals_hold`` -- the recovery scan's one array
+    comparison of serialized component rows with the stored seals --
+    equals the per-frame ``Signature`` verdict, and still rejects every
+    damage Proposition 1 covers."""
 
     @pytest.mark.parametrize("name", sorted(VERDICT_SCHEMES))
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_array_verdict_equals_signature_verdict(self, name, data):
         from repro.sig.engine import get_batch_signer
+        from repro.sig.seal import seals_hold
         from repro.store.recovery import scan_segment
 
         scheme = VERDICT_SCHEMES[name]
@@ -555,29 +566,33 @@ class TestArraySealVerdict:
         seals = get_batch_signer(scheme).sign_concat_many(
             [[segment[s:e - seal_bytes]] for s, e in
              zip(starts, starts[1:])], strict=False)
-        expected = [
-            base + e <= trusted or seal.to_bytes() == segment[e - seal_bytes:e]
-            for e, seal in zip(starts[1:], seals)]
-        assert verdict.seal_ok.tolist() == expected
-        if base + end > trusted:
-            # Proposition 1: <= n damaged body symbols, or a damaged
-            # seal, never certify.
-            assert not verdict.seal_ok[victim]
+        held = [seal.to_bytes() == segment[e - seal_bytes:e]
+                for e, seal in zip(starts[1:], seals)]
+        body_ends = np.array(starts[1:], dtype=np.int64) - seal_bytes
+        assert seals_hold(scheme, segment,
+                          np.array(starts[:-1], dtype=np.int64),
+                          body_ends).tolist() == held
+        # Proposition 1: <= n damaged body symbols, or a damaged seal,
+        # never hold.
+        assert not held[victim]
+        # The scan trusts the frames inside the trusted prefix and
+        # takes the array verdict for the rest.
+        assert verdict.seal_ok.tolist() == [
+            base + e <= trusted or hold
+            for e, hold in zip(starts[1:], held)]
 
     @pytest.mark.parametrize("name", ["gf16-n2", "gf16-twisted"])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_n2_rejects_damage_split_between_body_and_seal(self, name,
                                                            data):
-        from repro.store.recovery import scan_segment
-
         # One damaged body symbol changes every component, so with
         # n = 2 one further damaged seal symbol cannot hide it.
         scheme = VERDICT_SCHEMES[name]
         payload = data.draw(st.binary(min_size=1, max_size=300),
                             label="payload")
-        buffer = bytearray(fr.encode(scheme, Frame(KIND_PAGE, 7, "v",
-                                                   payload)))
+        buffer = bytearray(fr.encode_many(scheme, [Frame(
+            KIND_PAGE, 7, "v", payload)])[0])
         body_end = len(buffer) - scheme.scheme_id.signature_bytes
         # (Payload bytes: the header stays parseable, so the seal
         # check is what must reject.)
@@ -588,8 +603,7 @@ class TestArraySealVerdict:
         at = body_end + symbol * 2
         for i, byte in enumerate(_symbol_xor(data, 2)):
             buffer[at + i] ^= byte
-        verdict = scan_segment(scheme, bytes(buffer), 3, 0, 0)
-        assert verdict.seal_ok.tolist() == [False]
+        assert _seal_holds(scheme, buffer, body_end) is False
 
     def test_gf8_n4_split_damage_is_the_documented_limit(self):
         """Proposition 1 bounds damage to the body.  With n = 4 over
@@ -597,11 +611,9 @@ class TestArraySealVerdict:
         change only components 2 and 3 (alpha^(3*85) = 1), so damaging
         those two seal symbols to match certifies the frame: four
         damaged symbols, split between body and seal, can pass."""
-        from repro.store.recovery import scan_segment
-
         scheme = VERDICT_SCHEMES["gf8-n4"]
         frame = Frame(KIND_PAGE, 7, "v", bytes(range(120)))
-        buffer = bytearray(fr.encode(scheme, frame))
+        buffer = bytearray(fr.encode_many(scheme, [frame])[0])
         body_end = len(buffer) - scheme.n
         buffer[30] ^= 1
         buffer[30 + 85] ^= scheme.field.alpha_power(170)
@@ -611,8 +623,7 @@ class TestArraySealVerdict:
                    if resealed[i] != buffer[body_end + i]]
         assert changed == [1, 2]
         buffer[body_end:] = resealed
-        assert scan_segment(scheme, bytes(buffer), 3, 0, 0
-                            ).seal_ok.tolist() == [True]
+        assert _seal_holds(scheme, buffer, body_end) is True
 
 
 # ----------------------------------------------------------------------
