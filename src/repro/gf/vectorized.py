@@ -193,21 +193,36 @@ def ladder_matrix(field: GField, betas: tuple[int, ...], length: int) -> np.ndar
                      for beta in betas]).astype(np.intp)
 
 
+def body_components(field: GField, symbols: np.ndarray,
+                    ladders: np.ndarray) -> np.ndarray:
+    """The ``(n,)`` components of one body of (mapped) symbols.
+
+    The Section 5.1 log/antilog kernel for a lone body: each symbol's
+    sentinel log plus the ``(n, L)`` slice of an ``(n, >= L)``
+    :func:`ladder_matrix`, gathered once through the sentinel antilog,
+    then one XOR reduction per component.  ``scheme.sign``, the seal
+    codec's lean lane and a lone-body run of the engine's small lane
+    all sign one body here.
+    """
+    terms = field.sentinel_antilog[field.sentinel_log[symbols]
+                                   + ladders[:, :symbols.size]]
+    return np.bitwise_xor.reduce(terms, axis=1)
+
+
 def run_signature_matrix(field: GField, flat: np.ndarray, lengths: np.ndarray,
                          ladders: np.ndarray) -> np.ndarray:
     """Component signatures of a short run of bodies, without packing.
 
     ``flat`` holds the (mapped) symbols of every body back to back,
     ``lengths`` their sizes, and ``ladders`` is an ``(n, >= longest)``
-    :func:`ladder_matrix`.  Each symbol's sentinel log is added to the
-    ladder entry of its position *within its body* -- for a lone body
-    simply the ``(n, L)`` ladder slice -- and gathered once; one XOR
-    reduction per body then yields its components.  Returns ``(N, n)``.
+    :func:`ladder_matrix`.  A lone body is :func:`body_components`;
+    otherwise each symbol's sentinel log is added to the ladder entry of
+    its position *within its body* and gathered once, and one XOR
+    reduction per body yields its components.  Returns ``(N, n)``.
     """
-    logs = field.sentinel_log[flat]
     if lengths.size == 1:
-        terms = field.sentinel_antilog[logs + ladders[:, :flat.size]]
-        return np.bitwise_xor.reduce(terms, axis=1)[None, :]
+        return body_components(field, flat, ladders)[None, :]
+    logs = field.sentinel_log[flat]
     starts = np.zeros(lengths.size, dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
     positions = np.arange(flat.size) - np.repeat(starts, lengths)
@@ -223,12 +238,11 @@ def signature_vector(field: GField, symbols: np.ndarray, betas: tuple[int, ...])
     """Compute every component signature of a page for the base ``betas``.
 
     One sentinel gather over the ``(n, L)`` ladder slice and one XOR
-    reduction (:func:`run_signature_matrix` on a lone body) -- no
-    per-call power recomputation and no modulo in the inner expression.
+    reduction (:func:`body_components`) -- no per-call power
+    recomputation and no modulo in the inner expression.
     """
     ladders = ladder_matrix(field, betas, symbols.size)
-    lengths = np.array([symbols.size])
-    return tuple(run_signature_matrix(field, symbols, lengths, ladders)[0].tolist())
+    return tuple(body_components(field, symbols, ladders).tolist())
 
 
 def term_array(field: GField, symbols: np.ndarray, beta: int) -> np.ndarray:

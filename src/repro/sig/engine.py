@@ -11,12 +11,14 @@ lookups, and β-power recomputation per page.
 
 * every input is coerced to raw symbols (zero-copy for aligned byte
   buffers) and concatenated once;
-* a run of fewer than :data:`SMALL_RUN_SYMBOLS` symbols -- a wire frame,
-  a log frame, a mutation's burst of delta frames -- takes the *small
-  lane*: one sentinel gather over the scheme's own ladder matrix and
-  one XOR reduction per body (:func:`repro.gf.vectorized.
-  run_signature_matrix`, the kernel ``scheme.sign`` uses), with no
-  packing and no cache lookup;
+* a run of fewer than :data:`SMALL_RUN_SYMBOLS` symbols -- a burst of
+  log frames, mirror pages or delta frames -- takes the *small lane*:
+  one sentinel gather over the scheme's own ladder matrix and one XOR
+  reduction per body (:func:`repro.gf.vectorized.run_signature_matrix`,
+  whose lone-body case is the kernel ``scheme.sign`` uses), with no
+  packing and no cache lookup.  A single sealed body -- a wire frame,
+  one log frame, a checkpoint -- does not come here at all:
+  :mod:`repro.sig.seal` signs it on its own lean lane;
 * larger runs are cut into width groups -- rows stable-sorted by
   length, a group's rows at most twice as wide as its narrowest (rows
   under 128 symbols all group together) and bounded by
@@ -170,7 +172,8 @@ class BatchSigner:
         boundary; odd-length GF(2^16) bodies get the same trailing zero
         byte ``scheme.sign`` pads with.  A lone single-part
         symbol-aligned body is signed in place.  :mod:`repro.sig.seal`
-        serializes the rows as seals.
+        serializes the rows as seals for multi-body bursts, bodies of
+        ``SMALL_RUN_SYMBOLS`` or more symbols and the recovery scan.
         """
         field = self.scheme.field
         symbol_bytes = field.f // 8

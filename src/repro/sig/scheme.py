@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import PageTooLongError, SignatureError
 from ..gf.field import GF, GField
-from ..gf.vectorized import as_symbol_array, ladder_matrix, run_signature_matrix
+from ..gf.vectorized import as_symbol_array, body_components, ladder_matrix
 from ..obs import registry as _obs
 from .base import STANDARD, SignatureBase, make_base
 from .signature import SchemeId, Signature
@@ -124,9 +124,10 @@ class AlgebraicSignatureScheme:
         """The base's ``(n, >= length)`` position-exponent ladder matrix.
 
         Held by the scheme and regrown geometrically, so the one-body
-        kernel (``sign`` and the engine's small-run lane) reads it with
-        no cache lookup or lock: racing regrowths each build a complete
-        matrix, and a reader keeps whichever one it fetched.
+        kernel (``sign``, the seal codec's lean lane and the engine's
+        small-run lane) reads it with no cache lookup or lock: racing
+        regrowths each build a complete matrix, and a reader keeps
+        whichever one it fetched.
         """
         ladders = self._ladders
         if ladders.shape[1] < length:
@@ -181,10 +182,9 @@ class AlgebraicSignatureScheme:
         :meth:`signable_symbols` once and sign many slices of it; using
         :meth:`sign` there would re-apply a twisted scheme's bijection.
         """
-        components = run_signature_matrix(
-            self.field, symbols, np.array([symbols.size]),
-            self.ladders(symbols.size))
-        return Signature(tuple(components[0].tolist()), self.scheme_id)
+        components = body_components(self.field, symbols,
+                                     self.ladders(symbols.size))
+        return Signature(tuple(components.tolist()), self.scheme_id)
 
     def sign_scalar(self, page, strict: bool = True) -> Signature:
         """Sign via the paper's symbol-at-a-time loop (Section 5.1).
