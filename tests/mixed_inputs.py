@@ -16,7 +16,7 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from repro.sig import PageArena, engine
+from repro.sig import PageArena, engine, parallel
 
 #: Every input form the engine accepts.  ``odd`` draws an odd byte
 #: length on GF(2^16) (the padded lane); ``view`` lands the page in a
@@ -40,10 +40,15 @@ def matrix_lane():
     Runs under :data:`repro.sig.engine.SMALL_RUN_SYMBOLS` normally take
     the small lane; tests of the matrix lane's own machinery (spans,
     ladder cache, process pool) pin the crossover to zero instead of
-    inflating their inputs.
+    inflating their inputs.  A cached ``fork`` pool first forked inside
+    the block would keep the pinned crossover for the rest of the
+    process, so every pool is shut down on the way out.
     """
-    with mock.patch.object(engine, "SMALL_RUN_SYMBOLS", 0):
-        yield
+    try:
+        with mock.patch.object(engine, "SMALL_RUN_SYMBOLS", 0):
+            yield
+    finally:
+        parallel.shutdown_pools()
 
 
 def draw_page(data, scheme, max_symbols: int = 50,
