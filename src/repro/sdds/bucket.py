@@ -24,11 +24,30 @@ from .image import IMAGE_TAG, scan_slots, slot_bytes, slot_record, slot_size
 from .record import Record
 
 
+class RecordTally:
+    """A running record count, shared by the buckets of one SDDS file.
+
+    Every bucket adds to its tally on insert and subtracts on delete, so
+    the file's record count (and the load factor LH* splits on) is one
+    attribute read instead of a sum over every bucket.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self, count: int = 0):
+        self.count = count
+
+
 class Bucket:
-    """One SDDS bucket: heap image + key index + capacity bookkeeping."""
+    """One SDDS bucket: heap image + key index + capacity bookkeeping.
+
+    ``tally`` is the :class:`RecordTally` the bucket's inserts and
+    deletes update (its own when not given).
+    """
 
     def __init__(self, bucket_id: int, capacity_records: int = 1 << 30,
-                 initial_heap_bytes: int = 1 << 16, btree_degree: int = 16):
+                 initial_heap_bytes: int = 1 << 16, btree_degree: int = 16,
+                 tally: RecordTally | None = None):
         self.bucket_id = bucket_id
         self.capacity_records = capacity_records
         self.heap = RecordHeap(initial_heap_bytes)
@@ -37,6 +56,7 @@ class Bucket:
         #: LH* bucket level: which hash function h_i this bucket was
         #: last (re)hashed with.  Managed by the LH* file.
         self.level = 0
+        self.tally = tally if tally is not None else RecordTally()
 
     @classmethod
     def from_image(cls, bucket_id: int, image: bytes | bytearray,
@@ -58,6 +78,7 @@ class Bucket:
             end = offset + slot_size(len(record.value))
             bucket.index.insert(record.key, (offset, end - offset))
             cursor = end
+        bucket.tally.count += len(slots)
         return bucket
 
     # ------------------------------------------------------------------
@@ -85,6 +106,7 @@ class Bucket:
         offset = self.heap.allocate(len(slot))
         self.heap.write(offset, slot)
         self.index.insert(record.key, (offset, len(slot)))
+        self.tally.count += 1
 
     def get(self, key: int) -> Record:
         """Fetch the record with ``key``; raises when absent."""
@@ -110,6 +132,7 @@ class Bucket:
     def delete(self, key: int) -> Record:
         """Remove and return the record with ``key``."""
         offset, size = self.index.delete(key)
+        self.tally.count -= 1
         record = slot_record(self.heap.read(offset, size))
         self.heap.free(offset, size)
         return record

@@ -14,6 +14,7 @@ from ..sig.scheme import AlgebraicSignatureScheme, make_scheme
 from ..sim.network import SimNetwork
 from . import messages
 from .client import BaseSDDSClient
+from .bucket import RecordTally
 from .lh import ClientImage, FileState, LHAddressing
 from .record import Record
 from .server import SDDSServer
@@ -52,6 +53,9 @@ class LHFile:
         self.store_signatures = store_signatures
         self.btree_degree = btree_degree
         self.splits_performed = 0
+        #: Running record count of every bucket (inserts, deletes and
+        #: split moves update it), so the load factor costs O(1).
+        self._tally = RecordTally()
         self.servers: list[SDDSServer] = [
             self._new_server(bucket_id) for bucket_id in range(initial_buckets)
         ]
@@ -62,6 +66,7 @@ class LHFile:
             capacity_records=self.capacity_records,
             store_signatures=self.store_signatures,
             btree_degree=self.btree_degree,
+            tally=self._tally,
         )
 
     # ------------------------------------------------------------------
@@ -75,8 +80,8 @@ class LHFile:
 
     @property
     def record_count(self) -> int:
-        """Total records across all buckets."""
-        return sum(len(server.bucket) for server in self.servers)
+        """Total records across all buckets (a running count)."""
+        return self._tally.count
 
     @property
     def load_factor(self) -> float:

@@ -27,7 +27,7 @@ from ..sig.rolling import find_signature_matches
 from ..gf.vectorized import all_window_signatures as _window_sigs
 from ..sig.scheme import AlgebraicSignatureScheme
 from ..sig.signature import Signature
-from .bucket import Bucket
+from .bucket import Bucket, RecordTally
 from .record import Record
 
 
@@ -61,11 +61,12 @@ class SDDSServer:
 
     def __init__(self, server_id: int, scheme: AlgebraicSignatureScheme,
                  capacity_records: int = 256, store_signatures: bool = False,
-                 btree_degree: int = 16):
+                 btree_degree: int = 16, tally: RecordTally | None = None):
         self.server_id = server_id
         self.scheme = scheme
         self.bucket = Bucket(
-            server_id, capacity_records=capacity_records, btree_degree=btree_degree
+            server_id, capacity_records=capacity_records,
+            btree_degree=btree_degree, tally=tally,
         )
         #: When True, record signatures are stored next to the records
         #: (the Section 2.2 variant trading ~4 B/record for signature
@@ -82,8 +83,15 @@ class SDDSServer:
     def adopt_bucket(self, bucket: Bucket) -> None:
         """Serve ``bucket`` from now on, e.g. one restored from an image.
 
-        Stored signatures are recomputed from its records.
+        Stored signatures are recomputed from its records.  The new
+        bucket takes over the old one's record tally (a file-wide count
+        moves by the difference); the old bucket keeps a tally of its own.
         """
+        old = self.bucket
+        tally = old.tally
+        tally.count += len(bucket) - len(old)
+        old.tally = RecordTally(len(old))
+        bucket.tally = tally
         self.bucket = bucket
         self._stored_sigs = {}
         if self.store_signatures:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SDDSError
 from repro.sdds import (
+    Bucket,
     ClientImage,
     FileState,
     LHAddressing,
@@ -213,6 +214,28 @@ class TestLHFileIntegration:
         assert sorted(
             key for server in file.servers for key in server.bucket.keys()
         ) == sorted(keys)
+
+    def test_record_count_is_a_running_bucket_sum(self):
+        """Inserts, deletes, split moves and an adopted bucket all keep
+        the running count equal to the sum over the buckets."""
+        file, client, keys = self.make_file(n_records=300, capacity=10)
+
+        def bucket_sum():
+            return sum(len(server.bucket) for server in file.servers)
+
+        assert file.record_count == bucket_sum() == 300
+        for key in keys[:40]:
+            assert client.delete(key).status == "deleted"
+        assert file.record_count == bucket_sum() == 260
+        server = file.servers[0]
+        heap = server.bucket.heap
+        image = bytes(heap.image[:heap.high_water])
+        server.adopt_bucket(Bucket.from_image(server.server_id, image))
+        assert file.record_count == bucket_sum() == 260
+        server.adopt_bucket(Bucket(server.server_id))
+        assert file.record_count == bucket_sum()
+        assert file.load_factor == bucket_sum() / (
+            file.capacity_records * file.bucket_count)
 
     def test_split_traffic_accounted(self):
         file, _client, _keys = self.make_file()

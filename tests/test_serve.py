@@ -259,6 +259,21 @@ class TestServingPlane:
         assert all(node.server is plane.file.server(node.bucket_id)
                    for node in plane.nodes)
 
+    def test_record_count_tracks_the_serve_demo(self):
+        """The serve demo's inserts, deletes and live splits keep the LH*
+        file's running record count equal to the bucket sum."""
+        with use_registry(MetricsRegistry()):
+            plane = ServingPlane(buckets=4, family="lh", seed=7)
+            generator = LoadGenerator(plane, LoadMix(sessions=1200,
+                                                     n_items=1400))
+            generator.sweep([2000.0, 5000.0, 9000.0, 14000.0, 20000.0],
+                            2400)
+        file = plane.file
+        assert plane.splits >= 1
+        assert file.record_count == sum(len(server.bucket)
+                                        for server in file.servers)
+        assert file.record_count == len(plane.oracle)
+
     def test_thousand_session_smoke(self):
         with use_registry(MetricsRegistry()):
             plane = small_plane(seed=1, threshold=1 << 20)
