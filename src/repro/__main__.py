@@ -383,7 +383,7 @@ def _store(arguments: list[str]) -> int:
             from repro.sig.engine import get_batch_signer
             actual = get_batch_signer(scheme).sign_map(
                 patch, page_bytes // scheme.scheme_id.symbol_bytes
-            ).signatures[0]
+            )[0]
             if certified is None or actual != certified:
                 patched = False
                 break

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import BackupError, SignatureError
 from ..obs import get_registry
 from ..sdds.bucket import Bucket
-from ..sig.compound import SignatureMap
+from ..sig.compound import LeafDeltas, SignatureMap
 from ..sig.engine import get_batch_signer
 from ..sig.incremental import IncrementalSignatureMap, WriteJournal
 from ..sig.locate import LocateDesign, LocatorMap, decode
@@ -227,7 +229,7 @@ class BackupEngine:
                 cursor += take
         journal.clear()
         fold = incremental.apply_journal(work, total_bytes=len(image))
-        leaf_deltas = dict(fold.leaf_deltas)
+        leaf_deltas = fold.leaf_deltas
         changed = set(leaf_deltas)
         # Full-page re-sign fallback for smeared pages.
         fallback_list = sorted(
@@ -238,14 +240,19 @@ class BackupEngine:
             pages = [image[page * page_bytes:(page + 1) * page_bytes]
                      for page in fallback_list]
             fallback_bytes = sum(len(page) for page in pages)
-            for page, signature in zip(
-                fallback_list, self._signer.sign_many(pages, strict=False)
-            ):
-                old_sig = incremental.map.signatures[page]
-                if old_sig != signature:
-                    incremental.map.signatures[page] = signature
-                    leaf_deltas[page] = old_sig ^ signature
-                    changed.add(page)
+            indices = np.array(fallback_list, dtype=np.int64)
+            rows = incremental.map.components
+            resigned = self._signer.components_many(pages, strict=False)
+            fallback = LeafDeltas(self.scheme.scheme_id, indices,
+                                  rows[indices] ^ resigned).nonzero()
+            rows[indices] = resigned
+            # Fallback pages took no journaled region, so they are not
+            # among the fold's dirty pages.
+            leaf_deltas = LeafDeltas(
+                self.scheme.scheme_id,
+                np.concatenate([leaf_deltas.pages, fallback.pages]),
+                np.concatenate([leaf_deltas.rows, fallback.rows]))
+            changed.update(fallback)
         # Pages beyond the previous image never reached disk at all.
         changed.update(range(old_count, incremental.map.page_count))
         sig_seconds = self.cpu.sig_time(fold.bytes_folded + fallback_bytes)
@@ -370,7 +377,7 @@ class BackupEngine:
         # Batch-sign every disk page in one engine pass instead of a
         # sign call per page.
         pages = [self.disk.read_page(volume, index) for index in indices]
-        signatures = self._signer.sign_many(pages, strict=False)
+        actual = self._signer.components_many(pages, strict=False)
         scanned = len(indices)
         registry = get_registry()
         corrupted: list[int] | None = None
@@ -378,7 +385,7 @@ class BackupEngine:
                 signature_map.page_count)):
             actual_map = SignatureMap(
                 self.scheme, signature_map.page_symbols,
-                list(signatures), signature_map.total_symbols,
+                actual, signature_map.total_symbols,
             )
             registry.counter("backup.locate.scrubs").inc()
             try:
@@ -393,10 +400,9 @@ class BackupEngine:
             else:
                 registry.counter("backup.locate.overflows").inc()
         if corrupted is None:
-            corrupted = [
-                index for index, signature in zip(indices, signatures)
-                if signature != signature_map[index]
-            ]
+            differ = (actual != signature_map.components[indices]).any(axis=1)
+            corrupted = [index for index, bad in zip(indices, differ.tolist())
+                         if bad]
         registry.counter("backup.scrub_pages").inc(scanned)
         registry.counter("backup.scrub_corrupt").inc(len(corrupted))
         return corrupted

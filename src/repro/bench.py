@@ -337,7 +337,7 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
 
     def fold() -> SignatureMap:
         warm = IncrementalSignatureMap(SignatureMap(
-            scheme, page_symbols, list(base_map.signatures),
+            scheme, page_symbols, base_map.components.copy(),
             base_map.total_symbols,
         ))
         journal = warm.new_journal()
@@ -346,7 +346,7 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
         return warm.map
 
     rebuilt, folded = rescan(), fold()
-    if (folded.signatures != rebuilt.signatures
+    if (folded != rebuilt
             or folded.total_symbols != rebuilt.total_symbols):
         raise BenchError(f"incremental fold diverged from the full map "
                          f"rescan on GF(2^{f})")
@@ -445,7 +445,7 @@ def _bench_store(page_count: int, repeats: int) -> dict:
             if recovered != image:
                 raise BenchError(f"{path} recovery diverged from the "
                                  f"durable image")
-            if (recovered_map.signatures != expected.signatures
+            if (recovered_map != expected
                     or recovered_map.total_symbols != expected.total_symbols):
                 raise BenchError(f"{path} recovered map diverged from a "
                                  f"from-scratch compute")
@@ -1079,7 +1079,8 @@ def _bench_locate(quick: bool, repeats: int) -> dict:
                 raise BenchError(f"{name} sync failed to converge")
             exchange[name] = report.signature_bytes
 
-        tree_nodes = sum(len(level) for level in expected_tree.levels)
+        tree_nodes = sum(level.shape[0]
+                         for level in expected_tree.components)
         state = {
             "map": count * sig_bytes,
             "tree": tree_nodes * sig_bytes,

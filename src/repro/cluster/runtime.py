@@ -400,7 +400,7 @@ class Cluster:
                                       (page + 1) * page_bytes])
             if not patch or signer.sign_map(
                     patch, page_bytes // self.scheme.scheme_id.symbol_bytes
-            ).signatures[0] != certified:
+            )[0] != certified:
                 return "patch_mismatch"
             self.network.send(host.name, node.name, RECOVERY_SHARD,
                               len(patch))

@@ -66,7 +66,7 @@ from ..gf.vectorized import (
 from ..obs import registry as _obs
 from . import parallel
 from .arena import LEDGER, PageView
-from .compound import SignatureMap
+from .compound import LeafDeltas, SignatureMap, row_signatures
 from .scheme import AlgebraicSignatureScheme
 from .signature import Signature
 from .tree import SignatureTree
@@ -137,16 +137,20 @@ class BatchSigner:
         freely.  With ``strict`` every page must respect the
         Proposition-1 certainty bound.
         """
+        return self._signatures(self.components_many(pages, strict))
+
+    def components_many(self, pages, strict: bool = True) -> np.ndarray:
+        """Component matrix ``(len(pages), n)`` of :meth:`sign_many`."""
         if not isinstance(pages, (list, tuple)):
             pages = list(pages)
         if not pages:
-            return []
+            return np.zeros((0, self.scheme.n), dtype=np.int64)
         rows = [self._raw_symbols(page) for page in pages]
         lengths = np.fromiter((row.size for row in rows), dtype=np.int64,
                               count=len(rows))
         if strict:
             self._check_bound(int(lengths.max()))
-        return self._signatures(self._components_flat(_concat(rows), lengths))
+        return self._components_flat(_concat(rows), lengths)
 
     def sign_concat(self, parts, strict: bool = True) -> Signature:
         """Signature of the concatenation of ``parts``, joined lazily.
@@ -206,7 +210,8 @@ class BatchSigner:
 
         Equivalent to signing every :func:`~repro.sig.compound.
         slice_pages` slice, but the buffer is reshaped into the page
-        matrix directly -- no per-page Python iteration at all.
+        matrix directly -- no per-page Python iteration at all -- and
+        the kernel's component matrix becomes the map as is.
         """
         scheme = self.scheme
         if page_symbols <= 0:
@@ -224,9 +229,8 @@ class BatchSigner:
         lengths = np.full(count, page_symbols, dtype=np.int64)
         if total % page_symbols:
             lengths[-1] = total % page_symbols
-        return SignatureMap(
-            scheme, page_symbols,
-            self._signatures(self._components_flat(flat, lengths)), total)
+        return SignatureMap(scheme, page_symbols,
+                            self._components_flat(flat, lengths), total)
 
     def sign_tree(self, data, page_symbols: int, fanout: int = 16) -> SignatureTree:
         """Batch-build the leaf level, then fold parents algebraically."""
@@ -254,24 +258,25 @@ class BatchSigner:
             self._delta_components(befores, afters, positions))
 
     def apply_deltas(self, signature_map: SignatureMap,
-                     deltas) -> dict[int, Signature]:
+                     deltas) -> LeafDeltas:
         """Fold journaled write regions into a signature map, in place.
 
         ``deltas`` yields ``(page, position, before, after)``: the page
         index in the map, the symbol offset of the region within that
         page, and the region's old and new content.  All regions are
-        signed in one batched pass, XOR-folded per page, and applied to
-        the map entries -- clean bytes are never touched.  Returns the
-        net leaf delta per page whose signature actually changed (zero
-        nets -- pseudo-writes -- are dropped), ready to feed
-        :meth:`repro.sig.tree.SignatureTree.apply_leaf_deltas`.
+        signed in one batched pass, XOR-folded per page, and XORed into
+        the map's component rows -- clean bytes are never touched.
+        Returns the net leaf delta rows of the pages whose signature
+        actually changed (zero nets -- pseudo-writes -- are dropped),
+        ready to feed :meth:`repro.sig.tree.SignatureTree.
+        apply_leaf_deltas`.
         """
         scheme = self.scheme
         if signature_map.scheme.scheme_id != scheme.scheme_id:
             raise SignatureError("signature map does not belong to this scheme")
         page_symbols = signature_map.page_symbols
         total = signature_map.total_symbols
-        page_limit = len(signature_map.signatures)
+        page_limit = signature_map.page_count
         befores, afters, positions, pages = [], [], [], []
         for page, position, before, after in deltas:
             if not 0 <= page < page_limit:
@@ -289,22 +294,14 @@ class BatchSigner:
                 positions.append(int(position))
                 pages.append(int(page))
         if not befores:
-            return {}
+            return LeafDeltas.empty(scheme.scheme_id)
         components = self._delta_components(befores, afters, positions)
         page_array = np.asarray(pages, dtype=np.int64)
         page_ids = np.unique(page_array)
         groups = np.searchsorted(page_ids, page_array)
-        folded = fold_rows_by_group(components, groups, page_ids.size)
-        scheme_id = scheme.scheme_id
-        net: dict[int, Signature] = {}
-        for page_id, row in zip(page_ids, folded):
-            if not row.any():
-                continue
-            delta = Signature(tuple(int(c) for c in row), scheme_id)
-            index = int(page_id)
-            signature_map.signatures[index] = \
-                signature_map.signatures[index] ^ delta
-            net[index] = delta
+        net = LeafDeltas(scheme.scheme_id, page_ids, fold_rows_by_group(
+            components, groups, page_ids.size)).nonzero()
+        signature_map.components[net.pages] ^= net.rows
         return net
 
     # ------------------------------------------------------------------
@@ -457,9 +454,7 @@ class BatchSigner:
         return components
 
     def _signatures(self, components: np.ndarray) -> list[Signature]:
-        scheme_id = self.scheme.scheme_id
-        return [Signature(tuple(row), scheme_id)
-                for row in components.tolist()]
+        return row_signatures(self.scheme.scheme_id, components)
 
     def _emit(self, pages: int) -> None:
         batches, batch_pages = self._obs.get(lambda registry: (

@@ -16,7 +16,7 @@ updates:
   without touching clean bytes: regions are split at page boundaries,
   signed in one batched 2-D kernel pass
   (:meth:`~repro.sig.engine.BatchSigner.apply_deltas`), and XOR-applied
-  per page.  Because each journal entry snapshots the real before/after
+  to the map's component rows.  Because each journal entry snapshots the real before/after
   content at capture time, consecutive deltas *telescope*: folding them
   in any order yields exactly the from-scratch map (property-tested).
 
@@ -31,10 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import SignatureError
-from .compound import SignatureMap
+from ..gf.vectorized import shift_rows
+from .compound import LeafDeltas, SignatureMap
 from .scheme import AlgebraicSignatureScheme
-from .signature import Signature
 
 
 def aligned_span(offset: int, length: int, symbol_bytes: int) -> tuple[int, int]:
@@ -122,7 +124,7 @@ class WriteJournal:
 class FoldReport:
     """Outcome of folding a journal into an incremental map."""
 
-    leaf_deltas: dict[int, Signature]  #: net signature delta per dirty page
+    leaf_deltas: LeafDeltas            #: net signature delta per dirty page
     resized: bool                      #: page count or tail length changed
     regions: int                       #: page-split regions folded
     bytes_folded: int                  #: journaled bytes that were signed
@@ -256,10 +258,7 @@ class IncrementalSignatureMap:
         leaf_deltas = self._signer.apply_deltas(signature_map, regions)
         if new_total < fold_total:
             self._truncate(new_total)
-            leaf_deltas = {
-                page: delta for page, delta in leaf_deltas.items()
-                if page < signature_map.page_count
-            }
+            leaf_deltas = leaf_deltas.below(signature_map.page_count)
         journal.clear()
         return FoldReport(
             leaf_deltas=leaf_deltas,
@@ -268,8 +267,8 @@ class IncrementalSignatureMap:
             bytes_folded=bytes_folded,
         )
 
-    def _zero_run_signature(self, symbols: int) -> Signature:
-        """Signature of ``symbols`` zero symbols.
+    def _zero_run_row(self, symbols: int) -> np.ndarray:
+        """Component row of the signature of ``symbols`` zero symbols.
 
         Identically zero for plain schemes (zero symbols contribute
         nothing), but *not* for twisted ones: the bijection maps the
@@ -279,15 +278,22 @@ class IncrementalSignatureMap:
         sign their padding explicitly instead of assuming neutrality.
         """
         if symbols <= 0:
-            return self.scheme.zero
-        return self.scheme.sign(b"\0" * (symbols * self.symbol_bytes))
+            return np.zeros(self.scheme.n, dtype=np.int64)
+        return self.scheme.sign_components(
+            b"\0" * (symbols * self.symbol_bytes))
+
+    def _pad_tail(self, pad: int, tail: int) -> None:
+        """XOR the ``pad``-symbol zero run at symbol ``tail`` of the final
+        page into (or, XOR being involutive, out of) its row
+        (Proposition 5)."""
+        scheme = self.scheme
+        self.map.components[-1] ^= shift_rows(
+            scheme.field, self._zero_run_row(pad)[None, :].astype(np.int64),
+            np.array([tail], dtype=np.int64), scheme.base.betas)[0]
 
     def _extend(self, new_total: int) -> None:
         """Grow into zero-filled space, signing the padding algebraically."""
-        from .algebra import apply_delta
-
         signature_map = self.map
-        scheme = self.scheme
         page_symbols = signature_map.page_symbols
         old_total = signature_map.total_symbols
         old_count = signature_map.page_count
@@ -298,39 +304,31 @@ class IncrementalSignatureMap:
             grown = min(page_symbols,
                         new_total - (old_count - 1) * page_symbols)
             if grown > tail:
-                signature_map.signatures[-1] = apply_delta(
-                    scheme, signature_map.signatures[-1],
-                    self._zero_run_signature(grown - tail), tail,
-                )
+                self._pad_tail(grown - tail, tail)
         new_count = -(-new_total // page_symbols)
         if new_count > old_count:
-            full = self._zero_run_signature(page_symbols)
-            for page in range(old_count, new_count):
-                length = min(page_symbols, new_total - page * page_symbols)
-                signature_map.signatures.append(
-                    full if length == page_symbols
-                    else self._zero_run_signature(length)
-                )
+            rows = np.empty((new_count - old_count, self.scheme.n),
+                            dtype=np.int64)
+            rows[:] = self._zero_run_row(page_symbols)
+            last = new_total - (new_count - 1) * page_symbols
+            if last != page_symbols:
+                rows[-1] = self._zero_run_row(last)
+            signature_map.components = np.concatenate(
+                [signature_map.components, rows])
         signature_map.total_symbols = new_total
 
     def _truncate(self, new_total: int) -> None:
         """Shrink after the dropped tail was journaled to zero."""
-        from .algebra import apply_delta
-
         signature_map = self.map
-        scheme = self.scheme
         page_symbols = signature_map.page_symbols
         old_total = signature_map.total_symbols
         new_count = -(-new_total // page_symbols)
-        del signature_map.signatures[new_count:]
+        signature_map.components = signature_map.components[:new_count]
         if new_count:
             tail = new_total - (new_count - 1) * page_symbols
             covered = min(page_symbols,
                           old_total - (new_count - 1) * page_symbols)
             if covered > tail:
                 # Remove the (zeroed) pad contribution: XOR is involutive.
-                signature_map.signatures[-1] = apply_delta(
-                    scheme, signature_map.signatures[-1],
-                    self._zero_run_signature(covered - tail), tail,
-                )
+                self._pad_tail(covered - tail, tail)
         signature_map.total_symbols = new_total

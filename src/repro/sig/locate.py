@@ -61,9 +61,8 @@ import numpy as np
 from ..errors import SignatureError
 from ..gf.vectorized import fold_rows_by_group, shift_rows
 from ..obs import get_registry
-from .compound import SignatureMap
+from .compound import LeafDeltas, SignatureMap
 from .scheme import AlgebraicSignatureScheme
-from .signature import Signature
 
 #: Default damage budget: the d of the d-cover-free family.
 DEFAULT_D = 4
@@ -213,9 +212,17 @@ class LocateDesign:
             raise SignatureError("page index outside the design's capacity")
         if self.kind == _IDENTITY:
             return pages.reshape(-1, 1)
-        out = np.empty((pages.size, self.q), dtype=np.int64)
-        for x in range(self.q):
-            out[:, x] = x * self.q + self.column_values(x, pages)
+        # Horner over F_q for every column at once: column x evaluates
+        # each page's codeword polynomial at x (:meth:`column_values`).
+        q = self.q
+        codes = self._codewords(pages)
+        columns = np.arange(q, dtype=np.int64)
+        out = np.zeros((pages.size, q), dtype=np.int64)
+        for j in range(self.k - 1, -1, -1):
+            out *= columns
+            out += ((codes // q ** j) % q)[:, None]
+            out %= q
+        out += columns * q
         return out
 
     def describe(self) -> dict:
@@ -273,28 +280,19 @@ class LocatorMap:
                  signature_map: SignatureMap) -> "LocatorMap":
         """Fold a per-page map into group aggregates (no data reads)."""
         scheme = signature_map.scheme
-        page_count = len(signature_map.signatures)
+        page_count = signature_map.page_count
         if page_count > max(1, design.page_capacity):
             raise SignatureError(
                 f"{page_count} pages exceed the design capacity "
                 f"{design.page_capacity}"
             )
-        page_components = np.array(
-            [sig.components for sig in signature_map.signatures],
-            dtype=np.int64,
-        ).reshape(page_count, scheme.n)
         pages = np.arange(page_count, dtype=np.int64)
-        shifted = shift_rows(scheme.field, page_components,
+        shifted = shift_rows(scheme.field, signature_map.components,
                              pages * signature_map.page_symbols,
                              scheme.base.betas)
-        out = np.zeros((design.group_count, scheme.n), dtype=np.int64)
-        if design.kind == _IDENTITY:
-            out[:page_count] = shifted
-        else:
-            q = design.q
-            for x in range(q):
-                values = design.column_values(x, pages)
-                out[x * q:(x + 1) * q] = fold_rows_by_group(shifted, values, q)
+        groups = design.memberships(pages)
+        out = fold_rows_by_group(np.repeat(shifted, groups.shape[1], axis=0),
+                                 groups.ravel(), design.group_count)
         return cls(design, scheme, signature_map.page_symbols, out,
                    page_count, signature_map.total_symbols)
 
@@ -339,25 +337,24 @@ class LocatorMap:
     # Incremental maintenance
     # ------------------------------------------------------------------
 
-    def apply_leaf_deltas(self, deltas: dict[int, Signature]) -> None:
+    def apply_leaf_deltas(self, deltas) -> None:
         """Fold per-page net signature deltas into the group aggregates.
 
         ``deltas`` is exactly what :meth:`repro.sig.engine.BatchSigner.
         apply_deltas` returns (and what
         :meth:`~repro.sig.tree.SignatureTree.apply_leaf_deltas`
         consumes): the XOR between each dirty page's old and new
-        signature.  Each delta lands in the page's ``columns`` groups,
-        shifted to the page's global offset -- O(|dirty| * columns)
-        field work, no data reads.
+        signature, as :class:`~repro.sig.compound.LeafDeltas` rows or a
+        ``{page: Signature}`` mapping.  Each delta lands in the page's
+        ``columns`` groups, shifted to the page's global offset --
+        O(|dirty| * columns) field work, no data reads.
         """
         if not deltas:
             return
-        pages = np.fromiter(deltas.keys(), dtype=np.int64,
-                            count=len(deltas))
+        deltas = LeafDeltas.coerce(self.scheme, deltas)
+        pages, rows = deltas.pages, deltas.rows
         if int(pages.min()) < 0 or int(pages.max()) >= self.page_count:
             raise SignatureError("leaf delta outside the locator's pages")
-        rows = np.array([deltas[int(page)].components for page in pages],
-                        dtype=np.int64)
         shifted = shift_rows(self.scheme.field, rows,
                              pages * self.page_symbols,
                              self.scheme.base.betas)

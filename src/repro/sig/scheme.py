@@ -165,6 +165,15 @@ class AlgebraicSignatureScheme:
         longer data should be signed through
         :class:`repro.sig.compound.SignatureMap` instead.
         """
+        return Signature(tuple(self.sign_components(page, strict).tolist()),
+                         self.scheme_id)
+
+    def sign_components(self, page, strict: bool = True) -> np.ndarray:
+        """The ``(n,)`` component row :meth:`sign` wraps in a signature.
+
+        For callers that keep signatures as component arrays (signature
+        maps, trees, incremental folds) and need no object.
+        """
         symbols = self.signable_symbols(page)
         if strict and symbols.size > self.max_page_symbols:
             raise PageTooLongError(
@@ -173,7 +182,8 @@ class AlgebraicSignatureScheme:
                 "use a SignatureMap (compound signature) for longer data"
             )
         self._count_signed(symbols.size, "vector")
-        return self.sign_mapped(symbols)
+        return body_components(self.field, symbols,
+                               self.ladders(symbols.size))
 
     def sign_mapped(self, symbols: np.ndarray) -> Signature:
         """Sign an already coerced-and-mapped symbol array.

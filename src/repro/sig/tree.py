@@ -17,6 +17,11 @@ under one ancestor can cancel there with probability 2^-nf per node --
 retains per-page certainty regardless; the tree trades a 2^-nf sliver
 of it for O(log) localization.  (A hypothesis run against GF(2^8)
 actually found such a cancellation; see test_sig_compound_tree.)
+
+Each level is held as one component matrix plus one symbol-length
+array: builds, delta folds and diffs run one vectorized pass per level,
+and :class:`TreeNode` objects are built only on request
+(:attr:`SignatureTree.root`, :attr:`SignatureTree.levels`).
 """
 
 from __future__ import annotations
@@ -26,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SignatureError
-from ..gf.vectorized import fold_concat_level
-from .algebra import concat_all, shift
-from .compound import SignatureMap
+from ..gf.vectorized import fold_concat_level, fold_rows_by_group, shift_rows
+from .compound import LeafDeltas, SignatureMap, component_rows, row_signatures
 from .scheme import AlgebraicSignatureScheme
 from .signature import Signature
 
@@ -54,14 +58,30 @@ class SignatureTree:
 
     Level 0 is the page (leaf) level; the last level holds the single
     root, whose signature equals the flat signature of the whole buffer
-    (verified by a property test).
+    (verified by a property test).  Level ``l`` is stored as
+    ``components[l]``, an ``(m_l, n)`` ``int64`` component matrix, and
+    ``lengths[l]``, the ``(m_l,)`` symbol lengths of its nodes.
     """
 
     def __init__(self, scheme: AlgebraicSignatureScheme, fanout: int,
-                 levels: list[list[TreeNode]]):
+                 components: list[np.ndarray], lengths: list[np.ndarray]):
         self.scheme = scheme
         self.fanout = fanout
-        self.levels = levels
+        self.components = components
+        self.lengths = lengths
+
+    @classmethod
+    def _build(cls, scheme: AlgebraicSignatureScheme, components: np.ndarray,
+               lengths: np.ndarray, fanout: int) -> "SignatureTree":
+        """Fold a leaf level up to the root, one kernel pass per level."""
+        levels, sizes = [components], [lengths]
+        while components.shape[0] > 1:
+            components, lengths = fold_concat_level(
+                scheme.field, components, lengths, scheme.base.betas, fanout
+            )
+            levels.append(components)
+            sizes.append(lengths)
+        return cls(scheme, fanout, levels, sizes)
 
     @classmethod
     def from_leaves(cls, scheme: AlgebraicSignatureScheme,
@@ -78,47 +98,36 @@ class SignatureTree:
             raise SignatureError("tree fanout must be at least 2")
         if not leaves:
             raise SignatureError("cannot build a signature tree with no leaves")
-        for signature, _length in leaves:
-            if signature.scheme_id != scheme.scheme_id:
-                raise SignatureError("signatures do not belong to this scheme")
-        levels = [[TreeNode(sig, length) for sig, length in leaves]]
-        components = np.array([sig.components for sig, _ in leaves],
-                              dtype=np.int64)
+        components = component_rows(scheme.scheme_id,
+                                    [signature for signature, _ in leaves])
         lengths = np.array([length for _, length in leaves], dtype=np.int64)
-        scheme_id = scheme.scheme_id
-        while len(levels[-1]) > 1:
-            components, lengths = fold_concat_level(
-                scheme.field, components, lengths, scheme.base.betas, fanout
-            )
-            levels.append([
-                TreeNode(Signature(tuple(int(c) for c in row), scheme_id),
-                         int(total))
-                for row, total in zip(components, lengths)
-            ])
-        return cls(scheme, fanout, levels)
+        return cls._build(scheme, components, lengths, fanout)
 
     @classmethod
     def from_map(cls, signature_map: SignatureMap, fanout: int = 16) -> "SignatureTree":
         """Build a tree over an existing signature map.
 
         All pages except possibly the last have ``page_symbols`` symbols.
+        The leaf level is a copy of the map's component matrix.
         """
-        lengths = [signature_map.page_symbols] * signature_map.page_count
-        if lengths:
-            tail = signature_map.total_symbols - signature_map.page_symbols * (
-                signature_map.page_count - 1
-            )
-            lengths[-1] = tail
-        leaves = list(zip(signature_map.signatures, lengths))
-        if not leaves:
+        if fanout < 2:
+            raise SignatureError("tree fanout must be at least 2")
+        scheme = signature_map.scheme
+        count = signature_map.page_count
+        if not count:
             # A zero-length buffer still has a well-defined tree: one
             # leaf carrying the empty signature over zero symbols, whose
             # root therefore equals the flat signature of the (empty)
             # buffer.  Checkpointing a volume truncated to nothing
             # depends on this.
-            scheme = signature_map.scheme
-            leaves = [(scheme.sign(b"", strict=False), 0)]
-        return cls.from_leaves(signature_map.scheme, leaves, fanout)
+            return cls._build(
+                scheme, scheme.sign_components(b"", strict=False)[None, :]
+                .astype(np.int64), np.zeros(1, dtype=np.int64), fanout)
+        page_symbols = signature_map.page_symbols
+        lengths = np.full(count, page_symbols, dtype=np.int64)
+        lengths[-1] = signature_map.total_symbols - page_symbols * (count - 1)
+        return cls._build(scheme, signature_map.components.copy(), lengths,
+                          fanout)
 
     # ------------------------------------------------------------------
     # Queries
@@ -127,17 +136,28 @@ class SignatureTree:
     @property
     def root(self) -> TreeNode:
         """The root node: signature of the entire buffer."""
-        return self.levels[-1][0]
+        return TreeNode(
+            Signature(tuple(self.components[-1][0].tolist()),
+                      self.scheme.scheme_id),
+            int(self.lengths[-1][0]))
+
+    @property
+    def levels(self) -> list[list[TreeNode]]:
+        """Every level's nodes as objects, built on demand (a copy)."""
+        scheme_id = self.scheme.scheme_id
+        return [[TreeNode(signature, length) for signature, length in zip(
+                    row_signatures(scheme_id, components), lengths.tolist())]
+                for components, lengths in zip(self.components, self.lengths)]
 
     @property
     def height(self) -> int:
         """Number of levels, counting leaves (Figure 3 shows height 3)."""
-        return len(self.levels)
+        return len(self.components)
 
     @property
     def leaf_count(self) -> int:
         """Number of leaves (pages)."""
-        return len(self.levels[0])
+        return self.components[0].shape[0]
 
     def _check_comparable(self, other: "SignatureTree") -> None:
         if self.scheme.scheme_id != other.scheme.scheme_id:
@@ -148,30 +168,29 @@ class SignatureTree:
             )
 
     def diff(self, other: "SignatureTree") -> TreeDiff:
-        """Localize changed leaves, descending only into differing nodes."""
+        """Localize changed leaves, descending only into differing nodes.
+
+        One vectorized comparison per level over the children of that
+        level's differing nodes; ``nodes_compared`` counts the root plus
+        every child compared.
+        """
         self._check_comparable(other)
         compared = 1
-        if self.root.signature == other.root.signature:
+        top = self.height - 1
+        if np.array_equal(self.components[top][0], other.components[top][0]):
             return TreeDiff([], compared)
-        changed: list[int] = []
-        # Work list of (level, index) node coordinates whose subtrees differ.
-        top = len(self.levels) - 1
-        frontier = [(top, 0)]
-        while frontier:
-            level, index = frontier.pop()
-            if level == 0:
-                changed.append(index)
-                continue
-            child_level = level - 1
-            start = index * self.fanout
-            stop = min(start + self.fanout, len(self.levels[child_level]))
-            for child in range(start, stop):
-                compared += 1
-                mine = self.levels[child_level][child].signature
-                theirs = other.levels[child_level][child].signature
-                if mine != theirs:
-                    frontier.append((child_level, child))
-        return TreeDiff(sorted(changed), compared)
+        frontier = np.zeros(1, dtype=np.int64)
+        steps = np.arange(self.fanout, dtype=np.int64)
+        for level in range(top - 1, -1, -1):
+            children = (frontier[:, None] * self.fanout + steps).ravel()
+            children = children[children < self.components[level].shape[0]]
+            compared += children.size
+            differ = (self.components[level][children]
+                      != other.components[level][children]).any(axis=1)
+            frontier = children[differ]
+            if not frontier.size:
+                break
+        return TreeDiff(frontier.tolist(), compared)
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -186,63 +205,64 @@ class SignatureTree:
         """
         if not 0 <= index < self.leaf_count:
             raise SignatureError(f"leaf index {index} out of range")
-        old = self.levels[0][index]
-        self.levels[0][index] = TreeNode(
-            signature, old.symbols if symbols is None else symbols
-        )
+        self.components[0][index] = component_rows(self.scheme.scheme_id,
+                                                   [signature])[0]
+        if symbols is not None:
+            self.lengths[0][index] = symbols
         child_index = index
-        for level in range(1, len(self.levels)):
+        for level in range(1, self.height):
             parent_index = child_index // self.fanout
             start = parent_index * self.fanout
-            stop = min(start + self.fanout, len(self.levels[level - 1]))
-            group = self.levels[level - 1][start:stop]
-            sig, total = concat_all(
-                self.scheme, [(node.signature, node.symbols) for node in group]
-            )
-            self.levels[level][parent_index] = TreeNode(sig, total)
+            stop = start + self.fanout
+            parent, total = fold_concat_level(
+                self.scheme.field, self.components[level - 1][start:stop],
+                self.lengths[level - 1][start:stop], self.scheme.base.betas,
+                self.fanout)
+            self.components[level][parent_index] = parent[0]
+            self.lengths[level][parent_index] = total[0]
             child_index = parent_index
 
-    def apply_leaf_deltas(self, leaf_deltas: dict[int, Signature]) -> None:
+    def apply_leaf_deltas(self, leaf_deltas) -> None:
         """Fold leaf signature *deltas* in and propagate them to the root.
 
-        ``leaf_deltas`` maps leaf indices to ``new_sig XOR old_sig``
-        (e.g. the net deltas returned by
-        :meth:`repro.sig.engine.BatchSigner.apply_deltas`).  Because a
-        parent is the XOR of its position-shifted children (Proposition
-        5), a child delta propagates as ``beta_j^offset``-shifted delta
-        -- so ancestors shared by several dirty leaves are updated
-        *once*, with the XOR-merged delta, instead of once per leaf as
-        :meth:`update_leaf` would.  Deltas that cancel along the way
+        ``leaf_deltas`` holds each dirty leaf's ``new_sig XOR old_sig``:
+        the :class:`~repro.sig.compound.LeafDeltas` returned by
+        :meth:`repro.sig.engine.BatchSigner.apply_deltas`, or any
+        ``{leaf: Signature}`` mapping.  Because a parent is the XOR of
+        its position-shifted children (Proposition 5), a child delta
+        propagates as a ``beta_j^offset``-shifted delta -- so each level
+        takes one shift pass over its dirty rows and one XOR fold per
+        parent, and ancestors shared by several dirty leaves are updated
+        *once*, with the merged delta.  Deltas that cancel along the way
         stop propagating early.
 
         Valid only while every leaf's symbol length is unchanged; a
         buffer that grew or shrank needs a rebuild via :meth:`from_map`
         (algebraic, no re-signing).
         """
-        scheme_id = self.scheme.scheme_id
-        pending: dict[int, Signature] = {}
-        for index, delta in leaf_deltas.items():
-            if not 0 <= index < self.leaf_count:
-                raise SignatureError(f"leaf index {index} out of range")
-            if delta.scheme_id != scheme_id:
-                raise SignatureError("delta does not belong to this scheme")
-            if not delta.is_zero:
-                pending[int(index)] = delta
-        for level, nodes in enumerate(self.levels):
-            if not pending:
+        deltas = LeafDeltas.coerce(self.scheme, leaf_deltas)
+        pages = deltas.pages
+        if pages.size and (int(pages.min()) < 0
+                           or int(pages.max()) >= self.leaf_count):
+            raise SignatureError("leaf index out of range")
+        deltas = deltas.nonzero()
+        pages, rows = deltas.pages, deltas.rows
+        field, betas, fanout = self.scheme.field, self.scheme.base.betas, \
+            self.fanout
+        top = self.height - 1
+        for level in range(self.height):
+            if not pages.size:
                 break
-            for index, delta in pending.items():
-                node = nodes[index]
-                nodes[index] = TreeNode(node.signature ^ delta, node.symbols)
-            if level == len(self.levels) - 1:
+            self.components[level][pages] ^= rows
+            if level == top:
                 break
-            parents: dict[int, Signature] = {}
-            for index, delta in pending.items():
-                parent = index // self.fanout
-                start = parent * self.fanout
-                offset = sum(nodes[i].symbols for i in range(start, index))
-                shifted = shift(self.scheme, delta, offset)
-                previous = parents.get(parent)
-                parents[parent] = shifted if previous is None \
-                    else previous ^ shifted
-            pending = {p: d for p, d in parents.items() if not d.is_zero}
+            prefix = np.zeros(self.lengths[level].size + 1, dtype=np.int64)
+            np.cumsum(self.lengths[level], out=prefix[1:])
+            parents = pages // fanout
+            shifted = shift_rows(field, rows,
+                                 prefix[pages] - prefix[parents * fanout],
+                                 betas)
+            unique, groups = np.unique(parents, return_inverse=True)
+            folded = fold_rows_by_group(shifted, groups, unique.size)
+            keep = folded.any(axis=1)
+            pages, rows = unique[keep], folded[keep]

@@ -37,12 +37,13 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from ..obs import get_registry
-from ..sig.compound import SignatureMap
+from ..sig.compound import SignatureMap, wire_dtype
 from ..sig.scheme import AlgebraicSignatureScheme
 from ..sig.seal import opened, seal
-from ..sig.signature import Signature
-from ..sig.tree import SignatureTree, TreeNode
+from ..sig.tree import SignatureTree
 
 MAGIC = b"ASCK"
 VERSION = 1
@@ -72,14 +73,23 @@ class Checkpoint:
     volumes: dict[str, VolumeCheckpoint]
 
 
+def _node_dtype(scheme: AlgebraicSignatureScheme) -> np.dtype:
+    """One packed tree node: ``n`` wire symbols, then an 8-byte length."""
+    scheme_id = scheme.scheme_id
+    return np.dtype([("signature", wire_dtype(scheme_id), (scheme_id.n,)),
+                     ("symbols", "<u8")])
+
+
 def _encode_tree(tree: SignatureTree) -> bytes:
     parts = [tree.fanout.to_bytes(2, "little"),
-             len(tree.levels).to_bytes(2, "little")]
-    for level in tree.levels:
-        parts.append(len(level).to_bytes(4, "little"))
-        for node in level:
-            parts.append(node.signature.to_bytes())
-            parts.append(node.symbols.to_bytes(8, "little"))
+             tree.height.to_bytes(2, "little")]
+    node = _node_dtype(tree.scheme)
+    for components, lengths in zip(tree.components, tree.lengths):
+        nodes = np.empty(components.shape[0], dtype=node)
+        nodes["signature"] = components
+        nodes["symbols"] = lengths
+        parts.append(components.shape[0].to_bytes(4, "little"))
+        parts.append(nodes.tobytes())
     return b"".join(parts)
 
 
@@ -103,21 +113,19 @@ class _Reader:
 
 def _decode_tree(reader: _Reader,
                  scheme: AlgebraicSignatureScheme) -> SignatureTree:
-    sig_bytes = scheme.scheme_id.signature_bytes
+    node = _node_dtype(scheme)
     fanout = reader.integer(2)
     level_count = reader.integer(2)
     if fanout < 2 or not 1 <= level_count <= 64:
         raise ValueError("implausible checkpoint tree shape")
-    levels = []
+    components, lengths = [], []
     for _ in range(level_count):
         node_count = reader.integer(4)
-        levels.append([
-            TreeNode(Signature.from_bytes(reader.take(sig_bytes),
-                                          scheme.scheme_id),
-                     reader.integer(8))
-            for _ in range(node_count)
-        ])
-    return SignatureTree(scheme, fanout, levels)
+        nodes = np.frombuffer(reader.take(node_count * node.itemsize),
+                              dtype=node)
+        components.append(nodes["signature"].astype(np.int64))
+        lengths.append(nodes["symbols"].astype(np.int64))
+    return SignatureTree(scheme, fanout, components, lengths)
 
 
 def encode(scheme: AlgebraicSignatureScheme, checkpoint: Checkpoint) -> bytes:

@@ -535,8 +535,7 @@ class PageStore:
             registry = get_registry()
             if design is None:
                 design = self._default_design(
-                    max(len(expected_map.signatures),
-                        len(actual_map.signatures))
+                    max(expected_map.page_count, actual_map.page_count)
                 )
             condemned: tuple[int, ...] | None = None
             compared = 0
@@ -571,12 +570,12 @@ class PageStore:
                     compared = max(len(expected_map), len(actual_map))
                     method = "map"
             expected = {
-                index: expected_map.signatures[index]
-                for index in condemned if index < len(expected_map.signatures)
+                index: expected_map[index]
+                for index in condemned if index < expected_map.page_count
             }
             uncovered = tuple(
                 index for index in condemned
-                if index >= len(expected_map.signatures)
+                if index >= expected_map.page_count
             )
             if uncovered:
                 registry.counter("store.pages_uncovered").inc(len(uncovered))

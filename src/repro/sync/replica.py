@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ReproError, SignatureError
 from ..obs import get_registry
 from ..sig.compound import SignatureMap
@@ -258,7 +260,7 @@ class Replica:
             if report.resized:
                 # Length changes move the aggregate offsets' coverage;
                 # rebuild under the same design while it still fits.
-                if len(incremental.map.signatures) \
+                if incremental.map.page_count \
                         <= max(1, design.page_capacity):
                     self._locator = LocatorMap.from_map(
                         design, incremental.map
@@ -313,7 +315,7 @@ class Replica:
         replica outgrew it.
         """
         signature_map = self.signature_map()
-        page_count = len(signature_map.signatures)
+        page_count = signature_map.page_count
         if design is None:
             cached = self._locator
             if cached is not None and cached.design.d == d \
@@ -440,37 +442,31 @@ def sync_by_tree(source: Replica, target: Replica, network: SimNetwork,
     rounds = 0
     compared = 0
     top = source_tree.height - 1
-    suspects = [0]  # node indices at the current level
+    suspects = np.zeros(1, dtype=np.int64)  # node indices at this level
+    steps = np.arange(fanout, dtype=np.int64)
     for level in range(top, 0, -1):
-        payload = len(suspects) * (sig_bytes_per + 4)
+        payload = suspects.size * (sig_bytes_per + 4)
         network.send(source.name, target.name, TREE_LEVEL, payload)
         signature_bytes += payload
         rounds += 1
-        compared += len(suspects)
-        next_suspects = []
-        child_level = level - 1
-        for index in suspects:
-            if source_tree.levels[level][index].signature == \
-                    target_tree.levels[level][index].signature:
-                continue
-            start = index * fanout
-            stop = min(start + fanout, len(source_tree.levels[child_level]))
-            next_suspects.extend(range(start, stop))
-        suspects = next_suspects
-        if not suspects:
+        compared += suspects.size
+        differ = (source_tree.components[level][suspects]
+                  != target_tree.components[level][suspects]).any(axis=1)
+        children = (suspects[differ][:, None] * fanout + steps).ravel()
+        suspects = children[
+            children < source_tree.components[level - 1].shape[0]]
+        if not suspects.size:
             break
     # Leaf round: compare the suspect pages' signatures.
-    changed = [
-        index for index in suspects
-        if source_tree.levels[0][index].signature
-        != target_tree.levels[0][index].signature
-    ]
-    if suspects:
-        payload = len(suspects) * (sig_bytes_per + 4)
+    changed = suspects[(source_tree.components[0][suspects]
+                        != target_tree.components[0][suspects]).any(axis=1)
+                       ].tolist()
+    if suspects.size:
+        payload = suspects.size * (sig_bytes_per + 4)
         network.send(source.name, target.name, TREE_LEVEL, payload)
         signature_bytes += payload
         rounds += 1
-        compared += len(suspects)
+        compared += suspects.size
     request_bytes = 4 + 4 * len(changed)
     network.send(target.name, source.name, PAGE_REQUEST, request_bytes)
     signature_bytes += request_bytes

@@ -79,8 +79,7 @@ class TestVerifiedRestore:
         assert engine.scrub("vol") == [4]
         # Operator action: force a rewrite of the flagged page by
         # invalidating its map entry and re-running the backup.
-        engine.signature_map("vol").signatures[4] = \
-            engine.scheme.zero
+        engine.signature_map("vol")[4] = engine.scheme.zero
         report = engine.backup("vol", image)
         assert report.pages_written >= 1
         assert engine.scrub("vol") == []
