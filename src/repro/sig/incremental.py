@@ -16,9 +16,10 @@ updates:
   without touching clean bytes: regions are split at page boundaries,
   signed in one batched 2-D kernel pass
   (:meth:`~repro.sig.engine.BatchSigner.apply_deltas`), and XOR-applied
-  to the map's component rows.  Because each journal entry snapshots the real before/after
-  content at capture time, consecutive deltas *telescope*: folding them
-  in any order yields exactly the from-scratch map (property-tested).
+  to the map's component rows.  Because each journal entry snapshots
+  the real before/after content at capture time, consecutive deltas
+  *telescope*: folding them in any order yields exactly the
+  from-scratch map (property-tested).
 
 Growth and truncation are handled algebraically: the zero-filled
 padding is itself signed (free for plain schemes, where zero symbols
@@ -280,7 +281,7 @@ class IncrementalSignatureMap:
         if symbols <= 0:
             return np.zeros(self.scheme.n, dtype=np.int64)
         return self.scheme.sign_components(
-            b"\0" * (symbols * self.symbol_bytes))
+            b"\0" * (symbols * self.symbol_bytes)).astype(np.int64)
 
     def _pad_tail(self, pad: int, tail: int) -> None:
         """XOR the ``pad``-symbol zero run at symbol ``tail`` of the final
@@ -288,7 +289,7 @@ class IncrementalSignatureMap:
         (Proposition 5)."""
         scheme = self.scheme
         self.map.components[-1] ^= shift_rows(
-            scheme.field, self._zero_run_row(pad)[None, :].astype(np.int64),
+            scheme.field, self._zero_run_row(pad)[None, :],
             np.array([tail], dtype=np.int64), scheme.base.betas)[0]
 
     def _extend(self, new_total: int) -> None:
