@@ -112,12 +112,6 @@ class LeafDeltas(Mapping):
         self.rows = rows
 
     @classmethod
-    def empty(cls, scheme_id: SchemeId) -> "LeafDeltas":
-        """No deltas at all."""
-        return cls(scheme_id, np.zeros(0, dtype=np.int64),
-                   np.zeros((0, scheme_id.n), dtype=np.int64))
-
-    @classmethod
     def coerce(cls, scheme: AlgebraicSignatureScheme,
                deltas) -> "LeafDeltas":
         """``deltas`` as arrays: a :class:`LeafDeltas` of ``scheme`` as
@@ -131,19 +125,18 @@ class LeafDeltas(Mapping):
         return cls(scheme_id, pages, component_rows(scheme_id,
                                                      deltas.values()))
 
-    def nonzero(self) -> "LeafDeltas":
-        """The deltas whose rows are not all zero (pseudo-writes dropped)."""
-        keep = self.rows.any(axis=1)
+    def _where(self, keep: np.ndarray) -> "LeafDeltas":
         if keep.all():
             return self
         return LeafDeltas(self.scheme_id, self.pages[keep], self.rows[keep])
 
+    def nonzero(self) -> "LeafDeltas":
+        """The deltas whose rows are not all zero (pseudo-writes dropped)."""
+        return self._where(self.rows.any(axis=1))
+
     def below(self, page_count: int) -> "LeafDeltas":
         """The deltas of pages ``< page_count`` (after a truncation)."""
-        keep = self.pages < page_count
-        if keep.all():
-            return self
-        return LeafDeltas(self.scheme_id, self.pages[keep], self.rows[keep])
+        return self._where(self.pages < page_count)
 
     def __getitem__(self, page: int) -> Signature:
         hits = np.flatnonzero(self.pages == page)

@@ -293,8 +293,6 @@ class BatchSigner:
                 afters.append(after)
                 positions.append(int(position))
                 pages.append(int(page))
-        if not befores:
-            return LeafDeltas.empty(scheme.scheme_id)
         components = self._delta_components(befores, afters, positions)
         page_array = np.asarray(pages, dtype=np.int64)
         page_ids = np.unique(page_array)

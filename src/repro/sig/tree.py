@@ -74,6 +74,8 @@ class SignatureTree:
     def _build(cls, scheme: AlgebraicSignatureScheme, components: np.ndarray,
                lengths: np.ndarray, fanout: int) -> "SignatureTree":
         """Fold a leaf level up to the root, one kernel pass per level."""
+        if fanout < 2:
+            raise SignatureError("tree fanout must be at least 2")
         levels, sizes = [components], [lengths]
         while components.shape[0] > 1:
             components, lengths = fold_concat_level(
@@ -94,8 +96,6 @@ class SignatureTree:
         of a level is computed in one numpy pass, identical node for
         node to the sequential ``concat_all`` fold.
         """
-        if fanout < 2:
-            raise SignatureError("tree fanout must be at least 2")
         if not leaves:
             raise SignatureError("cannot build a signature tree with no leaves")
         components = component_rows(scheme.scheme_id,
@@ -110,8 +110,6 @@ class SignatureTree:
         All pages except possibly the last have ``page_symbols`` symbols.
         The leaf level is a copy of the map's component matrix.
         """
-        if fanout < 2:
-            raise SignatureError("tree fanout must be at least 2")
         scheme = signature_map.scheme
         count = signature_map.page_count
         if not count:
