@@ -1,26 +1,22 @@
-"""X9 -- parallel certified recovery and group-commit log writes.
+"""X9 -- the certified recovery scan and group-commit log writes.
 
-PR 9's tentpole: the certification scan of :class:`repro.store.SegmentedLog`
-is sharded by segment across the shared-memory process signing backend
-(:mod:`repro.store.recovery`) -- Proposition 1's per-frame seal checks
-are embarrassingly parallel because each seal is independent of batch
-composition -- and the log's write path gains a group-commit mode that
-coalesces bursts of frames into one OS write + one flush.
+The certification scan of :class:`repro.store.SegmentedLog` checks
+every frame's seal alone (Proposition 1), one segment after another in
+one process (:mod:`repro.store.recovery`); the log's write path has a
+group-commit mode that coalesces bursts of frames into one OS write +
+one flush.
 
-Two sweeps:
+Two measurements:
 
-* **scan workers** -- a multi-segment faulted log (mid-log bit rot,
-  torn tail) is scanned with 1/2/4 workers; every worker count must
-  produce a byte-identical partition (certified frames, corrupt
-  regions, torn-tail start) before it is timed.  Speedup appears only
-  on multi-core hosts; exactness is asserted everywhere.
+* **scan** -- a multi-segment faulted log (mid-log bit rot, torn tail)
+  must scan to the expected partition (one corrupt region, the torn
+  tail cut at the last whole frame) before it is timed.
 * **flush mode** -- bursts of pre-sealed frames are appended under
   ``flush="frame"`` vs ``flush="group"``; both modes must lay down
   byte-identical segment files at identical offsets, and the grouped
   path must beat the per-frame path at large bursts.
 """
 
-import os
 import shutil
 import time
 
@@ -35,7 +31,6 @@ VOLUME = "x9"
 SEGMENT_BYTES = 256 * 1024
 SCAN_FRAME_BYTES = 16 * 1024
 SCAN_FRAMES = 256                # ~4 MiB log, ~17 segments
-SCAN_WORKERS = (1, 2, 4)
 GROUP_FRAME_BYTES = 256
 GROUP_FRAMES = 512
 GROUP_BURSTS = (1, 8, 32, 128)
@@ -57,16 +52,6 @@ def _build_faulted_log(directory) -> SegmentedLog:
     return log
 
 
-def _fingerprint(result) -> tuple:
-    """Every observable coordinate of a scan's partition."""
-    return (
-        tuple((f.start, f.end, f.frame.seq, bytes(f.frame.payload))
-              for f in result.frames),
-        tuple((r.start, r.end, r.reason) for r in result.corrupt),
-        result.torn_start, result.total_bytes,
-    )
-
-
 def _best(fn, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -76,31 +61,26 @@ def _best(fn, repeats: int = 3) -> float:
     return best
 
 
-def test_x9_scan_workers(benchmark, report_table, tmp_path):
-    """Exactness across worker counts, then the timing sweep."""
+def test_x9_scan(benchmark, report_table, tmp_path):
+    """The expected partition first, then the timing."""
     log = _build_faulted_log(tmp_path / "log")
-    reference = _fingerprint(log.scan(verify_workers=1))
-    rows = []
-    seconds = {}
-    for workers in SCAN_WORKERS:
-        assert _fingerprint(log.scan(verify_workers=workers)) == reference
-        seconds[workers] = _best(
-            lambda workers=workers: log.scan(verify_workers=workers))
-        rows.append([f"{workers} worker(s)",
-                     round(seconds[workers] * 1e3, 2),
-                     round(log.total_bytes / (1 << 20)
-                           / seconds[workers], 1)])
-    benchmark(lambda: log.scan(verify_workers=1))
+    scan = log.scan()
+    # One rotted frame mid-log; the tear cuts into the last frame.
+    assert [region.reason for region in scan.corrupt] == ["seal"]
+    assert scan.frame_count == SCAN_FRAMES - 2
+    assert 0 < scan.torn_bytes < SCAN_FRAME_BYTES
+    seconds = _best(log.scan)
+    benchmark(log.scan)
     log.close()
     report_table(
-        "X9: segment-sharded certification scan "
+        "X9: certification scan "
         f"({log.total_bytes / (1 << 20):.1f} MiB, "
-        f"{log.segment_count} segments, {os.cpu_count()} core(s))",
-        ["workers", "scan ms", "log MiB/s"],
-        rows,
-        notes="every worker count is verified byte-identical to the "
-              "sequential partition before timing; the speedup needs "
-              "real cores (BENCH_pr9.json records the ratio)",
+        f"{log.segment_count} segments)",
+        ["scan ms", "log MiB/s"],
+        [[round(seconds * 1e3, 2),
+          round(log.total_bytes / (1 << 20) / seconds, 1)]],
+        notes="the partition (certified frames, corrupt regions, torn "
+              "tail) is checked before timing",
     )
 
 

@@ -13,8 +13,10 @@ Three lives of one on-disk store (PROTOCOLS.md §11):
   plane instead of re-signing the whole history.  Work then simply
   continues on the recovered store;
 * **life 3** reopens with ``verify="tail"`` -- the production fast
-  path -- and the recovered signature map is byte-compared against a
-  from-scratch recompute of the materialized image.
+  path: seals are checked only past the checkpoint, and the
+  checkpoint-covered volume is scrubbed once against its sealed map
+  instead -- and the recovered signature map is byte-compared against
+  a from-scratch recompute of the materialized image.
 
 A closing act runs the backup engine over a :class:`DurableDisk`, so
 the signature-map backup of Section 2.1 lands on storage that itself
@@ -71,8 +73,7 @@ def life_1_write_and_crash(directory, rng) -> None:
 def life_2_recover_and_continue(directory, rng) -> bytes:
     """Certified recovery, then keep writing as if nothing happened."""
     scheme = make_scheme()
-    # Segment-sharded scan: byte-identical partition at any worker count.
-    store, report = PageStore.recover(scheme, directory, verify_workers=2)
+    store, report = PageStore.recover(scheme, directory)
     print(f"life 2: recovered -- {report.frames_valid} certified frames, "
           f"{report.frames_folded} folded past the checkpoint, "
           f"{report.torn_bytes} torn bytes truncated")
@@ -95,17 +96,23 @@ def life_2_recover_and_continue(directory, rng) -> bytes:
 def life_3_fast_reopen(directory, expected_image: bytes) -> None:
     """The production fast path: checkpoint + tail-verify recovery."""
     scheme = make_scheme()
+    registry = get_registry()
+    scrubs = registry.total("store.scrubs")
     store, report = PageStore.recover(scheme, directory, verify="tail")
     try:
         assert report.clean and report.used_checkpoint
+        # The trusted prefix is not taken on faith: one scrub per
+        # checkpoint-backed volume re-signs the image against its map.
+        assert registry.total("store.scrubs") == scrubs + 1
         assert store.image(VOLUME) == expected_image
         recomputed = SignatureMap.compute(
             scheme, expected_image,
             PAGE_BYTES // scheme.scheme_id.symbol_bytes)
         assert store.signature_map(VOLUME).signatures \
             == recomputed.signatures
-        print("life 3: tail-verified reopen is clean; the warm signature "
-              "map byte-matches a from-scratch recompute")
+        print("life 3: tail-verified reopen is clean (its scrub found no "
+              "damage); the warm signature map byte-matches a "
+              "from-scratch recompute")
     finally:
         store.close()
 

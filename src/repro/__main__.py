@@ -20,16 +20,14 @@ Commands:
                      demo (unreliable network, retries, a crash with
                      signature-driven recovery) and print its run
                      report; identical seeds yield identical JSON
-* ``store [--json] [--seed N] [--workers W] [--flush MODE]
-  [--segment-bytes B]`` -- run
+* ``store [--json] [--seed N] [--flush MODE] [--segment-bytes B]`` -- run
                      the durable-store demo: write a volume through the
                      sealed log (``--flush group`` coalesces frames into
                      group commits, ``--segment-bytes`` sizes the log's
                      segment files), checkpoint, inject mid-log bit rot
                      and a torn tail write, then run certified recovery
-                     (``--workers`` shards the certification scan by
-                     segment) and verify the condemned-page report
-                     against the injected faults
+                     and verify the condemned-page report against the
+                     injected faults
 * ``serve [--json] [--seed N]`` -- run the high-concurrency serving
                      plane under open-loop load: thousands of
                      non-blocking sessions sweep offered load past
@@ -289,18 +287,15 @@ def _store(arguments: list[str]) -> int:
     from repro.store import SEGMENT_BYTES, PageStore
 
     usage = ("usage: python -m repro store [--json] [--seed N] "
-             "[--workers W] [--flush frame|group] [--segment-bytes B]")
+             "[--flush frame|group] [--segment-bytes B]")
     as_json = "--json" in arguments
     rest = [a for a in arguments if a != "--json"]
     seed = 42
-    workers: int | None = None
     flush = "frame"
     segment_bytes = SEGMENT_BYTES
     while rest:
         if rest[0] == "--seed" and len(rest) >= 2:
             seed = int(rest[1])
-        elif rest[0] == "--workers" and len(rest) >= 2:
-            workers = int(rest[1])
         elif rest[0] == "--flush" and len(rest) >= 2 \
                 and rest[1] in ("frame", "group"):
             flush = rest[1]
@@ -356,9 +351,7 @@ def _store(arguments: list[str]) -> int:
         for at, after, end in mutations:
             if end <= cut:
                 final[at:at + 64] = after
-        recovered, report = PageStore.recover(scheme, tmp,
-                                              verify_workers=workers,
-                                              flush=flush,
+        recovered, report = PageStore.recover(scheme, tmp, flush=flush,
                                               segment_bytes=segment_bytes)
         checks.append(("torn tail detected and truncated",
                        report.torn_bytes > 0))

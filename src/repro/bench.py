@@ -9,8 +9,6 @@ committed run):
 * ``vector``  -- ``scheme.sign`` per page: the single-page numpy kernel.
 * ``batch``   -- :class:`~repro.sig.engine.BatchSigner.sign_many`: all
   pages in 2-D kernel passes through the shared power-ladder cache.
-* ``batch_workers`` -- the same engine signing per-worker row spans
-  across the shared-memory process pool.
 * ``map_rescan`` -- ``BatchSigner.sign_map`` over the whole image: the
   full batched signature-map rebuild an update cycle pays without the
   incremental plane.
@@ -29,7 +27,8 @@ sealed checkpoint, and a sparse post-checkpoint delta tail:
 * ``checkpoint_fold`` -- load the sealed warm state, verify every seal,
   fold only the post-checkpoint frames (Proposition 3).
 * ``checkpoint_fold_tail`` -- the production path: trust the sealed
-  checkpoint for the prefix it covers, verify only the tail's seals.
+  checkpoint for the prefix it covers, verify only the tail's seals,
+  then scrub the checkpointed volume against its sealed map once.
 
 All three recoveries are verified to materialize byte-identical images
 and signature maps equal to a from-scratch
@@ -63,27 +62,6 @@ fails unless the arena path moves at least
 Copies-per-byte is deterministic (it counts bytes, not seconds), so
 the whole block lives in the stable region CI compares across runs.
 
-The ``cores`` block sweeps the batch engine's worker axis: 1/2/4/N
-workers (N = ``os.cpu_count()``); one worker signs in-process, more
-sign through the shared-memory **process pool** (``BatchSigner(
-workers=K)`` -- workers map the page arena by name and sign row blocks
-with zero page serialization).  Every swept configuration is
-exactness-verified before timing.  On hosts with at
-least :data:`CORES_TARGET_MIN_CPUS` cores the harness additionally
-enforces the process backend at >= :data:`CORES_MIN_PROCESS_SPEEDUP` x
-the single-worker throughput; below that the speedup is recorded but
-not enforced (``target_enforced`` says which happened).
-
-The ``recovery`` block (schema v7) sweeps the parallel certification
-scan (:mod:`repro.store.recovery`): a multi-segment log carrying
-mid-log bit rot and a torn tail is scanned with 1/2/4/N workers, each
-sweep's partition (certified frames, corrupt regions, torn-tail start)
-verified identical to the sequential scan before it is timed.  On
-hosts with at least :data:`RECOVERY_TARGET_MIN_CPUS` cores the best
-parallel scan must beat the sequential one by
-:data:`RECOVERY_MIN_SPEEDUP` x; below that the ratio is recorded but
-not enforced (``target_enforced``).
-
 The ``group_commit`` block (schema v7) times
 :meth:`~repro.store.SegmentedLog.append_encoded` bursts under
 ``flush="frame"`` (a write + flush syscall pair per frame) and
@@ -91,8 +69,7 @@ The ``group_commit`` block (schema v7) times
 group).  Both modes are first verified to lay down byte-identical
 segment files at identical offsets; the grouped path must then reach
 :data:`GROUP_MIN_SPEEDUP` x the per-frame throughput at a burst of at
-least :data:`GROUP_MIN_BURST` frames -- enforced on every host, since
-coalescing syscalls needs no extra cores.
+least :data:`GROUP_MIN_BURST` frames -- enforced on every host.
 
 The ``locate`` block (schema v8) is the corruption-localization cost
 sweep (:mod:`repro.sig.locate`): volumes growing to ~1M pages carry
@@ -121,7 +98,6 @@ Timings live under ``results`` and naturally vary run to run.
 from __future__ import annotations
 
 import json
-import os
 import random
 import tempfile
 import time
@@ -132,8 +108,7 @@ import numpy as np
 from .errors import ReproError
 from .gf.vectorized import batch_signature_matrix, delta_signature_matrix
 from .sig import (LEDGER, BatchSigner, IncrementalSignatureMap,
-                  JournalEntry, SignatureMap, SignatureTree, make_scheme,
-                  resolve_workers)
+                  JournalEntry, SignatureMap, SignatureTree, make_scheme)
 from .sig.engine import get_batch_signer
 from .sig.locate import LOCATED, LocateDesign, LocatorMap, decode
 from .sig.signature import Signature
@@ -142,11 +117,10 @@ from .store import PageStore
 from .sync import Replica, sync_by_locator, sync_by_map, sync_by_tree
 
 #: Document schema tag; bump on any shape change.
-SCHEMA = "repro.bench/batch-engine/v9"
+SCHEMA = "repro.bench/batch-engine/v10"
 
 PAGE_BYTES = 64 * 1024
 SEED = 20040301          # ICDE 2004 -- the paper's venue
-WORKERS = 4
 #: Fraction of the image's bytes journaled for the incremental path
 #: (the sparse-update regime the O(|delta|) plane is built for).
 DIRTY_FRACTION = 0.01
@@ -192,33 +166,12 @@ COPIES_MIN_REDUCTION = 3.0
 COPIES_REGIONS = 32
 COPIES_BODY_HEADER = b"frame-header-17b!"
 
-#: Cores sweep: the process backend must reach this multiple of the
-#: single-worker batch throughput -- enforced only on hosts with at
-#: least ``CORES_TARGET_MIN_CPUS`` cores (parallel signing cannot be
-#: demonstrated on a single-core container; the ratio is still
-#: recorded there).
-CORES_MIN_PROCESS_SPEEDUP = 2.0
-CORES_TARGET_MIN_CPUS = 4
-
-#: Parallel-recovery sweep (schema v7): a multi-segment faulted log is
-#: certification-scanned with 1/2/4/N workers; every worker count must
-#: produce a byte-identical partition before it is timed.  The best
-#: parallel scan must beat the sequential one by this factor -- like
-#: the cores sweep, enforced only on hosts with enough cores.
-RECOVERY_SEGMENT_BYTES = 256 * 1024
-RECOVERY_FRAME_BYTES = 16 * 1024
-RECOVERY_FRAMES = 512
-RECOVERY_FRAMES_QUICK = 128
-RECOVERY_MIN_SPEEDUP = 2.0
-RECOVERY_TARGET_MIN_CPUS = 4
-
 #: Group-commit sweep (schema v7): bursts of pre-sealed frames are
 #: appended under ``flush="frame"`` (write + flush per frame) and
 #: ``flush="group"`` (one write + one flush per group); both modes are
 #: verified to produce byte-identical logs and offsets first.  At any
 #: burst of at least ``GROUP_MIN_BURST`` frames the grouped path must
-#: run at this multiple of the per-frame path -- enforced everywhere
-#: (coalescing syscalls needs no extra cores).
+#: run at this multiple of the per-frame path -- enforced everywhere.
 GROUP_FRAME_BYTES = 256
 GROUP_FRAMES = 512
 GROUP_FRAMES_QUICK = 256
@@ -301,13 +254,12 @@ def _entry(path: str, pages: int, seconds: float) -> dict:
 
 
 def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
-                 repeats: int, workers: int) -> dict:
+                 repeats: int) -> dict:
     """Time every path for one field; verify each against the reference."""
     scheme = make_scheme(f=f, n=n)
     reference = [scheme.sign(page, strict=False) for page in pages]
 
     single = BatchSigner(scheme)
-    pooled = BatchSigner(scheme, workers=workers)
 
     scalar_subset = pages[:scalar_pages]
     checks = {
@@ -315,7 +267,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
                            for p in scalar_subset],
         "vector": lambda: [scheme.sign(p, strict=False) for p in pages],
         "batch": lambda: single.sign_many(pages, strict=False),
-        "batch_workers": lambda: pooled.sign_many(pages, strict=False),
     }
     for path, fn in checks.items():
         produced = fn()
@@ -356,8 +307,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
                _best_seconds(checks["scalar"], repeats)),
         _entry("vector", len(pages), _best_seconds(checks["vector"], repeats)),
         _entry("batch", len(pages), _best_seconds(checks["batch"], repeats)),
-        _entry("batch_workers", len(pages),
-               _best_seconds(checks["batch_workers"], repeats)),
         _entry("map_rescan", len(pages), _best_seconds(rescan, repeats)),
         _entry("incremental", len(pages), _best_seconds(fold, repeats)),
     ]
@@ -372,8 +321,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
         "speedups": {
             "batch_vs_scalar": round(rates["batch"] / rates["scalar"], 2),
             "batch_vs_vector": round(rates["batch"] / rates["vector"], 2),
-            "workers_vs_batch": round(rates["batch_workers"] / rates["batch"],
-                                      2),
             "incremental_vs_batch": round(
                 rates["incremental"] / rates["map_rescan"], 2),
         },
@@ -727,150 +674,6 @@ def _bench_copies(f: int, n: int, pages: list[bytes]) -> dict:
     }
 
 
-def _bench_cores(pages: list[bytes], repeats: int) -> dict:
-    """Worker-scaling sweep over the process pool, exactness first."""
-    scheme = make_scheme()
-    cpu_count = os.cpu_count() or 1
-    counts = sorted({1, 2, 4, cpu_count})
-    reference = BatchSigner(scheme).sign_many(pages, strict=False)
-    rows = []
-    rates: dict[int, float] = {}
-    for workers in counts:
-        signer = BatchSigner(scheme, workers=workers)
-
-        def sweep(signer=signer):
-            return signer.sign_many(pages, strict=False)
-
-        if sweep() != reference:
-            raise BenchError(
-                f"{workers} workers diverged from scheme.sign")
-        seconds = max(_best_seconds(sweep, repeats), 1e-9)
-        rates[workers] = len(pages) / seconds
-        rows.append({
-            "workers": workers,
-            "pages": len(pages),
-            "seconds": round(seconds, 6),
-            "pages_per_s": round(rates[workers], 3),
-            "mib_per_s": round(
-                len(pages) * PAGE_BYTES / (1 << 20) / seconds, 3),
-        })
-    process_speedup = max(rates.values()) / rates[1]
-    enforced = cpu_count >= CORES_TARGET_MIN_CPUS
-    if enforced and process_speedup < CORES_MIN_PROCESS_SPEEDUP:
-        raise BenchError(
-            f"process pool reached only {process_speedup:.2f}x the "
-            f"single-worker throughput on {cpu_count} cores "
-            f"(bound {CORES_MIN_PROCESS_SPEEDUP:g}x)")
-    return {
-        "cpu_count": cpu_count,
-        "workers_swept": counts,
-        "results": rows,
-        "speedups": {
-            "process_best_vs_single": round(process_speedup, 2),
-        },
-        "target_enforced": enforced,
-        "min_process_speedup": CORES_MIN_PROCESS_SPEEDUP,
-    }
-
-
-def _scan_fingerprint(result) -> tuple:
-    """A scan's full observable partition, for exactness comparison.
-
-    Covers every certified frame's coordinates, seq and payload bytes,
-    every corrupt region, and the torn-tail start -- two scans with
-    equal fingerprints recovered byte-identical state.
-    """
-    return (
-        tuple((f.start, f.end, f.frame.kind, f.frame.seq, f.frame.volume,
-               bytes(f.frame.payload)) for f in result.frames),
-        tuple((r.start, r.end, r.reason) for r in result.corrupt),
-        result.torn_start,
-        result.total_bytes,
-    )
-
-
-def _build_recovery_log(directory: Path, frame_count: int):
-    """A multi-segment faulted log: churn, mid-log rot, torn tail."""
-    from .store import frames as store_frames
-    from .store.log import SegmentedLog
-
-    rng = np.random.default_rng(SEED + 5)
-    log = SegmentedLog(directory, make_scheme(),
-                       segment_bytes=RECOVERY_SEGMENT_BYTES, flush="group")
-    batch = [
-        store_frames.Frame(
-            store_frames.KIND_PAGE, seq, STORE_VOLUME,
-            rng.integers(0, 256, size=RECOVERY_FRAME_BYTES,
-                         dtype=np.uint8).tobytes())
-        for seq in range(frame_count)
-    ]
-    log.append_many(batch)
-    log.corrupt_bytes(log.total_bytes // 2, b"\xff")
-    log.crash_cut(log.total_bytes - RECOVERY_FRAME_BYTES // 4)
-    return log
-
-
-def _bench_recovery(quick: bool, repeats: int) -> dict:
-    """Certification-scan the faulted log with 1/2/4/N workers.
-
-    Every swept worker count's partition (frames, corrupt regions, torn
-    tail) is verified identical to the sequential scan before timing;
-    a diverging parallel scan fails the harness.  The speedup target is
-    enforced only on hosts with ``RECOVERY_TARGET_MIN_CPUS`` cores.
-    """
-    frame_count = RECOVERY_FRAMES_QUICK if quick else RECOVERY_FRAMES
-    cpu_count = os.cpu_count() or 1
-    counts = sorted({1, 2, 4, cpu_count})
-    with tempfile.TemporaryDirectory() as tmp:
-        log = _build_recovery_log(Path(tmp) / "log", frame_count)
-        baseline = log.scan(verify_workers=1)
-        reference = _scan_fingerprint(baseline)
-        rows = []
-        seconds_by_workers = {}
-        for workers in counts:
-            if _scan_fingerprint(
-                    log.scan(verify_workers=workers)) != reference:
-                raise BenchError(
-                    f"parallel scan with {workers} workers diverged from "
-                    f"the sequential partition")
-            seconds = max(_best_seconds(
-                lambda workers=workers: log.scan(verify_workers=workers),
-                repeats), 1e-9)
-            seconds_by_workers[workers] = seconds
-            rows.append({
-                "workers": workers,
-                "seconds": round(seconds, 6),
-                "log_mib_per_s": round(
-                    log.total_bytes / (1 << 20) / seconds, 3),
-            })
-        document = {
-            "log_bytes": log.total_bytes,
-            "segments": log.segment_count,
-            "frames_valid": baseline.frame_count,
-            "corrupt_regions": len(baseline.corrupt),
-            "torn_bytes": baseline.torn_bytes,
-            "cpu_count": cpu_count,
-            "workers_swept": counts,
-            "exact": True,   # every sweep checked against sequential
-            "results": rows,
-        }
-        log.close()
-    single = seconds_by_workers[1]
-    best_parallel = min((s for w, s in seconds_by_workers.items() if w > 1),
-                        default=single)
-    speedup = single / best_parallel
-    enforced = cpu_count >= RECOVERY_TARGET_MIN_CPUS
-    if enforced and speedup < RECOVERY_MIN_SPEEDUP:
-        raise BenchError(
-            f"parallel recovery scan reached only {speedup:.2f}x the "
-            f"sequential time on {cpu_count} cores "
-            f"(bound {RECOVERY_MIN_SPEEDUP:g}x)")
-    document["speedups"] = {"parallel_best_vs_single": round(speedup, 2)}
-    document["target_enforced"] = enforced
-    document["min_speedup"] = RECOVERY_MIN_SPEEDUP
-    return document
-
-
 def _bench_group_commit(quick: bool, repeats: int) -> dict:
     """Append-throughput sweep: per-frame flush vs group commit.
 
@@ -1126,7 +929,7 @@ def _time_once(fn) -> float:
     return time.perf_counter() - start
 
 
-def run(quick: bool = False, workers: int = WORKERS) -> dict:
+def run(quick: bool = False) -> dict:
     """Run the harness; returns the JSON-able benchmark document."""
     page_count = 8 if quick else 48
     scalar_pages = 1 if quick else 2
@@ -1141,14 +944,13 @@ def run(quick: bool = False, workers: int = WORKERS) -> dict:
             "pages": page_count,
             "scalar_pages": scalar_pages,
             "repeats": repeats,
-            "workers": workers,
             "seed": SEED,
             "quick": quick,
             "dirty_fraction": DIRTY_FRACTION,
             "dirty_region_bytes": DIRTY_REGION_BYTES,
             "fields": [{"f": f, "n": n} for f, n in FIELDS],
-            "paths": ["scalar", "vector", "batch", "batch_workers",
-                      "map_rescan", "incremental"],
+            "paths": ["scalar", "vector", "batch", "map_rescan",
+                      "incremental"],
             "store": {
                 "page_bytes": STORE_PAGE_BYTES,
                 "pages": store_pages,
@@ -1171,28 +973,10 @@ def run(quick: bool = False, workers: int = WORKERS) -> dict:
                 else SERVE_OPS_PER_STEP,
                 "min_post_saturation": SERVE_MIN_POST_SATURATION,
             },
-            "sign": {
-                "default_workers": resolve_workers(),
-                "workers_env": "REPRO_SIGN_WORKERS",
-                "cpu_count": os.cpu_count() or 1,
-            },
             "copies": {
                 "regions": COPIES_REGIONS,
                 "region_bytes": DIRTY_REGION_BYTES,
                 "min_reduction": COPIES_MIN_REDUCTION,
-            },
-            "cores": {
-                "min_process_speedup": CORES_MIN_PROCESS_SPEEDUP,
-                "target_min_cpus": CORES_TARGET_MIN_CPUS,
-            },
-            "recovery": {
-                "segment_bytes": RECOVERY_SEGMENT_BYTES,
-                "frame_bytes": RECOVERY_FRAME_BYTES,
-                "frames": RECOVERY_FRAMES_QUICK if quick
-                else RECOVERY_FRAMES,
-                "min_speedup": RECOVERY_MIN_SPEEDUP,
-                "target_min_cpus": RECOVERY_TARGET_MIN_CPUS,
-                "workers_env": "REPRO_RECOVERY_WORKERS",
             },
             "group_commit": {
                 "frame_bytes": GROUP_FRAME_BYTES,
@@ -1213,12 +997,10 @@ def run(quick: bool = False, workers: int = WORKERS) -> dict:
             },
         },
         "fields": [
-            _bench_field(f, n, pages, scalar_pages, repeats, workers)
+            _bench_field(f, n, pages, scalar_pages, repeats)
             for f, n in FIELDS
         ],
         "copies": [_bench_copies(f, n, pages) for f, n in FIELDS],
-        "cores": _bench_cores(pages, repeats),
-        "recovery": _bench_recovery(quick, repeats),
         "group_commit": _bench_group_commit(quick, repeats),
         "locate": _bench_locate(quick, repeats),
         "store": _bench_store(store_pages, repeats),

@@ -98,7 +98,12 @@ class ClusterResult:
 
 
 class Cluster:
-    """A seeded, fault-injected multi-node SDDS cluster."""
+    """A seeded, fault-injected multi-node SDDS cluster.
+
+    ``recovery_workers`` accepts only ``None`` or ``1`` (node recovery
+    runs in one process) and raises :class:`ClusterError` otherwise; it
+    goes once the wall-clock benchmark stops passing it.
+    """
 
     def __init__(self, servers: int = 4, seed: int = 0,
                  plan: FaultPlan | None = None,
@@ -110,6 +115,10 @@ class Cluster:
                  recovery_workers: int | None = None):
         if servers < 2:
             raise ClusterError("a cluster needs at least 2 server nodes")
+        if recovery_workers not in (None, 1):
+            raise ClusterError(
+                f"node recovery runs in one process; recovery_workers="
+                f"{recovery_workers!r} is not supported")
         self.seed = seed
         self.scheme = scheme if scheme is not None else make_scheme()
         self.plan = plan if plan is not None else FaultPlan()
@@ -143,10 +152,8 @@ class Cluster:
         self.durable_dir = Path(durable_dir) if durable_dir is not None \
             else None
         self.durable_checkpoint_every = durable_checkpoint_every
-        #: Write-path flush policy for the per-node logs and the worker
-        #: count for the segment-sharded certification scan (PR 9).
+        #: Write-path flush policy for the per-node logs.
         self.durable_flush = durable_flush
-        self.recovery_workers = recovery_workers
         if self.durable_dir is not None:
             for node in self.nodes:
                 node.attach_store(self._fresh_store(node))
@@ -256,8 +263,7 @@ class Cluster:
             leftover.unlink()
         return PageStore(self.scheme, directory,
                          checkpoint_every=self.durable_checkpoint_every,
-                         flush=self.durable_flush,
-                         verify_workers=self.recovery_workers)
+                         flush=self.durable_flush)
 
     def _crash(self, node: ClusterNode, crash: Crash) -> None:
         if not node.is_up:
@@ -331,7 +337,6 @@ class Cluster:
             store, report = PageStore.recover(
                 self.scheme, node.store_dir,
                 checkpoint_every=self.durable_checkpoint_every,
-                verify_workers=self.recovery_workers,
                 flush=self.durable_flush,
             )
         except (ReproError, OSError):

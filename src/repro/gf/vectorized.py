@@ -313,8 +313,7 @@ GROUP_FLOOR_SYMBOLS = 128
 RowGroup = slice | np.ndarray
 
 
-def width_groups(lengths: np.ndarray, block_symbols: int,
-                 parts: int = 1) -> list[RowGroup]:
+def width_groups(lengths: np.ndarray, block_symbols: int) -> list[RowGroup]:
     """Row groups of a batch whose :func:`pack_flat` matrices stay tight.
 
     Rows are stable-sorted by length and cut into groups: a group ends
@@ -324,9 +323,7 @@ def width_groups(lengths: np.ndarray, block_symbols: int,
     over-wide row still forms its own group).  A packed matrix
     therefore pads a row by less than 2x, instead of to the widest row
     of the whole batch -- a log segment's 52-symbol delta frames no
-    longer ride in 2064-symbol page-frame rows.  With ``parts > 1`` the
-    groups are further split until there are at least ``parts`` of them
-    (where rows allow), so every worker gets a task.
+    longer ride in 2064-symbol page-frame rows.
 
     Each group lists its rows in input order: a ``slice`` when they are
     consecutive, else an ascending index array.  A batch that would form
@@ -358,12 +355,6 @@ def width_groups(lengths: np.ndarray, block_symbols: int,
             cuts.append(lo + max(1, int(np.searchsorted(
                 cells, block_symbols, side="right"))))
         spans = list(zip(cuts, cuts[1:]))
-    if parts > 1 and len(spans) < parts:
-        split: list[tuple[int, int]] = []
-        for lo, hi in spans:
-            step = -(-(hi - lo) // min(parts, hi - lo))
-            split.extend((at, min(at + step, hi)) for at in range(lo, hi, step))
-        spans = split
     if order is None:
         return [slice(lo, hi) for lo, hi in spans]
     groups: list[RowGroup] = []

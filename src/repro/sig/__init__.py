@@ -21,20 +21,17 @@ Sub-modules:
 * :mod:`twisted`  -- Proposition 6 bijection-twisted schemes and the
   log-interpretation speed variant (Section 5.1).
 * :mod:`engine`   -- the batched many-page signer (2-D kernels, shared
-  β-power ladder cache, optional worker processes).
+  β-power ladder cache).
 * :mod:`incremental` -- write journals and the O(|delta|) in-place
   signature-map maintenance plane (Proposition 3, batched).
-* :mod:`arena`    -- the zero-copy page-buffer plane: pages as
-  ``(offset, length)`` views into contiguous (optionally shared-memory)
-  arenas, plus the copies-per-byte accounting ledger.
-* :mod:`parallel` -- the shared-memory process-pool signing backend
-  (``BatchSigner(workers=K)`` with ``K > 1``).
+* :mod:`arena`    -- the copies-per-byte accounting ledger of the
+  zero-copy signing lanes.
 * :mod:`locate`   -- corruption localization: d-cover-free group-testing
   designs whose O(d^2 log^2 N) Proposition-5 compound signatures certify
   *which* <= d pages are damaged.
 """
 
-from .arena import LEDGER, CopyLedger, PageArena, PageView
+from .arena import LEDGER, CopyLedger
 
 from .base import PRIMITIVE, STANDARD, make_base
 from .scheme import AlgebraicSignatureScheme, make_scheme
@@ -45,7 +42,6 @@ from .tree import SignatureTree, TreeNode
 from .rolling import RollingWindow, find_signature_matches, search
 from .twisted import TwistedScheme, log_interpretation_scheme, sign_log_interpreted_fast
 from .engine import BatchSigner, get_batch_signer
-from .parallel import resolve_workers, scheme_from_spec, scheme_spec
 from .incremental import (
     IncrementalSignatureMap,
     JournalEntry,
@@ -91,11 +87,6 @@ __all__ = [
     "get_batch_signer",
     "CopyLedger",
     "LEDGER",
-    "PageArena",
-    "PageView",
-    "resolve_workers",
-    "scheme_spec",
-    "scheme_from_spec",
     "IncrementalSignatureMap",
     "JournalEntry",
     "WriteJournal",

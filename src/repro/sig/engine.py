@@ -33,10 +33,12 @@ lookups, and β-power recomputation per page.
   input order;
 * β-power ladders come from the process-wide ``int32`` store of
   :func:`repro.gf.vectorized.ladder_exponents`, shared with the scalar
-  and rolling paths -- no caller ever recomputes a ladder;
-* an optional ``workers=K`` mode signs the same groups across the
-  shared-memory process pool of :mod:`repro.sig.parallel` for large
-  multi-bucket scans.
+  and rolling paths -- no caller ever recomputes a ladder.
+
+Everything runs in the calling process: a process pool measured 1.2-1.4x
+slower than this lane at every batch size on a 2-vCPU host
+(docs/PERFORMANCE.md), and the paper scales out across SDDS server
+nodes, not across processes of one host.
 
 Batch signatures are *exact*: byte-identical to ``scheme.sign(page)``
 for every page, every field, plain and twisted schemes alike (property-
@@ -64,8 +66,7 @@ from ..gf.vectorized import (
     width_groups,
 )
 from ..obs import registry as _obs
-from . import parallel
-from .arena import LEDGER, PageView
+from .arena import LEDGER
 from .compound import LeafDeltas, SignatureMap, row_signatures
 from .scheme import AlgebraicSignatureScheme
 from .signature import Signature
@@ -92,10 +93,10 @@ class BatchSigner:
 
     Every entry point takes one lane.  Each input is coerced to its
     *raw* symbols -- a zero-copy narrow view for symbol-aligned byte
-    buffers and arena :class:`~repro.sig.arena.PageView`\\ s, a coerced
-    array for symbol sequences, odd-length GF(2^16) bytes and any other
-    input -- the rows are concatenated once, and width groups of the
-    flat run are packed and signed.
+    buffers (``memoryview`` slices of a larger buffer included), a
+    coerced array for symbol sequences, odd-length GF(2^16) bytes and
+    any other input -- the rows are concatenated once, and width groups
+    of the flat run are packed and signed.
 
     Parameters
     ----------
@@ -103,27 +104,18 @@ class BatchSigner:
         Any :class:`AlgebraicSignatureScheme`, twisted schemes included
         (their bijection is applied to the flat run before packing, so
         the zero padding stays signature-neutral).
-    workers:
-        With ``workers > 1`` the width groups are signed across the
-        shared-memory process pool of :mod:`repro.sig.parallel`; by
-        default everything is signed in-process.
     block_symbols:
         Bound on rows x padded-width per packed matrix (memory ceiling).
     """
 
     def __init__(self, scheme: AlgebraicSignatureScheme,
-                 workers: int | None = None,
                  block_symbols: int = DEFAULT_BLOCK_SYMBOLS):
-        if workers is not None and workers < 1:
-            raise SignatureError("workers must be a positive count")
         if block_symbols <= 0:
             raise SignatureError("block size must be positive")
         self.scheme = scheme
-        self.workers = workers or 1
         self.block_symbols = block_symbols
         self._obs = _obs.HandleCache()
         self._obs_delta = _obs.HandleCache()
-        self._obs_workers = _obs.HandleCache()
 
     # ------------------------------------------------------------------
     # Batch signing
@@ -132,10 +124,9 @@ class BatchSigner:
     def sign_many(self, pages, strict: bool = True) -> list[Signature]:
         """Signatures of every page, byte-identical to ``scheme.sign``.
 
-        ``pages`` is any sequence of byte strings, :class:`~repro.sig.
-        arena.PageView`\\ s, or symbol sequences; lengths may differ
-        freely.  With ``strict`` every page must respect the
-        Proposition-1 certainty bound.
+        ``pages`` is any sequence of byte buffers or symbol sequences;
+        lengths may differ freely.  With ``strict`` every page must
+        respect the Proposition-1 certainty bound.
         """
         return self._signatures(self.components_many(pages, strict))
 
@@ -309,13 +300,11 @@ class BatchSigner:
     def _raw_symbols(self, page) -> np.ndarray:
         """Raw (pre-mapping) narrow symbols of one input.
 
-        Symbol-aligned byte buffers and arena views are reinterpreted in
-        place as ``uint8``/``<u2`` arrays; everything else is coerced by
+        Symbol-aligned byte buffers are reinterpreted in place as
+        ``uint8``/``<u2`` arrays; everything else is coerced by
         ``scheme.to_symbols`` (which pads odd GF(2^16) bytes with the
         zero byte ``scheme.sign`` uses) and narrowed to the same dtype.
         """
-        if isinstance(page, PageView):
-            page = page.memoryview()
         field = self.scheme.field
         view = narrow_symbol_view(page, field)
         if view is not None:
@@ -370,8 +359,7 @@ class BatchSigner:
         schemes).  A run under :data:`SMALL_RUN_SYMBOLS` is signed in
         one small-lane gather; otherwise each width group is packed by
         one strided fill -- zero-copy when its rows are consecutive and
-        uniform -- or, with ``workers > 1``, sent to the shared-memory
-        process pool.
+        uniform -- and signed by the cache-blocked kernel.
         """
         scheme = self.scheme
         if not lengths.size:
@@ -382,23 +370,15 @@ class BatchSigner:
                 scheme.ladders(int(lengths.max())))
             scheme._count_signed(flat.size, "small", calls=lengths.size)
             return components
-        if self.workers > 1:
-            components = parallel.sign_flat_spans(
-                scheme, flat, lengths, workers=self.workers,
-                block_symbols=self.block_symbols,
-            )
-            self._emit(int(lengths.size))
-        else:
-            mapped = scheme.map_symbols(flat)
-            if mapped is not flat:
-                LEDGER.count(mapped.nbytes)
-            components = scatter_groups(
-                ((rows, self._sign_matrix(matrix))
-                 for rows, matrix in self._packed_groups(mapped, lengths)),
-                int(lengths.size))
+        mapped = scheme.map_symbols(flat)
+        if mapped is not flat:
+            LEDGER.count(mapped.nbytes)
+        components = scatter_groups(
+            ((rows, self._sign_matrix(matrix))
+             for rows, matrix in self._packed_groups(mapped, lengths)),
+            int(lengths.size))
         scheme._count_signed(int(lengths.sum()), "batch",
                              calls=int(lengths.size))
-        self._emit_workers()
         return components
 
     def _delta_components(self, befores: list[np.ndarray],
@@ -461,13 +441,6 @@ class BatchSigner:
         ))
         batches.inc()
         batch_pages.inc(pages)
-
-    def _emit_workers(self) -> None:
-        """Publish the signer's worker count."""
-        (gauge,) = self._obs_workers.get(lambda registry: (
-            registry.gauge("sig.workers"),
-        ))
-        gauge.set(self.workers)
 
     def _emit_deltas(self, regions: int, symbols: int) -> None:
         batches, count, delta_bytes = self._obs_delta.get(lambda registry: (

@@ -1,4 +1,4 @@
-"""Durable signature-sealed storage plane (PR 5, parallelized PR 9).
+"""Durable signature-sealed storage plane.
 
 An append-only segmented log of signature-sealed frames, a
 :class:`PageStore` materializing page-addressed volumes from it, sealed
@@ -7,12 +7,11 @@ every seal (Proposition 1), truncate the torn tail, fold only the
 post-checkpoint delta (Proposition 3), and localize mid-prefix damage
 to condemned pages via the persisted signature tree (Proposition 5).
 
-The recovery pipeline (:mod:`repro.store.recovery`) shards the
-certification scan by segment across the process signing backend and
-streams certified frames into replay while later segments are still
-being verified; the log's group-commit write path
-(``flush="group"``) coalesces bursts of frames into one OS write +
-one flush.
+The recovery scan (:mod:`repro.store.recovery`) certifies the log one
+segment at a time in one process and streams each segment's certified
+frames into replay before the next segment is read; the log's
+group-commit write path (``flush="group"``) coalesces bursts of frames
+into one OS write + one flush.
 """
 
 from .checkpoint import Checkpoint, VolumeCheckpoint
@@ -41,14 +40,7 @@ from .pagestore import (
     RecoveryReport,
     ScrubReport,
 )
-from .recovery import (
-    MIN_PARALLEL_BYTES,
-    RECOVERY_WORKERS_ENV,
-    SegmentVerdict,
-    effective_workers,
-    resolve_recovery_workers,
-    scan_segment,
-)
+from .recovery import scan_segment
 
 __all__ = [
     "Checkpoint",
@@ -62,20 +54,15 @@ __all__ = [
     "KIND_DELTA",
     "KIND_PAGE",
     "KIND_TRUNCATE",
-    "MIN_PARALLEL_BYTES",
     "PageStore",
-    "RECOVERY_WORKERS_ENV",
     "RecoveryReport",
     "ScannedFrame",
     "ScanResult",
     "ScrubReport",
     "SEGMENT_BYTES",
-    "SegmentVerdict",
     "SegmentedLog",
     "VolumeCheckpoint",
-    "effective_workers",
     "load_checkpoint",
-    "resolve_recovery_workers",
     "save_checkpoint",
     "scan_segment",
 ]

@@ -171,9 +171,8 @@ class FrameTable:
 
     Offsets index the buffer the frames were walked from (or, after
     :meth:`shifted`, the whole log); ``volume`` indexes ``volumes``.
-    A table holds no payload bytes, so it crosses a process boundary
-    as a few small arrays, and certification (seal check, ``seq``
-    fold, replay split) is array work over its columns.
+    A table holds no payload bytes, and certification (seal check,
+    ``seq`` fold, replay split) is array work over its columns.
     """
 
     kind: np.ndarray             #: uint8 frame kind
@@ -222,9 +221,8 @@ def scan_buffer(buffer, seal_bytes: int):
     walk unpacks each header once and decodes each distinct volume
     name once; it builds no per-frame object.  After corruption it
     *resyncs* at the next offset where :func:`parse_at` finds a frame.
-    Seals are not checked here -- callers batch-verify them over the
-    whole table, which is what lets the sequential scan and the
-    per-segment recovery workers share this exact walk.
+    Seals are not checked here -- the recovery scan batch-verifies
+    them over the whole table.
     """
     size = len(buffer)
     volume_ids: dict[bytes, int] = {}   # raw name -> id (-1: not UTF-8)
@@ -258,7 +256,7 @@ def scan_buffer(buffer, seal_bytes: int):
                 continue
         if haystack is None:
             # Only the (rare) corrupt path pays a materialization; a
-            # shared-memory segment view has no ``find``.
+            # ``memoryview`` has no ``find``.
             haystack = buffer if isinstance(buffer, (bytes, bytearray)) \
                 else bytes(buffer)
         bad_start = offset

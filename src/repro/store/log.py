@@ -214,7 +214,7 @@ class SegmentedLog:
         return list(self._segments)
 
     def segment_path(self, index: int) -> Path:
-        """The file a segment lives in (recovery's shard unit)."""
+        """The file a segment lives in (recovery reads one at a time)."""
         return self._path(index)
 
     def _locate(self, offset: int) -> tuple[int, int, int]:
@@ -360,9 +360,7 @@ class SegmentedLog:
     # Certification scan
     # ------------------------------------------------------------------
 
-    def scan(self, trusted_bytes: int = 0,
-             verify_workers: int | None = None,
-             on_frames=None) -> ScanResult:
+    def scan(self, trusted_bytes: int = 0, on_frames=None) -> ScanResult:
         """Parse and certify the whole log (see the module docstring).
 
         Frames ending at or before ``trusted_bytes`` are structurally
@@ -370,19 +368,16 @@ class SegmentedLog:
         the checkpoint position here in ``verify="tail"`` mode, trusting
         the state the sealed checkpoint already certifies.
 
-        ``verify_workers`` shards seal verification by segment across
-        worker processes (:mod:`repro.store.recovery`); the default
-        resolves ``REPRO_RECOVERY_WORKERS`` / ``REPRO_SIGN_WORKERS``
-        and stays in-process for small logs.  The result is
-        byte-identical for any worker count.  ``on_frames`` streams
-        each segment's certified frames to the caller as soon as its
-        verdict lands (the pipelined-replay hook).
+        The scan runs in this process, one segment after another
+        (:mod:`repro.store.recovery`).  ``on_frames`` streams each
+        segment's certified frames to the caller as soon as that
+        segment is certified (the pipelined-replay hook).
         """
         from .recovery import scan_log
 
         self.commit()          # the scan reads files, not buffers
         return scan_log(self, trusted_bytes=trusted_bytes,
-                        verify_workers=verify_workers, on_frames=on_frames)
+                        on_frames=on_frames)
 
     # ------------------------------------------------------------------
     # Truncation and fault injection

@@ -25,12 +25,17 @@ applied to crash consistency:
    post-checkpoint tail through
    :class:`~repro.sig.incremental.IncrementalSignatureMap`
    (Proposition 3) -- never re-signing the world;
-4. when any frame was rejected mid-prefix, a **scrub** compares the
-   certified tree against a tree re-signed from the materialized bytes
-   and localizes the damage to single pages (Proposition 5); those
-   pages are *condemned* -- surfaced with their expected (certified)
-   signatures so a consumer holding redundancy (a mirror, a parity
-   group) can fetch and *verify* replacement content.
+4. when any frame was rejected mid-prefix, or when ``verify="tail"``
+   trusted the checkpoint prefix without checking its seals, a
+   **scrub** compares the certified tree against a tree re-signed from
+   the materialized bytes and localizes the damage to single pages
+   (Proposition 5); those pages are *condemned* -- surfaced with their
+   expected (certified) signatures so a consumer holding redundancy (a
+   mirror, a parity group) can fetch and *verify* replacement content.
+
+Everything runs in the calling process: the scan certifies the log one
+segment at a time and replay applies each segment's certified frames
+before the next segment is read (:mod:`repro.store.recovery`).
 
 After a scrub the warm map is reset to match the materialized bytes,
 so ``signature_map()`` always equals ``SignatureMap.compute`` over the
@@ -52,7 +57,7 @@ import numpy as np
 from ..errors import SignatureError, StoreError
 from ..obs import get_registry, span_if_active
 from ..sig.compound import SignatureMap
-from ..sig.engine import BatchSigner, get_batch_signer
+from ..sig.engine import get_batch_signer
 from ..sig.incremental import IncrementalSignatureMap
 from ..sig.locate import LocateDesign, LocatorMap, decode
 from ..sig.scheme import AlgebraicSignatureScheme
@@ -125,7 +130,6 @@ class PageStore:
                  flush: str = "frame",
                  group_bytes: int = GROUP_BYTES,
                  group_latency_s: float = GROUP_LATENCY_S,
-                 verify_workers: int | None = None,
                  locate_d: int | None = None,
                  locate_seed: int = 0,
                  _adopt_log: SegmentedLog | None = None):
@@ -133,12 +137,10 @@ class PageStore:
         self.directory = Path(directory)
         self.fanout = fanout
         self.checkpoint_every = checkpoint_every
-        self.verify_workers = verify_workers
         #: When set, scrubs condemn through a d-cover-free locator
         #: design (falling back to the tree on overflow) by default.
         self.locate_d = locate_d
         self.locate_seed = locate_seed
-        self._worker_signer: BatchSigner | None = None
         self._volumes: dict[str, Replica] = {}
         self._warm_from_checkpoint: set[str] = set()
         self._next_seq = 0
@@ -477,22 +479,6 @@ class PageStore:
     # Scrub (Proposition 5 localization)
     # ------------------------------------------------------------------
 
-    def _scrub_signer(self) -> BatchSigner:
-        """The signer scrub re-renders pages through.
-
-        With ``verify_workers > 1`` pages are re-signed across the
-        process backend (the shared-arena lane); otherwise the shared
-        in-process signer is used.  The worker signer is built lazily
-        and cached -- scrubs during one recovery share a pool.
-        """
-        workers = self.verify_workers
-        if workers is not None and workers > 1:
-            if self._worker_signer is None:
-                self._worker_signer = BatchSigner(self.scheme,
-                                                  workers=workers)
-            return self._worker_signer
-        return get_batch_signer(self.scheme)
-
     def _default_design(self, page_count: int) -> LocateDesign | None:
         """The store's implied locate design, if ``locate_d`` is set."""
         if self.locate_d is None:
@@ -505,9 +491,8 @@ class PageStore:
               design: LocateDesign | None = None) -> ScrubReport:
         """Compare certified signature state against materialized bytes.
 
-        Re-signs the volume through the batch engine (across worker
-        processes when the store was opened with ``verify_workers``),
-        condemns the differing pages, and resets the warm map/tree to
+        Re-signs the volume through the batch engine, condemns the
+        differing pages, and resets the warm map/tree to
         the materialized content afterwards -- the certified *expected*
         signatures of condemned pages survive only in the returned
         report.
@@ -528,7 +513,7 @@ class PageStore:
             fanout = replica._tree.fanout if replica._tree is not None \
                 else self.fanout
             expected_tree = replica.signature_tree(fanout)
-            actual_map = self._scrub_signer().sign_map(
+            actual_map = get_batch_signer(self.scheme).sign_map(
                 bytes(replica.data), replica.page_symbols
             )
             actual_tree = SignatureTree.from_map(actual_map, fanout)
@@ -629,24 +614,30 @@ class PageStore:
 
         ``verify="full"`` checks every frame seal; ``verify="tail"``
         trusts the sealed checkpoint for the prefix it covers and
-        verifies only the tail's seals -- the fast production path,
-        with :meth:`scrub` available for deep audits.
+        verifies only the tail's seals.  Rot in a trusted frame's
+        payload would then replay unseen, so a tail recovery scrubs
+        every checkpoint-backed volume against its sealed map
+        (:meth:`scrub`) and condemns what differs, exactly as a full
+        recovery condemns the rejected frame's pages.
 
         ``locate_d`` turns on group-testing condemnation: the scrubs
         recovery runs to certify condemned pages (and any later
         :meth:`scrub`) localize damage through a d-cover-free locator
         design instead of a full tree diff, falling back on overflow.
 
-        ``verify_workers`` shards seal verification by segment across
-        worker processes and is remembered on the opened store (scrub
-        re-renders pages through the same fleet); the default resolves
-        ``REPRO_RECOVERY_WORKERS`` / ``REPRO_SIGN_WORKERS`` and stays
-        in-process for small logs.  Replay is *pipelined* either way:
-        certified frames apply as each segment's verdict lands, while
-        later segments are still being read and verified.
+        Recovery runs in this process; replay is *pipelined*: each
+        segment's certified frames apply before the next segment is
+        read.  ``verify_workers`` accepts only ``None`` or ``1`` and
+        raises :class:`StoreError` for any other count, so a caller
+        asking for parallel verification fails explicitly.  The keyword
+        goes once the wall-clock benchmark stops passing it.
         """
         if verify not in ("full", "tail"):
             raise StoreError(f"unknown verify mode {verify!r}")
+        if verify_workers not in (None, 1):
+            raise StoreError(
+                f"recovery runs in one process; verify_workers="
+                f"{verify_workers!r} is not supported")
         started = time.perf_counter()
         registry = get_registry()
         directory = Path(directory)
@@ -663,22 +654,20 @@ class PageStore:
             trusted = snapshot.position if (snapshot is not None
                                             and verify == "tail") else 0
             store, scan, replay = cls._certified_replay(
-                scheme, directory, fanout, log, snapshot, trusted,
-                verify_workers)
+                scheme, directory, fanout, log, snapshot, trusted)
             if (snapshot is not None
                     and snapshot.position > scan.certified_end):
                 # The checkpoint describes state the torn tail took with
                 # it: restart cold on a fresh store (the streamed replay
                 # above ran under assumptions the snapshot no longer
                 # justifies).
-                snapshot = None
+                snapshot, trusted = None, 0
                 store, scan, replay = cls._certified_replay(
-                    scheme, directory, fanout, log, None, 0,
-                    verify_workers)
+                    scheme, directory, fanout, log, None, 0)
             store.locate_d = locate_d
             store.locate_seed = locate_seed
             report = store._finish_recovery(scan, snapshot, replay,
-                                            registry)
+                                            trusted, registry)
             store.checkpoint_every = checkpoint_every
         seconds = time.perf_counter() - started
         registry.counter("store.recoveries").inc()
@@ -697,22 +686,22 @@ class PageStore:
 
     @classmethod
     def _certified_replay(cls, scheme, directory, fanout, log, snapshot,
-                          trusted, verify_workers):
+                          trusted):
         """One scan-and-replay pass: certify + apply, overlapped."""
         store = cls(scheme, directory, checkpoint_every=None,
-                    fanout=fanout, verify_workers=verify_workers,
-                    _adopt_log=log)
+                    fanout=fanout, _adopt_log=log)
         replay = _StreamingReplay(store, snapshot)
-        scan = log.scan(trusted_bytes=trusted,
-                        verify_workers=verify_workers,
-                        on_frames=replay.feed)
+        scan = log.scan(trusted_bytes=trusted, on_frames=replay.feed)
         return store, scan, replay
 
     def _finish_recovery(self, scan: ScanResult,
                          snapshot: ckpt.Checkpoint | None,
-                         replay: "_StreamingReplay",
+                         replay: "_StreamingReplay", trusted: int,
                          registry) -> RecoveryReport:
-        """Seal a streamed replay: truncate, warm, renumber, condemn."""
+        """Seal a streamed replay: truncate, warm, renumber, condemn.
+
+        ``trusted`` is the log prefix whose seals the scan skipped.
+        """
         replay.finish()
         if scan.torn_bytes:
             registry.counter("store.torn_writes_detected").inc()
@@ -729,7 +718,8 @@ class PageStore:
         # Condemnation: headers of rejected frames point at pages
         # (best effort), the Proposition-5 scrub certifies pre-tail
         # damage, later full-page writes exonerate.
-        condemned, expected = self._condemn(scan, replay.last_page_write)
+        condemned, expected = self._condemn(scan, replay.last_page_write,
+                                            trusted)
         return RecoveryReport(
             seconds=0.0, used_checkpoint=snapshot is not None,
             frames_valid=scan.frame_count,
@@ -743,16 +733,19 @@ class PageStore:
 
 
     def _condemn(self, scan: ScanResult,
-                 last_page_write: dict[tuple[str, int], int]) -> tuple[
+                 last_page_write: dict[tuple[str, int], int],
+                 trusted: int) -> tuple[
             dict[str, tuple[int, ...]], dict[str, dict[int, Signature]]]:
         """Condemn the pages rejected frames may have damaged.
 
         ``last_page_write`` maps ``(volume, page)`` to the log position
         of its last certified full-page write, as replay recorded it: a
         corrupt frame's damage to a page is superseded by a later
-        ``PAGE`` frame.
+        ``PAGE`` frame.  When the scan trusted a checkpoint prefix
+        (``trusted`` bytes) without checking its seals, rot there
+        replayed unseen, so every checkpoint-backed volume is scrubbed.
         """
-        if not scan.corrupt:
+        if not scan.corrupt and not trusted:
             return {}, {}
         registry = get_registry()
         targeted: dict[str, set[int]] = {}
@@ -785,8 +778,10 @@ class PageStore:
             if survivors:
                 targeted.setdefault(frame.volume, set()).update(survivors)
         # Scrub certifies the checkpoint-backed volumes the damage may
-        # have touched (all of them when a region was unreadable).
-        scrub_volumes = set(self._warm_from_checkpoint) if blind else {
+        # have touched (all of them when a region was unreadable or the
+        # prefix went unchecked).
+        scrub_volumes = set(self._warm_from_checkpoint) \
+            if blind or trusted else {
             volume for volume in targeted if volume in
             self._warm_from_checkpoint
         }
@@ -823,10 +818,9 @@ class _StreamingReplay:
 
     The pipelined half of recovery: :func:`repro.store.recovery.
     scan_log` streams each segment's certified frames through
-    :meth:`feed` while later segments are still being read and
-    verified, so segment I/O, seal verification and ``Replica``
-    application overlap instead of serializing.  Apply-during-scan is
-    safe because the certified prefix is monotone -- a later segment
+    :meth:`feed` before it reads the next segment, so the scan never
+    holds more than one segment's frames unapplied.  Apply-during-scan
+    is safe because the certified prefix is monotone -- a later segment
     can never invalidate an earlier certified frame.
 
     Frames ending at or before the checkpoint position replay *cold*

@@ -1,8 +1,8 @@
 """Mixed-kind page inputs for the batch engine's exactness properties.
 
 Every :class:`~repro.sig.BatchSigner` entry point accepts the same page
-inputs: raw byte containers, arena :class:`~repro.sig.PageView`\\ s,
-symbol sequences and symbol arrays, and odd-length GF(2^16) bytes
+inputs: raw byte containers, ``memoryview`` slices of one shared
+buffer, symbol sequences and symbol arrays, and odd-length GF(2^16) bytes
 (zero-padded exactly as ``scheme.sign`` pads them).  A drawn page is a
 ``(kind, content)`` pair: ``content`` is the page's bytes, which the
 reference ``scheme.sign`` signs directly, and ``kind`` names the input
@@ -16,11 +16,12 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from repro.sig import PageArena, engine, parallel
+from repro.sig import engine
 
 #: Every input form the engine accepts.  ``odd`` draws an odd byte
-#: length on GF(2^16) (the padded lane); ``view`` lands the page in a
-#: shared arena and passes its :class:`PageView`.
+#: length on GF(2^16) (the padded lane); ``view`` lands the page in one
+#: buffer shared by the batch and passes a zero-copy ``memoryview``
+#: slice of it.
 KINDS = ("bytes", "bytearray", "memoryview", "odd", "list", "array", "view")
 
 _MAKERS = {
@@ -39,16 +40,11 @@ def matrix_lane():
 
     Runs under :data:`repro.sig.engine.SMALL_RUN_SYMBOLS` normally take
     the small lane; tests of the matrix lane's own machinery (spans,
-    ladder cache, process pool) pin the crossover to zero instead of
-    inflating their inputs.  A cached ``fork`` pool first forked inside
-    the block would keep the pinned crossover for the rest of the
-    process, so every pool is shut down on the way out.
+    ladder cache) pin the crossover to zero instead of inflating their
+    inputs.
     """
-    try:
-        with mock.patch.object(engine, "SMALL_RUN_SYMBOLS", 0):
-            yield
-    finally:
-        parallel.shutdown_pools()
+    with mock.patch.object(engine, "SMALL_RUN_SYMBOLS", 0):
+        yield
 
 
 def draw_page(data, scheme, max_symbols: int = 50,
@@ -83,16 +79,28 @@ def every_kind(scheme, content: bytes) -> list[tuple[str, bytes]]:
     return pages
 
 
+def shared_views(pages: list[bytes], align: int) -> list[memoryview]:
+    """Land ``pages`` once in one ``bytearray``; return a zero-copy
+    ``memoryview`` slice per page, each starting on an ``align``-byte
+    boundary so its symbols can be read in place."""
+    offsets, end = [], 0
+    for page in pages:
+        end = -(-end // align) * align
+        offsets.append(end)
+        end += len(page)
+    buffer = bytearray(end)
+    for offset, page in zip(offsets, pages):
+        buffer[offset:offset + len(page)] = page
+    whole = memoryview(buffer)
+    return [whole[offset:offset + len(page)]
+            for offset, page in zip(offsets, pages)]
+
+
 @contextmanager
 def materialized(scheme, pages: list[tuple[str, bytes]]):
-    """Yield each page's input object; ``view`` pages share one arena."""
-    arena, views = PageArena.from_pages(
+    """Yield each page's input object; ``view`` pages share one buffer."""
+    views = iter(shared_views(
         [content for kind, content in pages if kind == "view"],
-        align=scheme.scheme_id.symbol_bytes,
-    )
-    views = iter(views)
-    try:
-        yield [next(views) if kind == "view" else _MAKERS[kind](content, scheme)
-               for kind, content in pages]
-    finally:
-        arena.close()
+        scheme.scheme_id.symbol_bytes))
+    yield [next(views) if kind == "view" else _MAKERS[kind](content, scheme)
+           for kind, content in pages]

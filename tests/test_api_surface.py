@@ -200,6 +200,35 @@ class TestLayering:
             assert "serialize_bucket" not in package.__all__
             assert "deserialize_bucket" not in package.__all__
 
+    def test_one_in_process_signing_lane(self):
+        """No process pool, shared-memory arena or worker knob is left:
+        signing and recovery run in the calling process."""
+        import repro.store
+
+        for name in ("PageArena", "PageView", "resolve_workers",
+                     "scheme_spec", "scheme_from_spec"):
+            assert name not in repro.sig.__all__
+            assert not hasattr(repro.sig, name)
+        for name in ("MIN_PARALLEL_BYTES", "RECOVERY_WORKERS_ENV",
+                     "SegmentVerdict", "effective_workers",
+                     "resolve_recovery_workers"):
+            assert name not in repro.store.__all__
+            assert not hasattr(repro.store, name)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.sig.parallel")
+        root = pathlib.Path(repro.__file__).parent
+        pooled = ("multiprocessing", "concurrent")
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module or ""]
+                else:
+                    continue
+                for module in modules:
+                    assert module.split(".")[0] not in pooled, (path, module)
+
     def test_sig_exports_only_what_outside_code_uses(self):
         """Names only ``repro.sig`` itself uses stay in their submodules."""
         moved = {"base": "SignatureBase", "algebra": "apply_delta",

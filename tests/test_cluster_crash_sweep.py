@@ -135,7 +135,7 @@ def _run(root: str, preload, mutation, cut=None, *, rot=None,
         plan = FaultPlan(partitions=(Partition(at, at + 1.0, ((name,),)),))
     with use_registry(registry):
         cluster = Cluster(servers=2, seed=5, plan=plan, durable_dir=root,
-                          durable_checkpoint_every=3, recovery_workers=1)
+                          durable_checkpoint_every=3)
         client = cluster.client()
         kind, key, value = mutation
         node = cluster.node_for(key)

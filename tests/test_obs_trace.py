@@ -260,8 +260,7 @@ class TestTraceStoreRing:
         with use_registry(MetricsRegistry()) as registry:
             cluster = Cluster(servers=4, seed=3, durable_dir=tmp_path,
                               durable_flush="frame",
-                              durable_checkpoint_every=64,
-                              recovery_workers=1)
+                              durable_checkpoint_every=64)
             client = cluster.client()
             for key in range(200):
                 client.insert(key, b"v" * 100)

@@ -4,10 +4,10 @@ The engine's whole contract is *exactness at batch speed*: every input
 must sign byte-identically to the reference ``scheme.sign``.  These
 tests state that as hypothesis properties over random batches mixing
 every input kind in one call -- bytes, bytearrays, memoryviews,
-odd-length GF(2^16) bytes, symbol lists and arrays, arena page views,
-empty pages -- on both production fields, plain and twisted schemes,
-plus deterministic checks of the ladder caches, the process-pool worker
-mode, the signer pool, and the tree bulk build.
+odd-length GF(2^16) bytes, symbol lists and arrays, ``memoryview``
+slices of one shared buffer, empty pages -- on both production fields,
+plain and twisted schemes, plus deterministic checks of the ladder
+caches, the signer pool, and the tree bulk build.
 """
 
 import numpy as np
@@ -78,18 +78,6 @@ class TestBatchExactness:
             got = BatchSigner(scheme).sign_many(inputs)
         assert got == [scheme.sign(content) for _kind, content in pages]
 
-    @pytest.mark.parametrize("name", ["gf16", "gf8-twisted"])
-    @settings(max_examples=4, deadline=None)
-    @given(data=st.data())
-    def test_workers_equal_single_thread(self, name, data):
-        scheme = SCHEMES[name]
-        pages = draw_batch(data, scheme, max_pages=12)
-        # Tiny block size forces several spans -> several pool tasks.
-        pooled = BatchSigner(scheme, workers=2, block_symbols=64)
-        with materialized(scheme, pages) as inputs, matrix_lane():
-            got = pooled.sign_many(inputs)
-        assert got == [scheme.sign(content) for _kind, content in pages]
-
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), name=st.sampled_from(sorted(SCHEMES)),
            page_symbols=st.integers(1, 40))
@@ -139,26 +127,22 @@ class TestWidthGrouping:
     #: Interleaved short, long, empty and odd-length bodies, in bytes.
     SIZES = (104, 4128, 0, 41, 7, 4127, 1, 104, 0, 9000, 13, 104, 4128)
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", ["gf16", "gf8-twisted"])
-    def test_interleaved_widths_keep_input_order(self, name, workers):
+    def test_interleaved_widths_keep_input_order(self, name):
         scheme = SCHEMES[name]
         rng = np.random.default_rng(17)
         bodies = [[rng.bytes(size // 2), rng.bytes(size - size // 2)]
                   for size in self.SIZES]
         registry = MetricsRegistry()
         with use_registry(registry), matrix_lane():
-            got = BatchSigner(scheme, workers=workers).sign_concat_many(
-                bodies, strict=False)
+            got = BatchSigner(scheme).sign_concat_many(bodies, strict=False)
         assert got == [scheme.sign(b"".join(parts), strict=False)
                        for parts in bodies]
-        if workers == 1:
-            symbol_bytes = scheme.scheme_id.symbol_bytes
-            lengths = np.array([-(-size // symbol_bytes)
-                                for size in self.SIZES])
-            groups = width_groups(lengths, BatchSigner(scheme).block_symbols)
-            assert len(groups) > 1
-            assert registry.total("sig.engine.batches") == len(groups)
+        symbol_bytes = scheme.scheme_id.symbol_bytes
+        lengths = np.array([-(-size // symbol_bytes) for size in self.SIZES])
+        groups = width_groups(lengths, BatchSigner(scheme).block_symbols)
+        assert len(groups) > 1
+        assert registry.total("sig.engine.batches") == len(groups)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     @settings(max_examples=25, deadline=None)
@@ -242,14 +226,12 @@ class TestTreeBulkBuild:
 
 
 # ----------------------------------------------------------------------
-# Worker splitting, the signer pool, metrics
+# Sizes, the signer pool, metrics
 # ----------------------------------------------------------------------
 
 class TestEnginePlumbing:
 
     def test_invalid_sizes_rejected(self):
-        with pytest.raises(SignatureError):
-            BatchSigner(make_scheme(), workers=0)
         with pytest.raises(SignatureError):
             BatchSigner(make_scheme(), block_symbols=0)
 

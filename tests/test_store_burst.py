@@ -193,8 +193,7 @@ CLUSTER_LOG_DIGEST = (
 def cluster_round(root: Path) -> str:
     """Fixed-seed inserts, updates and deletes on a durable cluster."""
     cluster = Cluster(servers=4, seed=11, durable_dir=root,
-                      durable_checkpoint_every=5, durable_flush="frame",
-                      recovery_workers=1)
+                      durable_checkpoint_every=5, durable_flush="frame")
     client = cluster.client()
     rng = random.Random(5)
     keys: list[int] = []

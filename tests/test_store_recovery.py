@@ -1,40 +1,42 @@
-"""Parallel certified recovery: sharded scan, group commit, env knobs.
+"""Certified recovery: the scan's edge cases, group commit, tail mode.
 
-The load-bearing properties of PR 9:
+The load-bearing properties:
 
-* the segment-sharded certification scan is **byte-identical** to the
-  sequential one for any worker count -- Proposition 1's per-frame
-  seal checks are independent of batch composition, and the global
-  seq-monotonicity fold only needs the running max, so per-segment
-  partitions stitch into exactly the sequential verdict (including
-  torn tails and corrupt regions straddling a segment boundary);
+* the certification scan walks the log one segment at a time, and its
+  partition -- certified frames, corrupt regions, the torn tail --
+  equals a per-frame reference built from :func:`repro.store.frames.
+  parse_at` and ``scheme.sign`` (Proposition 1, each seal checked
+  alone), including torn tails and corrupt regions at a segment
+  boundary, ``stale_seq`` replays across segments and a trusted prefix
+  ending mid-segment;
 * ``flush="group"`` coalesces frames into one write + one flush per
   group without changing a single byte of the encoded log -- frame
   encoding, offsets, and scans are identical across flush modes;
-* the worker knobs resolve ``REPRO_RECOVERY_WORKERS`` first, then
-  fall back to ``REPRO_SIGN_WORKERS``, then CPU count.
+* ``verify="tail"`` never returns a wrong image as clean: rot in a
+  trusted pre-checkpoint frame is caught by the scrub against the
+  sealed checkpoint map and condemned as ``verify="full"`` condemns it.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SignatureError, StoreError
+from repro.cluster import Cluster, ClusterError
+from repro.errors import StoreError
 from repro.gf import GF
 from repro.obs import MetricsRegistry, use_registry
 from repro.sig import SignatureMap, make_scheme
 from repro.sig.twisted import log_interpretation_scheme
 from repro.store import (
     KIND_PAGE,
-    MIN_PARALLEL_BYTES,
     Frame,
     PageStore,
     SegmentedLog,
-    effective_workers,
-    resolve_recovery_workers,
 )
 from repro.store import frames as fr
 
@@ -64,101 +66,100 @@ def _fingerprint(result) -> tuple:
     )
 
 
-def assert_parallel_equals_sequential(log, trusted_bytes: int = 0) -> tuple:
-    """Scans with 1, 2 and 3 workers must agree coordinate for coordinate."""
-    reference = _fingerprint(log.scan(trusted_bytes=trusted_bytes,
-                                      verify_workers=1))
-    for workers in (2, 3):
-        assert _fingerprint(log.scan(trusted_bytes=trusted_bytes,
-                                     verify_workers=workers)) == reference
-    return reference
+def _reference_scan(log, trusted_bytes: int = 0) -> tuple:
+    """The scan's partition, rebuilt one frame at a time.
+
+    Each segment is walked with :func:`repro.store.frames.parse_at`
+    (resyncing at the next offset where a frame parses), each seal is
+    checked alone with ``scheme.sign``, and the ``seq`` rule and the
+    torn-tail rule are applied frame by frame -- no batch, no column.
+    """
+    seal_bytes = SCHEME.scheme_id.signature_bytes
+    frames, corrupt = [], []
+    last_seq, whole_end, base = -1, 0, 0
+    for index, size in log.segments():
+        data = log.segment_path(index).read_bytes()
+        offset = 0
+        while offset < size:
+            parsed = fr.parse_at(data, offset, seal_bytes)
+            if parsed is None:
+                stop = offset + 1
+                while stop < size and fr.parse_at(data, stop,
+                                                  seal_bytes) is None:
+                    stop += 1
+                corrupt.append((base + offset, base + stop, "garbage"))
+                offset = stop
+                continue
+            frame, end, body_end = parsed
+            whole_end = base + end
+            sealed = base + end <= trusted_bytes or SCHEME.sign(
+                data[offset:body_end], strict=False).to_bytes() \
+                == data[body_end:end]
+            if sealed and frame.seq > last_seq:
+                frames.append((base + offset, base + end, frame.kind,
+                               frame.seq, frame.volume, frame.payload))
+                last_seq = frame.seq
+            else:
+                corrupt.append((base + offset, base + end,
+                                "stale_seq" if sealed else "seal"))
+            offset = end
+        base += size
+    total = log.total_bytes
+    torn = whole_end if whole_end < total else None
+    if torn is not None:
+        corrupt = [region for region in corrupt if region[0] < torn]
+    return tuple(frames), tuple(sorted(corrupt)), torn, total
+
+
+def checked_scan(log, trusted_bytes: int = 0) -> tuple:
+    """Scan the log; its partition must equal the per-frame reference."""
+    scanned = _fingerprint(log.scan(trusted_bytes=trusted_bytes))
+    assert scanned == _reference_scan(log, trusted_bytes)
+    return scanned
 
 
 # ----------------------------------------------------------------------
-# Worker resolution
+# The scan's edge cases
 # ----------------------------------------------------------------------
 
-class TestResolveRecoveryWorkers:
-    def test_explicit_request_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECOVERY_WORKERS", "7")
-        assert resolve_recovery_workers(3) == 3
-
-    def test_recovery_env_beats_sign_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECOVERY_WORKERS", "5")
-        monkeypatch.setenv("REPRO_SIGN_WORKERS", "2")
-        assert resolve_recovery_workers() == 5
-
-    def test_falls_back_to_sign_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RECOVERY_WORKERS", raising=False)
-        monkeypatch.setenv("REPRO_SIGN_WORKERS", "6")
-        assert resolve_recovery_workers() == 6
-
-    def test_invalid_value_names_the_offending_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECOVERY_WORKERS", "many")
-        with pytest.raises(SignatureError, match="REPRO_RECOVERY_WORKERS"):
-            resolve_recovery_workers()
-        monkeypatch.setenv("REPRO_RECOVERY_WORKERS", "0")
-        with pytest.raises(SignatureError, match="REPRO_RECOVERY_WORKERS"):
-            resolve_recovery_workers()
-
-    def test_default_is_cpu_count(self, monkeypatch):
-        import os
-        monkeypatch.delenv("REPRO_RECOVERY_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_SIGN_WORKERS", raising=False)
-        assert resolve_recovery_workers() == (os.cpu_count() or 1)
-
-    def test_effective_workers_gates_and_clamps(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RECOVERY_WORKERS", raising=False)
-        monkeypatch.setenv("REPRO_SIGN_WORKERS", "8")
-        # Explicit request: honoured, clamped to one shard per segment.
-        assert effective_workers(4, 10 * MIN_PARALLEL_BYTES, 2) == 2
-        assert effective_workers(4, 0, 16) == 4
-        # Auto mode: tiny logs and single segments stay in-process.
-        assert effective_workers(None, MIN_PARALLEL_BYTES - 1, 16) == 1
-        assert effective_workers(None, MIN_PARALLEL_BYTES, 1) == 1
-        assert effective_workers(None, MIN_PARALLEL_BYTES, 16) == 8
-
-
-# ----------------------------------------------------------------------
-# Parallel scan == sequential scan
-# ----------------------------------------------------------------------
-
-class TestParallelScanExactness:
+class TestScanEdgeCases:
     def test_clean_multi_segment_log(self, tmp_path):
         log = _multi_segment_log(tmp_path)
-        frames, corrupt, torn, _total = \
-            assert_parallel_equals_sequential(log)
-        assert len(frames) == 24 and not corrupt and torn is None
+        frames, corrupt, torn, total = checked_scan(log)
+        assert not corrupt and torn is None
+        assert [f[3] for f in frames] == list(range(24))
+        # The certified frames tile the whole log, segment gaps none.
+        assert frames[0][0] == 0 and frames[-1][1] == total
+        assert all(a[1] == b[0] for a, b in zip(frames, frames[1:]))
 
     def test_torn_tail_straddling_a_segment_boundary(self, tmp_path):
         log = _multi_segment_log(tmp_path)
         # Cut inside the *first* frame of the last segment: the torn
-        # tail starts in the previous segment's coordinate space only
-        # if that frame is the last valid one -- the boundary case the
-        # cross-segment stitch must get right.
+        # tail starts exactly at the segment boundary, after the last
+        # whole frame of the previous segment.
         last_base = log.total_bytes - log.segments()[-1][1]
+        before = log.scan().frames
         log.crash_cut(last_base + 7)
-        frames, corrupt, torn, total = \
-            assert_parallel_equals_sequential(log)
+        frames, corrupt, torn, total = checked_scan(log)
         assert torn == last_base and total == last_base + 7
         assert frames[-1][1] == last_base and not corrupt
+        assert len(frames) == sum(f.end <= last_base for f in before)
 
     def test_corrupt_region_straddling_a_segment_boundary(self, tmp_path):
         log = _multi_segment_log(tmp_path)
         # Rot the last frame of one segment AND the first frame of the
         # next: adjacent corrupt regions on both sides of the boundary.
-        segments = log.segments()
-        second_base = segments[0][1]
+        second_base = log.segments()[0][1]
         log.corrupt_bytes(second_base - 20, b"\xff")
         log.corrupt_bytes(second_base + 20, b"\xff")
-        frames, corrupt, torn, _total = \
-            assert_parallel_equals_sequential(log)
+        frames, corrupt, torn, _total = checked_scan(log)
         assert torn is None
-        reasons = [r[2] for r in corrupt]
-        assert reasons.count("seal") == 2
-        spans = sorted((r[0], r[1]) for r in corrupt)
-        assert spans[0][1] <= second_base <= spans[1][0]
+        assert [r[2] for r in corrupt] == ["seal", "seal"]
+        # A frame never spans two segments: one region ends on the
+        # boundary, the next starts on it.
+        assert corrupt[0][1] == second_base == corrupt[1][0]
         assert len(frames) == 22
+        assert second_base not in {f[0] for f in frames}
 
     def test_stale_seq_across_segments(self, tmp_path):
         log = SegmentedLog(tmp_path, SCHEME, segment_bytes=SEGMENT)
@@ -166,20 +167,22 @@ class TestParallelScanExactness:
         # A structurally valid frame whose seq regressed: stale bytes
         # landing in a *later* segment must still be rejected by the
         # cross-segment monotonicity fold.
-        log.append(_page_frame(3, 99))
+        stale_start = log.append(_page_frame(3, 99))
+        stale_end = log.total_bytes
         log.append_many([_page_frame(seq, seq) for seq in range(10, 14)])
         assert log.segment_count > 2
-        frames, corrupt, torn, _total = \
-            assert_parallel_equals_sequential(log)
+        frames, corrupt, torn, _total = checked_scan(log)
         assert torn is None
-        assert [r[2] for r in corrupt] == ["stale_seq"]
-        assert len(frames) == 14
+        assert corrupt == ((stale_start, stale_end, "stale_seq"),)
+        assert [f[3] for f in frames] == list(range(14))
+        seq3_start = next(f[0] for f in frames if f[3] == 3)
+        assert log._locate(seq3_start)[1] < log._locate(stale_start)[1]
 
     def test_trusted_prefix_ending_mid_segment(self, tmp_path):
         log = _multi_segment_log(tmp_path)
         # Trust a prefix that ends inside segment 1 (not on a boundary)
         # with rot both inside and beyond it: only the post-trust rot
-        # may surface, identically for any worker count.
+        # may surface.
         segments = log.segments()
         trusted = segments[0][1] + segments[1][1] // 2
         scan = log.scan()
@@ -187,10 +190,9 @@ class TestParallelScanExactness:
         beyond = next(f for f in scan.frames if f.start >= trusted)
         log.corrupt_bytes(inside.start + 40, b"\x55")    # payload bytes
         log.corrupt_bytes(beyond.start + 40, b"\x55")
-        frames, corrupt, _torn, _total = \
-            assert_parallel_equals_sequential(log, trusted_bytes=trusted)
-        assert [r[2] for r in corrupt] == ["seal"]
-        assert corrupt[0][0] == beyond.start
+        frames, corrupt, torn, _total = checked_scan(log, trusted)
+        assert corrupt == ((beyond.start, beyond.end, "seal"),)
+        assert torn is None and len(frames) == 23
         # The trusted frame is still structurally parsed and returned.
         assert any(f[0] == inside.start for f in frames)
 
@@ -205,22 +207,16 @@ class TestParallelScanExactness:
             log.corrupt_bytes(rotted.start + 40, b"\x55")
             if not rot_last:
                 log.crash_cut(scan.frames[-1].start + 7)
-            frames, corrupt, torn, _total = \
-                assert_parallel_equals_sequential(log)
+            frames, corrupt, torn, _total = checked_scan(log)
             assert torn == (None if rot_last else scan.frames[-1].start)
             assert len(frames) == (23 if rot_last else 22)
-            assert [r[:3] for r in corrupt] == [
-                (rotted.start, rotted.end, "seal")]
-
-    def test_explicit_workers_beyond_segments_still_exact(self, tmp_path):
-        log = _multi_segment_log(tmp_path)
-        reference = _fingerprint(log.scan(verify_workers=1))
-        assert _fingerprint(log.scan(verify_workers=64)) == reference
+            assert corrupt == ((rotted.start, rotted.end, "seal"),)
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_random_faults_never_diverge(self, data, tmp_path_factory):
-        """Parallel == sequential over random rot + torn-tail plans."""
+        """The scan equals the per-frame reference over random rot,
+        torn-tail and trusted-prefix plans."""
         tmp_path = tmp_path_factory.mktemp("fuzz")
         log = _multi_segment_log(tmp_path, frames=16)
         total = log.total_bytes
@@ -229,7 +225,9 @@ class TestParallelScanExactness:
             log.corrupt_bytes(offset, b"\xff\x01")
         if data.draw(st.booleans(), label="torn"):
             log.crash_cut(data.draw(st.integers(1, total), label="cut"))
-        assert_parallel_equals_sequential(log)
+        trusted = data.draw(st.sampled_from([0, 0, total // 3]),
+                            label="trusted")
+        checked_scan(log, trusted)
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +308,7 @@ class TestGroupCommit:
 
 
 # ----------------------------------------------------------------------
-# Whole-store parallel recovery
+# Whole-store recovery
 # ----------------------------------------------------------------------
 
 def _churned_store(directory, flush: str = "frame") -> bytes:
@@ -328,77 +326,144 @@ def _churned_store(directory, flush: str = "frame") -> bytes:
     return bytes(image)
 
 
-class TestParallelRecover:
-    def test_parallel_recover_equals_sequential(self, tmp_path):
+def _assert_recovered(store, report, image) -> None:
+    assert store.image("vol") == image
+    assert report.clean
+    page_bytes = store.page_bytes_of("vol")
+    expected = SignatureMap.compute(
+        SCHEME, image, page_bytes // SCHEME.scheme_id.symbol_bytes)
+    assert store.signature_map("vol").signatures == expected.signatures
+
+
+class TestRecover:
+    def test_group_flush_store_recovers(self, tmp_path):
+        image = _churned_store(tmp_path / "store", flush="group")
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            store, report = PageStore.recover(
+                SCHEME, tmp_path / "store", segment_bytes=SEGMENT,
+                flush="group")
+        try:
+            _assert_recovered(store, report, image)
+            assert registry.snapshot()["store.scans"] == {"": 1}
+        finally:
+            store.close()
+
+
+class TestKeptWorkerKeywords:
+    """``PageStore.recover(verify_workers=)`` and ``Cluster(
+    recovery_workers=)`` remain for existing callers: ``None`` and
+    ``1`` recover in process as usual, any other count fails."""
+
+    def test_verify_workers_one_recovers_normally(self, tmp_path):
         image = _churned_store(tmp_path / "store")
-        outcomes = {}
-        for workers in (1, 3):
+        for workers in (None, 1):
             store, report = PageStore.recover(
                 SCHEME, tmp_path / "store", segment_bytes=SEGMENT,
                 verify_workers=workers)
             try:
-                outcomes[workers] = (
-                    store.image("vol"),
-                    store.signature_map("vol").signatures,
-                    report.frames_folded, report.frames_valid,
-                    report.condemned, report.torn_bytes,
-                )
+                _assert_recovered(store, report, image)
             finally:
                 store.close()
-        assert outcomes[1] == outcomes[3]
-        assert outcomes[1][0] == image
 
-    def test_sharded_recover_reports_sequential_signing_counters(
-            self, tmp_path):
-        # Workers sign the seals in their own processes; their counters
-        # must land in the caller's registry, label for label.
+    def test_verify_workers_other_than_one_raises(self, tmp_path):
         _churned_store(tmp_path / "store")
-        counters = {}
-        for workers in (1, 2):
-            with use_registry(MetricsRegistry()) as registry:
-                store, _report = PageStore.recover(
-                    SCHEME, tmp_path / "store", segment_bytes=SEGMENT,
-                    verify_workers=workers)
-                store.close()
-                assert registry.total("store.scans", mode="parallel") \
-                    == (workers > 1)
-                snapshot = registry.snapshot()
-            counters[workers] = {name: snapshot[name] for name in (
-                "sig.sign_calls", "sig.bytes_signed")}
-        assert counters[1] == counters[2]
-        assert sum(counters[1]["sig.sign_calls"].values()) > 0
+        for workers in (2, 0):
+            with pytest.raises(StoreError, match="one process"):
+                PageStore.recover(SCHEME, tmp_path / "store",
+                                  segment_bytes=SEGMENT,
+                                  verify_workers=workers)
 
-    def test_group_flush_store_recovers_with_workers(self, tmp_path):
-        image = _churned_store(tmp_path / "store", flush="group")
-        store, report = PageStore.recover(
-            SCHEME, tmp_path / "store", segment_bytes=SEGMENT,
-            verify_workers=2, flush="group")
+    def test_cluster_recovery_workers(self, tmp_path):
+        for workers in (None, 1):
+            cluster = Cluster(servers=2, seed=1,
+                              durable_dir=tmp_path / f"c{workers}",
+                              recovery_workers=workers)
+            client = cluster.client()
+            assert client.insert(7, b"seven").ok
+            node = cluster.nodes[0]
+            node.store.close()
+            assert cluster._recover_durable(node) is None
+        with pytest.raises(ClusterError, match="one process"):
+            Cluster(servers=2, durable_dir=tmp_path / "c2",
+                    recovery_workers=2)
+
+
+# ----------------------------------------------------------------------
+# verify="tail": the trusted prefix is scrubbed, never taken on faith
+# ----------------------------------------------------------------------
+
+class TestTailModeScrub:
+    PAGE = 4096
+
+    def _rotted_store(self, directory) -> tuple[bytes, int]:
+        """16 pages, 20 deltas, a checkpoint, rot in the sixth delta.
+
+        Delta ``i`` rewrites 64 bytes of page ``(i + 3) % 16``, so the
+        sixth (``i = 5``) is the only frame touching page 8.  Returns
+        the last durable image and the rotted page.
+        """
+        rng = np.random.default_rng(31)
+        image = bytearray(rng.integers(0, 256, size=16 * self.PAGE,
+                                       dtype=np.uint8).tobytes())
+        store = PageStore(SCHEME, directory)
+        store.write_image("v", bytes(image), self.PAGE)
+        ends = []
+        for i in range(20):
+            at = ((i + 3) % 16) * self.PAGE + 200
+            after = rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
+            store.record_extent("v", at, bytes(image[at:at + 64]), after,
+                                len(image))
+            image[at:at + 64] = after
+            ends.append(store.log_bytes)
+        store.checkpoint()
+        store.close()
+        store.corrupt_log(ends[5] - 40, b"\xff\xff")
+        return bytes(image), 8
+
+    def test_tail_condemns_what_full_condemns(self, tmp_path):
+        image, page = self._rotted_store(tmp_path / "rotted")
+        outcomes = {}
+        for verify in ("full", "tail"):
+            # Each mode recovers (and patches) its own copy of the log.
+            directory = tmp_path / verify
+            shutil.copytree(tmp_path / "rotted", directory)
+            store, report = PageStore.recover(SCHEME, directory,
+                                              verify=verify)
+            try:
+                assert not report.clean
+                assert report.condemned == {"v": (page,)}
+                expected = report.expected["v"][page]
+                # The certified expectation is the true page's.
+                true_page = image[page * self.PAGE:(page + 1) * self.PAGE]
+                assert expected == SCHEME.sign(true_page)
+                # Only the condemned page differs; patched from
+                # redundancy it restores the last durable state.
+                recovered = store.image("v")
+                assert [i for i in range(16) if
+                        recovered[i * self.PAGE:(i + 1) * self.PAGE]
+                        != image[i * self.PAGE:(i + 1) * self.PAGE]] \
+                    == [page]
+                store.write_page("v", page, true_page)
+                assert store.image("v") == image
+                outcomes[verify] = (report.condemned, report.expected)
+            finally:
+                store.close()
+        assert outcomes["tail"] == outcomes["full"]
+
+    def test_tail_recovery_of_a_clean_log_stays_clean(self, tmp_path):
+        image = _churned_store(tmp_path / "store")
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            store, report = PageStore.recover(
+                SCHEME, tmp_path / "store", segment_bytes=SEGMENT,
+                verify="tail")
         try:
-            assert store.image("vol") == image
-            assert report.clean
-            page_bytes = store.page_bytes_of("vol")
-            expected = SignatureMap.compute(
-                SCHEME, image, page_bytes // SCHEME.scheme_id.symbol_bytes)
-            assert store.signature_map("vol").signatures \
-                == expected.signatures
+            _assert_recovered(store, report, image)
+            # The one scrub of the checkpoint-backed volume ran.
+            assert registry.snapshot()["store.scrubs"] == {"volume=vol": 1}
         finally:
             store.close()
-
-    def test_scrub_with_workers_matches_sequential(self, tmp_path):
-        _churned_store(tmp_path / "store")
-        reports = {}
-        for workers in (None, 2):
-            store, _report = PageStore.recover(
-                SCHEME, tmp_path / "store", segment_bytes=SEGMENT,
-                verify_workers=workers)
-            try:
-                scrub = store.scrub("vol")
-                reports[workers] = (scrub.nodes_compared,
-                                    tuple(scrub.condemned))
-            finally:
-                store.close()
-        assert reports[None] == reports[2]
-        assert reports[2][1] == ()
 
 
 class TestMixedWidthSegment:
@@ -419,8 +484,7 @@ class TestMixedWidthSegment:
         store.corrupt_log(delta + 40, b"\xff\xff")
         store.close()
 
-        scan = SegmentedLog(tmp_path / "store", SCHEME).scan(
-            verify_workers=1)
+        scan = SegmentedLog(tmp_path / "store", SCHEME).scan()
         assert [(r.start, r.end, r.reason) for r in scan.corrupt] == [
             (delta, second, "seal")]
         # (The volume's creation frame precedes the two page frames.)
@@ -558,9 +622,9 @@ class TestArraySealVerdict:
         trusted = base + data.draw(st.integers(0, len(buffer)),
                                    label="trusted")
         segment = bytes(buffer)
-        verdict = scan_segment(scheme, segment, 3, base, trusted)
+        table, seal_ok, _garbage = scan_segment(scheme, segment, base,
+                                                trusted)
 
-        table = verdict.frames
         assert (table.start - base).tolist() == starts[:-1]
         assert (table.end - base).tolist() == starts[1:]
         seals = get_batch_signer(scheme).sign_concat_many(
@@ -577,7 +641,7 @@ class TestArraySealVerdict:
         assert not held[victim]
         # The scan trusts the frames inside the trusted prefix and
         # takes the array verdict for the rest.
-        assert verdict.seal_ok.tolist() == [
+        assert seal_ok.tolist() == [
             base + e <= trusted or hold
             for e, hold in zip(starts[1:], held)]
 
@@ -727,6 +791,10 @@ class TestColdReplay:
                 page_bytes = 256 if name == "b" else 512
                 assert maps[name] == SignatureMap.compute(
                     SCHEME, image, page_bytes // 2).signatures
-        # Tail mode trusts the checkpoint for the rotted prefix frame.
-        detected = rot and verify == "full"
-        assert bool(cold[3]) == bool(cold[4]) == detected
+        # Tail mode trusts the checkpoint for the rotted prefix frame
+        # but scrubs the volume against the sealed map: it condemns the
+        # same page with the same certified expectation.
+        assert bool(cold[3]) == bool(cold[4]) == rot
+        if rot:
+            assert cold[3:5] == _recovered_state(
+                tmp_path, "full" if verify == "tail" else "tail")[3:5]

@@ -304,7 +304,7 @@ def test_recovery_builds_signatures_only_for_condemned_pages(
 
     monkeypatch.setattr(Signature, "__post_init__", counting)
     store, report = PageStore.recover(scheme, tmp_path / "store",
-                                      locate_d=locate_d, verify_workers=1)
+                                      locate_d=locate_d)
     monkeypatch.setattr(Signature, "__post_init__", post_init)
     try:
         condemned = report.condemned.get("vol", ())
