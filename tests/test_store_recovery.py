@@ -381,7 +381,7 @@ class TestKeptWorkerKeywords:
                               recovery_workers=workers)
             client = cluster.client()
             assert client.insert(7, b"seven").ok
-            node = cluster.nodes[0]
+            node = cluster.node_for(7)
             node.store.close()
             assert cluster._recover_durable(node) is None
         with pytest.raises(ClusterError, match="one process"):
